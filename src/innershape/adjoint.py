@@ -7,9 +7,9 @@ The objective of a shot path with endpoint matching is
 
 where the matching term uses the flat parameter-domain mass matrix.  The
 sweep transposes the linearized forward scheme step by step, so the returned
-gradient differentiates the discrete objective exactly (up to solver
-tolerance); a central finite difference of E must agree to FD-limited
-accuracy, which the test suite enforces.
+gradient differentiates the discrete objective exactly up to rounding; a
+central finite difference of E must agree to FD-limited accuracy, which the
+test suite enforces.
 
 Writing ubar_i and qbar_i for the accumulated Euclidean derivatives of E
 with respect to u_i and q_i, the recursion below q_N is, with
@@ -75,7 +75,7 @@ def backward_sweep(
     q_target: Immersion,
     sigma: float,
     diagnostics: bool = True,
-    cg_tol: float | None = None,
+    eps_reg: float | None = None,
 ) -> AdjointState:
     """Run the adjoint recursion down a shot path.
 
@@ -89,6 +89,9 @@ def backward_sweep(
         Matching weight 1/(2 sigma^2); must be > 0.
     diagnostics : bool
         Fill interior u_hat/v_hat entries (extra solves per step).
+    eps_reg : float, optional
+        Degeneracy threshold forwarded to every geometry check; pass the
+        value the forward path was shot with.
 
     Returns
     -------
@@ -99,7 +102,6 @@ def backward_sweep(
     n = path.n_steps
     alpha = path.alpha
     dt = path.dt
-    sharp_kwargs = {} if cg_tol is None else {"tol": cg_tol}
 
     qbar = matching_covector(path.final, q_target, sigma)
     ubar = np.zeros_like(qbar)
@@ -108,8 +110,8 @@ def backward_sweep(
     v_hat: list = [None] * (n + 1)
     u_hat[n] = np.zeros_like(qbar)
     if diagnostics:
-        op_final = assemble(path.final, alpha)
-        v_hat[n] = -sharp(op_final, qbar, **sharp_kwargs)
+        op_final = assemble(path.final, alpha, eps_reg)
+        v_hat[n] = -sharp(op_final, qbar)
 
     for i in range(n - 1, -1, -1):
         q_i = path.immersions[i]
@@ -117,14 +119,14 @@ def backward_sweep(
         op_i = path.operators[i]
 
         if np.any(ubar):
-            w = sharp(path.operators[i + 1], ubar, **sharp_kwargs)
+            w = sharp(path.operators[i + 1], ubar)
             u_next = path.velocities[i + 1]
             qbar_adj = qbar - 2.0 * kinetic_surface_gradient(
-                path.immersions[i + 1], alpha, u_next, w
+                path.immersions[i + 1], alpha, u_next, w, eps_reg
             )
-            cross = 2.0 * dt * kinetic_cross_gradient(q_i, alpha, u_i, w)
-            hess = dt * kinetic_surface_hessian(q_i, alpha, u_i, w)
-            coupling = 2.0 * kinetic_surface_gradient(q_i, alpha, u_i, w)
+            cross = 2.0 * dt * kinetic_cross_gradient(q_i, alpha, u_i, w, eps_reg)
+            hess = dt * kinetic_surface_hessian(q_i, alpha, u_i, w, eps_reg)
+            coupling = 2.0 * kinetic_surface_gradient(q_i, alpha, u_i, w, eps_reg)
         else:
             w = np.zeros_like(ubar)
             qbar_adj = qbar
@@ -132,13 +134,15 @@ def backward_sweep(
             hess = 0.0
             coupling = 0.0
 
-        qbar = qbar_adj + coupling + hess + dt * kinetic_surface_gradient(q_i, alpha, u_i, u_i)
+        qbar = qbar_adj + coupling + hess + dt * kinetic_surface_gradient(
+            q_i, alpha, u_i, u_i, eps_reg
+        )
         ubar = flat(op_i, w + dt * u_i) + cross + dt * qbar_adj
 
         if diagnostics or i == 0:
-            u_hat[i] = u_i - sharp(op_i, ubar, **sharp_kwargs)
+            u_hat[i] = u_i - sharp(op_i, ubar)
         if diagnostics:
-            v_hat[i] = -sharp(op_i, qbar, **sharp_kwargs)
+            v_hat[i] = -sharp(op_i, qbar)
 
     return AdjointState(sigma=sigma, u_hat=u_hat, v_hat=v_hat)
 

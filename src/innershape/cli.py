@@ -280,7 +280,7 @@ def cmd_shoot(args) -> int:
     if not compatible(q0.mesh, vmesh):
         raise MeshMismatchError("shoot: velocity file does not match the initial mesh")
 
-    path = shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg, cg_tol=cfg.cg_tol)
+    path = shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     written = export_frames(path, os.path.join(out, "frames"))
@@ -392,8 +392,8 @@ def cmd_gradcheck(args) -> int:
     q_target = q0.displaced(0.05 * rng.standard_normal(shape))
     u0 = 0.2 * rng.standard_normal(shape)
 
-    path = shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg, cg_tol=cfg.cg_tol)
-    adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False, cg_tol=cfg.cg_tol)
+    path = shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg)
+    adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False, eps_reg=cfg.eps_reg)
     grad = gradient(path, adj)
     op0 = path.operators[0]
 

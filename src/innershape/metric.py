@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 from .geometry import Immersion, TriangleGeometry, require_regular
@@ -41,11 +41,8 @@ from .mesh import DomainMesh
 #: triangle: area * M3 gives the element mass matrix
 _M3 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
-#: default relative residual for sharp-solves (contract: <= 1e-10)
-DEFAULT_CG_TOL = 1e-12
-
-#: factor on system size for the solver iteration cap
-CG_MAXITER_FACTOR = 30
+#: largest accepted relative residual |A x - p| / |p| of a sharp-solve
+SHARP_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -53,13 +50,12 @@ class MetricOperator:
     """Assembled inner-metric operator at one immersion.
 
     The full operator on stacked (n, 3) fields is block-diagonal with three
-    copies of ``block``; ``flat``/``sharp`` apply it column by column.
+    copies of ``block``; ``flat``/``sharp`` apply it to all columns at once.
     """
 
     immersion: Immersion
     alpha: float
     block: sp.csr_matrix = field(repr=False)
-    _diag: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_nodes(self) -> int:
@@ -68,11 +64,6 @@ class MetricOperator:
     def full_matrix(self) -> sp.csr_matrix:
         """The 3n-by-3n operator, components stacked [x; y; z]."""
         return sp.block_diag([self.block] * 3, format="csr")
-
-    def diagonal(self) -> np.ndarray:
-        if self._diag is None:
-            object.__setattr__(self, "_diag", self.block.diagonal())
-        return self._diag
 
 
 def _element_matrices(q: Immersion, alpha: float, geom: TriangleGeometry) -> np.ndarray:
@@ -147,34 +138,33 @@ def flat(op: MetricOperator, u: np.ndarray) -> np.ndarray:
     return op.block @ u
 
 
-def sharp(
-    op: MetricOperator,
-    p: np.ndarray,
-    tol: float = DEFAULT_CG_TOL,
-    maxiter: int | None = None,
-) -> np.ndarray:
-    """Raise the index: solve A x = p per component.
+def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
+    """Raise the index: solve A x = p for all three components at once.
 
-    Conjugate gradients with diagonal preconditioning, relative residual
-    ``tol``; raises SolverError when a component does not converge within
-    ``maxiter`` iterations (default: 10 times the stacked system size).
+    One sparse LU factorization of the SPD block in symmetric mode per call;
+    raises SolverError when the block is singular, the solution is not
+    finite, or its relative residual exceeds ``SHARP_RESIDUAL_TOL``.
     """
     _check_field(op, p)
-    n = op.n_nodes
-    if maxiter is None:
-        maxiter = CG_MAXITER_FACTOR * n
-    precond = sp.diags(1.0 / op.diagonal())
-    x = np.empty_like(p, dtype=float)
-    for k in range(3):
-        b = p[:, k]
-        xk, info = cg(op.block, b, rtol=tol, atol=0.0, maxiter=maxiter, M=precond)
-        if info != 0:
-            res = np.linalg.norm(op.block @ xk - b)
-            raise SolverError(
-                f"component {k}: CG did not reach rtol={tol:g} in {maxiter} "
-                f"iterations (|residual|={res:.3e}, |rhs|={np.linalg.norm(b):.3e})"
-            )
-        x[:, k] = xk
+    try:
+        lu = splu(
+            op.block.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SolverError(f"metric block factorization failed: {exc}") from exc
+    x = lu.solve(p)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("sharp-solve produced a non-finite solution")
+    res = np.linalg.norm(op.block @ x - p)
+    rhs = np.linalg.norm(p)
+    if res > SHARP_RESIDUAL_TOL * rhs:
+        raise SolverError(
+            f"sharp-solve residual {res:.3e} exceeds {SHARP_RESIDUAL_TOL:g} "
+            f"times |rhs|={rhs:.3e}"
+        )
     return x
 
 

@@ -46,7 +46,6 @@ class RegistrationConfig:
     init: str = "zero"
     fixed_step: bool = False
     eps_reg: float | None = None
-    cg_tol: float | None = None
 
     def validate(self) -> None:
         if self.alpha < 0:
@@ -118,7 +117,7 @@ def energy(
 
 
 def _shoot(q0: Immersion, u0: np.ndarray, cfg: RegistrationConfig) -> GeodesicPath:
-    return shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg, cg_tol=cfg.cg_tol)
+    return shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg)
 
 
 def _energy_of(
@@ -161,7 +160,7 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
     last_step = 0.0
 
     while True:
-        adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False, cg_tol=cfg.cg_tol)
+        adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False, eps_reg=cfg.eps_reg)
         g = adjoint_gradient(path, adj)
         sq_norm = max(inner_product(path.operators[0], g, g), 0.0)
         g_norm = float(np.sqrt(sq_norm))

@@ -60,7 +60,6 @@ def shoot(
     n_steps: int,
     alpha: float,
     eps_reg: float | None = None,
-    cg_tol: float | None = None,
 ) -> GeodesicPath:
     """Integrate the geodesic flow from an initial immersion and velocity.
 
@@ -73,8 +72,8 @@ def shoot(
         Number of time steps N; dt = 1/N.
     alpha : float
         Metric length scale.
-    eps_reg, cg_tol : optional
-        Forwarded to geometry checks and sharp-solves.
+    eps_reg : float, optional
+        Degeneracy threshold forwarded to every geometry check.
 
     Raises
     ------
@@ -88,7 +87,6 @@ def shoot(
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dt = 1.0 / n_steps
-    sharp_kwargs = {} if cg_tol is None else {"tol": cg_tol}
 
     immersions = [q0]
     velocities = [u0]
@@ -113,7 +111,7 @@ def shoot(
                 )
                 op_next = assemble(q_next, alpha, eps_reg)
                 operators.append(op_next)
-                velocities.append(sharp(op_next, momentum, **sharp_kwargs))
+                velocities.append(sharp(op_next, momentum))
         except (DegenerateElementError, SolverError, ValueError) as exc:
             raise StepFailureError(i, str(exc)) from exc
         immersions.append(q_next)

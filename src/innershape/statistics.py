@@ -27,9 +27,11 @@ ZERO_VELOCITY_TOL = 1e-14
 DEGENERATE_ANGLE_DEG = 1.0
 
 
-def geodesic_angle(u: np.ndarray, v: np.ndarray, q: Immersion, alpha: float) -> float:
+def geodesic_angle(
+    u: np.ndarray, v: np.ndarray, q: Immersion, alpha: float, eps_reg: float | None = None
+) -> float:
     """Angle in degrees between two velocities under the metric at q."""
-    op = assemble(q, alpha)
+    op = assemble(q, alpha, eps_reg)
     uu = inner_product(op, u, u)
     vv = inner_product(op, v, v)
     if uu <= ZERO_VELOCITY_TOL**2 or vv <= ZERO_VELOCITY_TOL**2:
@@ -87,7 +89,7 @@ def triangle_experiment(
 
     angles = tuple(
         geodesic_angle(
-            results[v + n1].u0, results[v + n2].u0, shapes[v], cfg.alpha
+            results[v + n1].u0, results[v + n2].u0, shapes[v], cfg.alpha, cfg.eps_reg
         )
         for v, n1, n2 in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B"))
     )

@@ -239,6 +239,10 @@ class TestUsage:
         assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
                    "--bogus", "1") == EXIT_USAGE
 
+    def test_removed_cg_tol_flag(self, tmp_path):
+        assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
+                   "--cg-tol", "1e-12") == EXIT_USAGE
+
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from innershape import (
     Immersion,
     MeshMismatchError,
+    MetricOperator,
     SolverError,
     Topology,
     assemble,
@@ -142,11 +143,20 @@ class TestFlatSharp:
         ones[:, 0] = 1.0
         assert float(np.vdot(cov, ones)) == pytest.approx(c, abs=1e-12)
 
-    def test_sharp_reports_nonconvergence(self, cylinder_shape):
+    def test_sharp_of_singular_block_raises(self, cylinder_shape):
         op = assemble(cylinder_shape, ALPHA)
-        p = np.ones((cylinder_shape.mesh.n_nodes, 3))
+        n = op.n_nodes
+        singular = MetricOperator(cylinder_shape, ALPHA, sp.csr_matrix((n, n)))
         with pytest.raises(SolverError):
-            sharp(op, p, maxiter=1)
+            sharp(singular, np.ones((n, 3)))
+
+    def test_sharp_matches_dense_solve_at_16(self, rng):
+        q = cylinder_surface(build_grid(Topology.CYLINDER, 16, 16), bend_deg=40.0)
+        op = assemble(q, ALPHA)
+        p = random_field(rng, q.mesh)
+        want = np.linalg.solve(op.block.toarray(), p)
+        rel = np.linalg.norm(sharp(op, p) - want) / np.linalg.norm(want)
+        assert rel <= 1e-12
 
 
 class TestInvariances:

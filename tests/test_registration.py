@@ -8,6 +8,7 @@ from innershape import (
     RegistrationConfig,
     RegistrationStatus,
     Topology,
+    backward_sweep,
     build_grid,
     cylinder_surface,
     energy,
@@ -15,8 +16,10 @@ from innershape import (
     l2_matching,
     path_energy,
     register,
+    require_regular,
     shoot,
 )
+from innershape import metric
 from innershape.fixtures import rotation_matrix
 
 from .conftest import random_field
@@ -140,6 +143,40 @@ class TestRegister:
         res = register(q0, qt, cfg)
         energies = [h.energy for h in res.history]
         assert energies[-1] < energies[0]
+
+
+class TestRegularityThreshold:
+    @pytest.fixture
+    def thresholds_seen(self, monkeypatch):
+        """The eps_reg of every regularity check the metric layer makes."""
+        seen = []
+
+        def spy(q, eps_reg=None):
+            seen.append(eps_reg)
+            return require_regular(q, eps_reg)
+
+        monkeypatch.setattr(metric, "require_regular", spy)
+        return seen
+
+    def test_eps_reg_reaches_every_check_of_an_iteration(self, bend_problem, thresholds_seen):
+        q0, qt = bend_problem
+        eps = 1e-9
+        cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=1,
+                                 tol_grad=1e-12, eps_reg=eps)
+        res = register(q0, qt, cfg)
+        assert res.iterations == 1
+        # forward assembles and D per shoot, plus D/H/C per backward step
+        assert len(thresholds_seen) > 2 * cfg.n_steps
+        assert all(e == eps for e in thresholds_seen)
+
+    def test_eps_reg_reaches_the_diagnostic_sweep(self, bend_problem, thresholds_seen):
+        q0, qt = bend_problem
+        eps = 1e-9
+        path = shoot(q0, 0.1 * (qt.coords - q0.coords), 4, ALPHA, eps_reg=eps)
+        thresholds_seen.clear()
+        backward_sweep(path, qt, 0.5, diagnostics=True, eps_reg=eps)
+        assert thresholds_seen
+        assert all(e == eps for e in thresholds_seen)
 
 
 class TestInitialVelocity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from innershape import (
+    DegenerateElementError,
     Immersion,
     MeanStatus,
     RegistrationConfig,
@@ -60,6 +61,11 @@ class TestGeodesicAngle:
         a = geodesic_angle(u, v, cylinder_shape, ALPHA)
         b = geodesic_angle(2.0 * u, 0.5 * v, cylinder_shape, ALPHA)
         assert abs(a - b) <= 1e-12
+
+    def test_eps_reg_governs_regularity_check(self, rng, cylinder_shape):
+        u = random_field(rng, cylinder_shape.mesh, 0.5)
+        with pytest.raises(DegenerateElementError):
+            geodesic_angle(u, -u, cylinder_shape, ALPHA, eps_reg=1e3)
 
     def test_zero_velocity_rejected(self, cylinder_shape, rng):
         u = random_field(rng, cylinder_shape.mesh, 0.5)
