@@ -16,12 +16,13 @@ with respect to u_i and q_i, the recursion below q_N is, with
 w = sharp_{q_{i+1}}(ubar_{i+1}) and D the kinetic surface gradient,
 
     qbar'   = qbar_{i+1} - 2 D(q_{i+1}; u_{i+1}, w)
-    qbar_i  = qbar' + 2 D(q_i; u_i, w) + dt * Hess_q l(u_i)[w]
-                    + dt * D(q_i; u_i, u_i)
+    qbar_i  = qbar' + D(q_i; u_i, 2 w + dt * u_i) + dt * Hess_q l(u_i)[w]
     ubar_i  = flat_{q_i}(w + dt * u_i) + 2 dt * Cross(q_i; u_i, w)
                     + dt * qbar'
 
-seeded with ubar_N = 0 and qbar_N = the matching-term derivative.  The hat
+seeded with ubar_N = 0 and qbar_N = the matching-term derivative.  D is
+bilinear in its two velocity slots, so its single term in qbar_i is
+2 D(q_i; u_i, w) + dt * D(q_i; u_i, u_i) evaluated in one call.  The hat
 variables reported to callers are metric-raised forms of these:
 u_hat_i = u_i - sharp_{q_i}(ubar_i) and v_hat_i = -sharp_{q_i}(qbar_i), so
 that u_hat_N = 0, v_hat_N = sharp(-(1/sigma^2) * flat-mass * (q_N - q_target))
@@ -126,16 +127,16 @@ def backward_sweep(
             )
             cross = 2.0 * dt * kinetic_cross_gradient(q_i, alpha, u_i, w, eps_reg)
             hess = dt * kinetic_surface_hessian(q_i, alpha, u_i, w, eps_reg)
-            coupling = 2.0 * kinetic_surface_gradient(q_i, alpha, u_i, w, eps_reg)
         else:
             w = np.zeros_like(ubar)
             qbar_adj = qbar
             cross = 0.0
             hess = 0.0
-            coupling = 0.0
 
-        qbar = qbar_adj + coupling + hess + dt * kinetic_surface_gradient(
-            q_i, alpha, u_i, u_i, eps_reg
+        # D is bilinear in its velocity slots, so one call gives
+        # 2 D(q_i; u_i, w) + dt D(q_i; u_i, u_i)
+        qbar = qbar_adj + hess + kinetic_surface_gradient(
+            q_i, alpha, u_i, 2.0 * w + dt * u_i, eps_reg
         )
         ubar = flat(op_i, w + dt * u_i) + cross + dt * qbar_adj
 

@@ -341,7 +341,7 @@ def cmd_mean(args) -> int:
     shapes = [_load_immersion(p) for p in args.shapes]
     init = _load_immersion(args.start) if args.start else None
     result = karcher_mean(shapes, init, cfg, mean_tol=cfg.mean_tol,
-                          max_outer=cfg.max_outer, jobs=cfg.jobs)
+                          max_outer=cfg.max_outer)
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)

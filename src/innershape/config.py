@@ -40,7 +40,6 @@ class RunConfig(RegistrationConfig):
     directions: int = 10
     fd_tol: float = 1e-5
     seed: int = 0
-    jobs: int = 1
     # output
     out_dir: str = "out"
     export_frames: bool = False

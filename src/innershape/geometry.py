@@ -22,7 +22,8 @@ class Immersion:
     """An immersed surface: one R^3 position per unique mesh node.
 
     Coordinates are copied to a read-only float64 array; per-triangle
-    geometry is computed once on demand and cached.
+    geometry and the default regularity threshold are computed once on
+    demand and cached.
     """
 
     mesh: DomainMesh
@@ -39,6 +40,7 @@ class Immersion:
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_geom", None)
+        object.__setattr__(self, "_default_threshold", None)
 
     def displaced(self, delta: np.ndarray) -> "Immersion":
         """New immersion with coordinates shifted by a nodal field."""
@@ -125,11 +127,16 @@ def triangle_geometry(q: Immersion) -> TriangleGeometry:
 
 
 def regularity_threshold(q: Immersion, eps_reg: float | None = None) -> float:
-    """Degeneracy threshold on vol: explicit value, or a fraction of the median."""
+    """Degeneracy threshold on vol: explicit value, or a fraction of the median.
+
+    The default is computed once per immersion and cached on it.
+    """
     if eps_reg is not None:
         return eps_reg
-    vol = triangle_geometry(q).vol
-    return DEFAULT_REGULARITY_FACTOR * float(np.median(vol))
+    if q._default_threshold is None:
+        median = float(np.median(triangle_geometry(q).vol))
+        object.__setattr__(q, "_default_threshold", DEFAULT_REGULARITY_FACTOR * median)
+    return q._default_threshold
 
 
 def element_geometry(q: Immersion, tri: int, eps_reg: float | None = None) -> ElementGeometry:

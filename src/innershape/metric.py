@@ -25,6 +25,13 @@ the discrete geodesic equation and its adjoint:
 
 All covectors pair with nodal variations by the plain Euclidean dot product
 over node values.
+
+Every kernel works on per-triangle stacks with batched matrix products.  The
+index maps that move between triangles and nodes depend only on the mesh and
+are built once per ``DomainMesh`` (see ``_index_maps``): the transposed basis
+gradient, the block's fixed CSR pattern with the slot of every local entry
+(assembly is one ``bincount`` into that pattern), and a sparse node-by-corner
+matrix that sums corner covectors onto nodes.
 """
 
 from dataclasses import dataclass, field
@@ -66,22 +73,65 @@ class MetricOperator:
         return sp.block_diag([self.block] * 3, format="csr")
 
 
+@dataclass(frozen=True)
+class _IndexMaps:
+    """Index maps of one mesh, shared by every immersion over it.
+
+    ``grad_t`` is ``basis_grad`` transposed to (ntri, 2, 3); ``indptr`` and
+    ``indices`` are the CSR pattern of the scalar block, and ``slot[k]`` is
+    the pattern position of the k-th entry of a raveled (ntri, 3, 3) local
+    stack; ``scatter`` maps raveled (3 * ntri, 3) corner values to nodes.
+    """
+
+    grad_t: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    scatter: sp.csr_matrix
+
+
+def _index_maps(mesh: DomainMesh) -> _IndexMaps:
+    """The mesh's index maps, built on first use and cached on the mesh."""
+    cached = getattr(mesh, "_index_maps", None)
+    if cached is None:
+        tris = mesh.triangles.astype(np.int64)
+        n = mesh.n_nodes
+        rows = np.repeat(tris, 3, axis=1).ravel()
+        cols = np.tile(tris, (1, 3)).ravel()
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        counts = np.bincount(keys // n, minlength=n)
+        corners = tris.size
+        cached = _IndexMaps(
+            grad_t=np.ascontiguousarray(mesh.basis_grad.transpose(0, 2, 1)),
+            indptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
+            indices=(keys % n).astype(np.int32),
+            slot=slot,
+            scatter=sp.csr_matrix(
+                (np.ones(corners), (tris.ravel(), np.arange(corners))), shape=(n, corners)
+            ),
+        )
+        object.__setattr__(mesh, "_index_maps", cached)
+    return cached
+
+
 def _element_matrices(q: Immersion, alpha: float, geom: TriangleGeometry) -> np.ndarray:
     mesh = q.mesh
-    grad = mesh.basis_grad
-    mass = np.einsum("t,ab->tab", geom.vol * mesh.area, _M3)
-    core = np.einsum("tap,tpq,tbq->tab", grad, geom.g_inv, grad)
-    local = mass + (alpha * alpha) * (geom.vol * mesh.area)[:, None, None] * core
+    core = mesh.basis_grad @ geom.g_inv @ _index_maps(mesh).grad_t
+    local = (geom.vol * mesh.area)[:, None, None] * (_M3 + (alpha * alpha) * core)
     # symmetrize so the assembled matrix is bitwise symmetric
     return 0.5 * (local + local.transpose(0, 2, 1))
 
 
 def _assemble_scalar(mesh: DomainMesh, local: np.ndarray) -> sp.csr_matrix:
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
+    """Sum a (ntri, 3, 3) stack of element matrices into the scalar block.
+
+    Entries of one slot are added in triangle order, so mirrored slots of
+    symmetric element matrices receive bitwise equal sums.
+    """
+    maps = _index_maps(mesh)
+    data = np.bincount(maps.slot, weights=local.ravel(), minlength=maps.indices.size)
     n = mesh.n_nodes
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return sp.csr_matrix((data, maps.indices, maps.indptr), shape=(n, n))
 
 
 def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> MetricOperator:
@@ -111,16 +161,15 @@ def parameter_mass_matrix(mesh: DomainMesh) -> sp.csr_matrix:
     """Mass matrix of the flat parameter domain (volume density 1), cached."""
     cached = getattr(mesh, "_flat_mass", None)
     if cached is None:
-        local = np.einsum("t,ab->tab", mesh.area, _M3)
-        cached = _assemble_scalar(mesh, local)
+        cached = _assemble_scalar(mesh, mesh.area[:, None, None] * _M3)
         object.__setattr__(mesh, "_flat_mass", cached)
     return cached
 
 
 def inner_product(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> float:
     """<u, v> under the operator's metric; exactly symmetric in (u, v)."""
-    _check_field(op, u)
-    _check_field(op, v)
+    _check_field(op.n_nodes, u)
+    _check_field(op.n_nodes, v)
     if u is v:
         return float(np.vdot(u, op.block @ u))
     # evaluating both orders and averaging makes the swap a bitwise no-op
@@ -134,7 +183,7 @@ def norm(op: MetricOperator, u: np.ndarray) -> float:
 
 def flat(op: MetricOperator, u: np.ndarray) -> np.ndarray:
     """Lower the index: the covector A u of a field u."""
-    _check_field(op, u)
+    _check_field(op.n_nodes, u)
     return op.block @ u
 
 
@@ -145,7 +194,7 @@ def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
     raises SolverError when the block is singular, the solution is not
     finite, or its relative residual exceeds ``SHARP_RESIDUAL_TOL``.
     """
-    _check_field(op, p)
+    _check_field(op.n_nodes, p)
     try:
         lu = splu(
             op.block.tocsc(),
@@ -168,9 +217,9 @@ def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_field(op: MetricOperator, u: np.ndarray) -> None:
-    if u.shape != (op.n_nodes, 3):
-        raise ValueError(f"expected ({op.n_nodes}, 3) field, got {u.shape}")
+def _check_field(n_nodes: int, u: np.ndarray) -> None:
+    if u.shape != (n_nodes, 3):
+        raise ValueError(f"expected ({n_nodes}, 3) field, got {u.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +227,33 @@ def _check_field(op: MetricOperator, u: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _variation_prep(q: Immersion, u: np.ndarray, v: np.ndarray, eps_reg):
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """Contiguous per-triangle transpose of a (ntri, m, k) stack.
+
+    Batched ``@`` is several times slower when its right operand is a
+    strided (transposed) view, so right operands are made contiguous first.
+    """
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
+def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-triangle Frobenius pairing sum_ij a[t, i, j] b[t, i, j]."""
+    return np.sum(a * b, axis=(1, 2))
+
+
+def _variation_prep(q: Immersion, eps_reg, *fields: np.ndarray):
+    """Validate every field's shape, then return the checked geometry, the
+    corner values U of the first field and its differential dU = grad^T U."""
+    for f in fields:
+        _check_field(q.mesh.n_nodes, f)
     geom = require_regular(q, eps_reg)
-    mesh = q.mesh
-    tris = mesh.triangles
-    grad = mesh.basis_grad
-    U = u[tris]
-    V = v[tris]
-    dU = np.einsum("tap,tac->tpc", grad, U)
-    dV = dU if v is u else np.einsum("tap,tac->tpc", grad, V)
-    return geom, mesh, tris, grad, U, V, dU, dV
+    U = fields[0][q.mesh.triangles]
+    return geom, U, _index_maps(q.mesh).grad_t @ U
 
 
 def _scatter(mesh: DomainMesh, local: np.ndarray) -> np.ndarray:
-    out = np.zeros((mesh.n_nodes, 3))
-    np.add.at(out, mesh.triangles.ravel(), local.reshape(-1, 3))
-    return out
+    """Sum (ntri, 3, 3) per-corner covectors onto the nodes."""
+    return _index_maps(mesh).scatter @ local.reshape(-1, 3)
 
 
 def kinetic_surface_gradient(
@@ -206,29 +266,32 @@ def kinetic_surface_gradient(
     Symmetric in u and v; zero against constant dq (translations do not
     change the metric).
     """
-    geom, mesh, tris, grad, U, V, dU, dV = _variation_prep(q, u, v, eps_reg)
+    geom, U, dU = _variation_prep(q, eps_reg, u, v)
+    mesh = q.mesh
+    Au = geom.g_inv @ dU
+    if v is u:
+        V, dV, Bv = U, dU, Au
+    else:
+        V = v[mesh.triangles]
+        dV = _index_maps(mesh).grad_t @ V
+        Bv = geom.g_inv @ dV
     k2 = (alpha * alpha) * mesh.area
-    m = mesh.area * np.einsum("tac,ab,tbc->t", U, _M3, V)
-    Au = np.einsum("tpq,tqc->tpc", geom.g_inv, dU)
-    Bv = Au if v is u else np.einsum("tpq,tqc->tpc", geom.g_inv, dV)
-    w = np.einsum("tpc,tpc->t", Au, dV)
-    c = m + k2 * w
-    BA = np.einsum("tpc,trc->tpr", Bv, Au)
+    c = mesh.area * _frob(_M3 @ U, V) + k2 * _frob(Au, dV)
+    BA = Bv @ _transposed(Au)
     S = 0.5 * (BA + BA.transpose(0, 2, 1))
     Z = 0.25 * (geom.vol * c)[:, None, None] * geom.g_inv - 0.5 * (
         k2 * geom.vol
     )[:, None, None] * S
-    local = 2.0 * np.einsum("tap,tpq,tcq->tac", grad, Z, geom.dq)
+    local = 2.0 * (mesh.basis_grad @ Z @ _transposed(geom.dq))
     return _scatter(mesh, local)
 
 
 def _direction_metric_variation(geom: TriangleGeometry, grad, W):
     """delta(dq), delta(g) and tr(ginv delta(g)) for a direction field W."""
-    ddq = np.einsum("tac,tap->tcp", W, grad)
-    dg = np.einsum("tcp,tcr->tpr", ddq, geom.dq)
+    ddq = W.transpose(0, 2, 1) @ grad
+    dg = ddq.transpose(0, 2, 1) @ geom.dq
     dg = dg + dg.transpose(0, 2, 1)
-    trace = np.einsum("tpq,tpq->t", geom.g_inv, dg)
-    return ddq, dg, trace
+    return ddq, dg, _frob(geom.g_inv, dg)
 
 
 def kinetic_surface_hessian(
@@ -239,35 +302,31 @@ def kinetic_surface_hessian(
     Returns the nodal covector of dq -> d^2/dq^2 [1/2 <u, u>_q](w, dq); the
     underlying bilinear form is symmetric in (w, dq).
     """
-    geom, mesh, tris, grad, U, _, dU, _ = _variation_prep(q, u, u, eps_reg)
-    W = w[tris]
+    geom, U, dU = _variation_prep(q, eps_reg, u, w)
+    mesh = q.mesh
     k2 = (alpha * alpha) * mesh.area
     vol = geom.vol
+    g_inv = geom.g_inv
 
-    Au = np.einsum("tpq,tqc->tpc", geom.g_inv, dU)
-    m = mesh.area * np.einsum("tac,ab,tbc->t", U, _M3, U)
-    wt = np.einsum("tpc,tpc->t", Au, dU)
-    c = m + k2 * wt
-    S = np.einsum("tpc,trc->tpr", Au, Au)
-    Z = 0.25 * (vol * c)[:, None, None] * geom.g_inv - 0.5 * (k2 * vol)[:, None, None] * S
+    Au = g_inv @ dU
+    c = mesh.area * _frob(_M3 @ U, U) + k2 * _frob(Au, dU)
+    S = Au @ _transposed(Au)
+    Z = 0.25 * (vol * c)[:, None, None] * g_inv - 0.5 * (k2 * vol)[:, None, None] * S
 
-    ddq, dg, trace = _direction_metric_variation(geom, grad, W)
+    ddq, dg, trace = _direction_metric_variation(geom, mesh.basis_grad, w[mesh.triangles])
     dvol = 0.5 * vol * trace
-    dginv = -np.einsum("tpa,tab,tbq->tpq", geom.g_inv, dg, geom.g_inv)
-    dwt = -np.einsum("tpq,tpq->t", dg, S)
-    dc = k2 * dwt
-    T1 = np.einsum("tpa,tab,tbq->tpq", geom.g_inv, dg, S)
+    G = g_inv @ dg
+    dginv = -(G @ g_inv)
+    dc = -k2 * _frob(dg, S)
+    T1 = G @ S
     dS = -(T1 + T1.transpose(0, 2, 1))
     dZ = (
-        0.25 * (dvol * c + vol * dc)[:, None, None] * geom.g_inv
+        0.25 * (dvol * c + vol * dc)[:, None, None] * g_inv
         + 0.25 * (vol * c)[:, None, None] * dginv
         - 0.5 * (k2)[:, None, None] * (dvol[:, None, None] * S + vol[:, None, None] * dS)
     )
-    psi = 2.0 * (
-        np.einsum("tcp,tpq->tcq", ddq, Z) + np.einsum("tcp,tpq->tcq", geom.dq, dZ)
-    )
-    local = np.einsum("tap,tcp->tac", grad, psi)
-    return _scatter(mesh, local)
+    psi = 2.0 * (ddq @ Z + geom.dq @ dZ)
+    return _scatter(mesh, mesh.basis_grad @ _transposed(psi))
 
 
 def kinetic_cross_gradient(
@@ -278,18 +337,15 @@ def kinetic_cross_gradient(
     Returns F with F . du = kinetic_surface_gradient(q, alpha, u, du) . w
     for every field du; w plays the role of a fixed surface direction.
     """
-    geom, mesh, tris, grad, U, _, dU, _ = _variation_prep(q, u, u, eps_reg)
-    W = w[tris]
+    geom, U, dU = _variation_prep(q, eps_reg, u, w)
+    mesh = q.mesh
     k2 = (alpha * alpha) * mesh.area
     vol = geom.vol
 
-    _, dg, trace = _direction_metric_variation(geom, grad, W)
-    Au = np.einsum("tpq,tqc->tpc", geom.g_inv, dU)
-
+    _, dg, trace = _direction_metric_variation(geom, mesh.basis_grad, w[mesh.triangles])
+    Au = geom.g_inv @ dU
     coeff = 0.25 * vol * trace
-    term1 = (coeff * mesh.area)[:, None, None] * np.einsum("ab,tbc->tac", _M3, U)
-    GAu = np.einsum("tap,tpc->tac", grad, Au)
-    term2 = (coeff * k2)[:, None, None] * GAu
-    X = np.einsum("tpa,tab,tbc->tpc", geom.g_inv, dg, Au)
-    term3 = -0.5 * (k2 * vol)[:, None, None] * np.einsum("tap,tpc->tac", grad, X)
-    return _scatter(mesh, term1 + term2 + term3)
+    term1 = (coeff * mesh.area)[:, None, None] * (_M3 @ U)
+    X = geom.g_inv @ dg @ Au
+    Y = (coeff * k2)[:, None, None] * Au - (0.5 * k2 * vol)[:, None, None] * X
+    return _scatter(mesh, term1 + mesh.basis_grad @ Y)

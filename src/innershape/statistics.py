@@ -6,7 +6,6 @@ velocities give curvature-sensitive statistics of a shape collection.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -142,20 +141,16 @@ def karcher_mean(
     cfg: RegistrationConfig,
     mean_tol: float = 1e-3,
     max_outer: int = 20,
-    jobs: int = 1,
 ) -> MeanResult:
     """Fixed-point mean: register the mean to every shape, average the
     initial velocities, shoot along the average, repeat.
 
     Stops when the averaged velocity's metric norm at the mean drops to
     ``mean_tol`` or after ``max_outer`` iterations.  ``init`` defaults to
-    the first shape.  With ``jobs`` > 1 the per-shape registrations of one
-    outer iteration run on a thread pool; results keep the input order.
+    the first shape.
     """
     if not shapes:
         raise ValueError("karcher_mean needs at least one shape")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     mean = init if init is not None else shapes[0]
     for k, s in enumerate(shapes):
         check_same_mesh(mean.mesh, s.mesh, f"mean shape {k}")
@@ -166,11 +161,7 @@ def karcher_mean(
     status = MeanStatus.MAX_OUTER
 
     for outer in range(1, max_outer + 1):
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda s: register(mean, s, cfg), shapes))
-        else:
-            results = [register(mean, s, cfg) for s in shapes]
+        results = [register(mean, s, cfg) for s in shapes]
         velocities = [r.u0 for r in results]
         statuses = [r.status for r in results]
         u_bar = sum(velocities) / len(velocities)

@@ -243,6 +243,14 @@ class TestUsage:
         assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
                    "--cg-tol", "1e-12") == EXIT_USAGE
 
+    def test_removed_jobs_setting(self, tmp_path):
+        assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
+                   "--jobs", "2") == EXIT_USAGE
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 2\n")
+        assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
+                   "--config", str(cfg)) == EXIT_USAGE
+
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")

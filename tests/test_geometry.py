@@ -16,7 +16,12 @@ from innershape import (
     surface_area,
 )
 from innershape.fixtures import rotation_matrix
-from innershape.geometry import check_same_mesh, triangle_geometry
+from innershape.geometry import (
+    DEFAULT_REGULARITY_FACTOR,
+    check_same_mesh,
+    regularity_threshold,
+    triangle_geometry,
+)
 
 
 def flat_immersion(mesh, scale=1.0):
@@ -110,6 +115,42 @@ class TestRegularity:
             require_regular(q, eps_reg=1e-8)
         with pytest.raises(DegenerateElementError):
             element_geometry(q, 0, eps_reg=1e-8)
+
+
+class TestRegularityThreshold:
+    @pytest.fixture
+    def median_calls(self, monkeypatch):
+        calls = []
+        real = np.median
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "median", counting)
+        return calls
+
+    def test_default_median_once_per_immersion(self, cylinder_shape, median_calls):
+        q = Immersion(cylinder_shape.mesh, cylinder_shape.coords)
+        first = regularity_threshold(q)
+        for _ in range(3):
+            require_regular(q)
+            check_regularity(q)
+        assert regularity_threshold(q) == first
+        assert len(median_calls) == 1
+        regularity_threshold(q.displaced(np.full(q.coords.shape, 0.1)))
+        assert len(median_calls) == 2
+        assert first == DEFAULT_REGULARITY_FACTOR * float(np.median(triangle_geometry(q).vol))
+
+    def test_explicit_eps_bypasses_cache(self, cylinder_shape, median_calls):
+        q = Immersion(cylinder_shape.mesh, cylinder_shape.coords)
+        assert regularity_threshold(q, 1e-3) == 1e-3
+        assert median_calls == []
+        assert q._default_threshold is None
+        default = regularity_threshold(q)
+        assert regularity_threshold(q, 1e-3) == 1e-3
+        assert regularity_threshold(q) == default
+        assert len(median_calls) == 1
 
 
 class TestImmersionValidation:

@@ -20,6 +20,7 @@ from innershape import (
     torus_surface,
 )
 from innershape.fixtures import rotation_matrix
+from innershape.metric import _assemble_scalar, _index_maps, _scatter
 
 from .conftest import random_field
 from .oracles import flat_mass_matrix, flat_stiffness_matrix, metric_inner_quadrature
@@ -200,3 +201,35 @@ class TestParameterMassMatrix:
 
     def test_cached_per_mesh(self, torus_mesh):
         assert parameter_mass_matrix(torus_mesh) is parameter_mass_matrix(torus_mesh)
+
+
+class TestIndexMaps:
+    """The cached per-mesh index maps against COO and np.add.at references."""
+
+    TOPOLOGIES = [Topology.PLANE, Topology.CYLINDER, Topology.TORUS]
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_pattern_assembly_matches_coo(self, topology, rng):
+        mesh = build_grid(topology, 5, 4)
+        tris = mesh.triangles
+        n = mesh.n_nodes
+        local = rng.standard_normal((mesh.n_triangles, 3, 3))
+        rows = np.repeat(tris, 3, axis=1).ravel()
+        cols = np.tile(tris, (1, 3)).ravel()
+        want = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        got = _assemble_scalar(mesh, local)
+        assert got.nnz == want.nnz
+        err = np.max(np.abs(got.toarray() - want.toarray()))
+        assert err <= 1e-14 * np.max(np.abs(want.toarray()))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_scatter_matches_add_at(self, topology, rng):
+        mesh = build_grid(topology, 5, 4)
+        local = rng.standard_normal((mesh.n_triangles, 3, 3))
+        want = np.zeros((mesh.n_nodes, 3))
+        np.add.at(want, mesh.triangles.ravel(), local.reshape(-1, 3))
+        got = _scatter(mesh, local)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_cached_per_mesh(self, torus_mesh):
+        assert _index_maps(torus_mesh) is _index_maps(torus_mesh)

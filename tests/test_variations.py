@@ -152,3 +152,34 @@ class TestCrossGradient:
         u = random_field(rng, q.mesh)
         zero = np.zeros((q.mesh.n_nodes, 3))
         assert np.max(np.abs(kinetic_cross_gradient(q, ALPHA, u, zero))) == 0.0
+
+
+class TestFieldValidation:
+    @pytest.mark.parametrize(
+        "variation",
+        [kinetic_surface_gradient, kinetic_surface_hessian, kinetic_cross_gradient],
+    )
+    def test_extra_rows_rejected_in_either_slot(self, variation, rng, cylinder_shape):
+        q = cylinder_shape
+        good = random_field(rng, q.mesh)
+        long = rng.standard_normal((q.mesh.n_nodes + 5, 3))
+        with pytest.raises(ValueError):
+            variation(q, ALPHA, long, good)
+        with pytest.raises(ValueError):
+            variation(q, ALPHA, good, long)
+        with pytest.raises(ValueError):
+            variation(q, ALPHA, good, good[:, :2])
+
+
+class TestBilinearity:
+    def test_fused_sweep_term(self, rng):
+        # the adjoint sweep evaluates 2 D(q; u, w) + dt D(q; u, u) as one call
+        dt = 0.1
+        q = perturbed_torus(rng)
+        u = random_field(rng, q.mesh)
+        w = random_field(rng, q.mesh)
+        fused = kinetic_surface_gradient(q, ALPHA, u, 2.0 * w + dt * u)
+        split = 2.0 * kinetic_surface_gradient(q, ALPHA, u, w) + dt * kinetic_surface_gradient(
+            q, ALPHA, u, u
+        )
+        assert np.max(np.abs(fused - split)) <= 1e-13 * max(1.0, np.max(np.abs(split)))
