@@ -22,7 +22,9 @@ w = sharp_{q_{i+1}}(ubar_{i+1}) and D the kinetic surface gradient,
 
 seeded with ubar_N = 0 and qbar_N = the matching-term derivative.  D is
 bilinear in its two velocity slots, so its single term in qbar_i is
-2 D(q_i; u_i, w) + dt * D(q_i; u_i, u_i) evaluated in one call.  The hat
+2 D(q_i; u_i, w) + dt * D(q_i; u_i, u_i) evaluated in one call.  D, Hess
+and Cross at q_i take the forward path's operator at q_i, which carries
+alpha and the regularity-checked geometry.  The hat
 variables reported to callers are metric-raised forms of these:
 u_hat_i = u_i - sharp_{q_i}(ubar_i) and v_hat_i = -sharp_{q_i}(qbar_i), so
 that u_hat_N = 0, v_hat_N = sharp(-(1/sigma^2) * flat-mass * (q_N - q_target))
@@ -76,23 +78,21 @@ def backward_sweep(
     q_target: Immersion,
     sigma: float,
     diagnostics: bool = True,
-    eps_reg: float | None = None,
 ) -> AdjointState:
     """Run the adjoint recursion down a shot path.
 
     Parameters
     ----------
     path : GeodesicPath
-        Forward path; its cached operators are reused for every solve.
+        Forward path; its cached operators are reused for every solve and
+        variation, and supply alpha and eps_reg for the diagnostic operator
+        at the endpoint.
     q_target : Immersion
         Matching target for the endpoint.
     sigma : float
         Matching weight 1/(2 sigma^2); must be > 0.
     diagnostics : bool
         Fill interior u_hat/v_hat entries (extra solves per step).
-    eps_reg : float, optional
-        Degeneracy threshold forwarded to every geometry check; pass the
-        value the forward path was shot with.
 
     Returns
     -------
@@ -101,7 +101,6 @@ def backward_sweep(
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     n = path.n_steps
-    alpha = path.alpha
     dt = path.dt
 
     qbar = matching_covector(path.final, q_target, sigma)
@@ -111,22 +110,20 @@ def backward_sweep(
     v_hat: list = [None] * (n + 1)
     u_hat[n] = np.zeros_like(qbar)
     if diagnostics:
-        op_final = assemble(path.final, alpha, eps_reg)
+        op0 = path.operators[0]
+        op_final = assemble(path.final, op0.alpha, op0.eps_reg)
         v_hat[n] = -sharp(op_final, qbar)
 
     for i in range(n - 1, -1, -1):
-        q_i = path.immersions[i]
         u_i = path.velocities[i]
         op_i = path.operators[i]
 
         if np.any(ubar):
-            w = sharp(path.operators[i + 1], ubar)
-            u_next = path.velocities[i + 1]
-            qbar_adj = qbar - 2.0 * kinetic_surface_gradient(
-                path.immersions[i + 1], alpha, u_next, w, eps_reg
-            )
-            cross = 2.0 * dt * kinetic_cross_gradient(q_i, alpha, u_i, w, eps_reg)
-            hess = dt * kinetic_surface_hessian(q_i, alpha, u_i, w, eps_reg)
+            op_next = path.operators[i + 1]
+            w = sharp(op_next, ubar)
+            qbar_adj = qbar - 2.0 * kinetic_surface_gradient(op_next, path.velocities[i + 1], w)
+            cross = 2.0 * dt * kinetic_cross_gradient(op_i, u_i, w)
+            hess = dt * kinetic_surface_hessian(op_i, u_i, w)
         else:
             w = np.zeros_like(ubar)
             qbar_adj = qbar
@@ -135,9 +132,7 @@ def backward_sweep(
 
         # D is bilinear in its velocity slots, so one call gives
         # 2 D(q_i; u_i, w) + dt D(q_i; u_i, u_i)
-        qbar = qbar_adj + hess + kinetic_surface_gradient(
-            q_i, alpha, u_i, 2.0 * w + dt * u_i, eps_reg
-        )
+        qbar = qbar_adj + hess + kinetic_surface_gradient(op_i, u_i, 2.0 * w + dt * u_i)
         ubar = flat(op_i, w + dt * u_i) + cross + dt * qbar_adj
 
         if diagnostics or i == 0:

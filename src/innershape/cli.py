@@ -22,7 +22,15 @@ import numpy as np
 
 from . import __version__
 from .adjoint import backward_sweep, gradient
-from .config import ConfigError, RunConfig, _base_type, as_dict, build_config, parse_file
+from .config import (
+    _BOOL_WORDS,
+    ConfigError,
+    RunConfig,
+    _base_type,
+    as_dict,
+    build_config,
+    parse_file,
+)
 from .errors import (
     DegenerateElementError,
     MeshError,
@@ -81,10 +89,8 @@ _BENT_DEFAULTS = {"bend_deg": 90.0, "ripples": 5, "ripple_amplitude": 0.02}
 
 
 def _parse_bool(text: str) -> bool:
-    words = {"true": True, "yes": True, "on": True, "1": True,
-             "false": False, "no": False, "off": False, "0": False}
     try:
-        return words[text.strip().lower()]
+        return _BOOL_WORDS[text.strip().lower()]
     except KeyError:
         raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}") from None
 
@@ -393,7 +399,7 @@ def cmd_gradcheck(args) -> int:
     u0 = 0.2 * rng.standard_normal(shape)
 
     path = shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg)
-    adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False, eps_reg=cfg.eps_reg)
+    adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False)
     grad = gradient(path, adj)
     op0 = path.operators[0]
 

@@ -112,11 +112,10 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     """
     types = _field_types()
     cfg = RunConfig()
-    for source in (file_values or {},):
-        for key, text in source.items():
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, _convert(key, text, types[key]))
+    for key, text in (file_values or {}).items():
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        setattr(cfg, key, _convert(key, text, types[key]))
     for key, value in (overrides or {}).items():
         if value is None:
             continue

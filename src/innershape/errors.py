@@ -35,7 +35,8 @@ class DegenerateElementError(InnerShapeError):
 
 
 class SolverError(InnerShapeError):
-    """Iterative linear solve failed to reach the requested residual."""
+    """Sharp-solve failed: the factorization broke down, the solution is
+    not finite, or its relative residual exceeds ``SHARP_RESIDUAL_TOL``."""
 
 
 class StepFailureError(InnerShapeError):

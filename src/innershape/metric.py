@@ -15,7 +15,9 @@ operation is applied column-wise.
 
 This module also provides the covectors of the variations of the kinetic
 form l(u, v; q) = 1/2 <u, v>_q with respect to the immersion, which drive
-the discrete geodesic equation and its adjoint:
+the discrete geodesic equation and its adjoint.  Each takes the assembled
+operator at q, which carries alpha and the immersion's geometry, already
+checked for regularity by ``assemble``:
 
 * ``kinetic_surface_gradient``  -- d/dq l(u, v; q) as a nodal covector,
 * ``kinetic_surface_hessian``   -- second q-variation of l(u, u; q)
@@ -41,7 +43,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
-from .geometry import Immersion, TriangleGeometry, require_regular
+from .geometry import Immersion, TriangleGeometry, require_regular, triangle_geometry
 from .mesh import DomainMesh
 
 #: exact integrals of products of linear basis functions on the unit-area
@@ -58,11 +60,13 @@ class MetricOperator:
 
     The full operator on stacked (n, 3) fields is block-diagonal with three
     copies of ``block``; ``flat``/``sharp`` apply it to all columns at once.
+    ``eps_reg`` is the threshold the immersion was checked with.
     """
 
     immersion: Immersion
     alpha: float
     block: sp.csr_matrix = field(repr=False)
+    eps_reg: float | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -154,7 +158,7 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     geom = require_regular(q, eps_reg)
     block = _assemble_scalar(q.mesh, _element_matrices(q, alpha, geom))
-    return MetricOperator(immersion=q, alpha=alpha, block=block)
+    return MetricOperator(immersion=q, alpha=alpha, block=block, eps_reg=eps_reg)
 
 
 def parameter_mass_matrix(mesh: DomainMesh) -> sp.csr_matrix:
@@ -241,14 +245,15 @@ def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=(1, 2))
 
 
-def _variation_prep(q: Immersion, eps_reg, *fields: np.ndarray):
-    """Validate every field's shape, then return the checked geometry, the
-    corner values U of the first field and its differential dU = grad^T U."""
+def _variation_prep(op: MetricOperator, *fields: np.ndarray):
+    """Validate every field's shape, then return the geometry ``assemble``
+    checked, the corner values U of the first field and its differential
+    dU = grad^T U."""
     for f in fields:
-        _check_field(q.mesh.n_nodes, f)
-    geom = require_regular(q, eps_reg)
-    U = fields[0][q.mesh.triangles]
-    return geom, U, _index_maps(q.mesh).grad_t @ U
+        _check_field(op.n_nodes, f)
+    mesh = op.immersion.mesh
+    U = fields[0][mesh.triangles]
+    return triangle_geometry(op.immersion), U, _index_maps(mesh).grad_t @ U
 
 
 def _scatter(mesh: DomainMesh, local: np.ndarray) -> np.ndarray:
@@ -256,9 +261,7 @@ def _scatter(mesh: DomainMesh, local: np.ndarray) -> np.ndarray:
     return _index_maps(mesh).scatter @ local.reshape(-1, 3)
 
 
-def kinetic_surface_gradient(
-    q: Immersion, alpha: float, u: np.ndarray, v: np.ndarray, eps_reg: float | None = None
-) -> np.ndarray:
+def kinetic_surface_gradient(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Nodal covector of the q-variation of 1/2 <u, v>_q.
 
     Pairing the result with a nodal variation dq gives the directional
@@ -266,8 +269,8 @@ def kinetic_surface_gradient(
     Symmetric in u and v; zero against constant dq (translations do not
     change the metric).
     """
-    geom, U, dU = _variation_prep(q, eps_reg, u, v)
-    mesh = q.mesh
+    geom, U, dU = _variation_prep(op, u, v)
+    mesh = op.immersion.mesh
     Au = geom.g_inv @ dU
     if v is u:
         V, dV, Bv = U, dU, Au
@@ -275,7 +278,7 @@ def kinetic_surface_gradient(
         V = v[mesh.triangles]
         dV = _index_maps(mesh).grad_t @ V
         Bv = geom.g_inv @ dV
-    k2 = (alpha * alpha) * mesh.area
+    k2 = (op.alpha * op.alpha) * mesh.area
     c = mesh.area * _frob(_M3 @ U, V) + k2 * _frob(Au, dV)
     BA = Bv @ _transposed(Au)
     S = 0.5 * (BA + BA.transpose(0, 2, 1))
@@ -294,17 +297,15 @@ def _direction_metric_variation(geom: TriangleGeometry, grad, W):
     return ddq, dg, _frob(geom.g_inv, dg)
 
 
-def kinetic_surface_hessian(
-    q: Immersion, alpha: float, u: np.ndarray, w: np.ndarray, eps_reg: float | None = None
-) -> np.ndarray:
+def kinetic_surface_hessian(op: MetricOperator, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Second q-variation of 1/2 <u, u>_q contracted with direction w.
 
     Returns the nodal covector of dq -> d^2/dq^2 [1/2 <u, u>_q](w, dq); the
     underlying bilinear form is symmetric in (w, dq).
     """
-    geom, U, dU = _variation_prep(q, eps_reg, u, w)
-    mesh = q.mesh
-    k2 = (alpha * alpha) * mesh.area
+    geom, U, dU = _variation_prep(op, u, w)
+    mesh = op.immersion.mesh
+    k2 = (op.alpha * op.alpha) * mesh.area
     vol = geom.vol
     g_inv = geom.g_inv
 
@@ -329,17 +330,15 @@ def kinetic_surface_hessian(
     return _scatter(mesh, mesh.basis_grad @ _transposed(psi))
 
 
-def kinetic_cross_gradient(
-    q: Immersion, alpha: float, u: np.ndarray, w: np.ndarray, eps_reg: float | None = None
-) -> np.ndarray:
+def kinetic_cross_gradient(op: MetricOperator, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Covector in the velocity slot of the surface gradient paired with w.
 
-    Returns F with F . du = kinetic_surface_gradient(q, alpha, u, du) . w
+    Returns F with F . du = kinetic_surface_gradient(op, u, du) . w
     for every field du; w plays the role of a fixed surface direction.
     """
-    geom, U, dU = _variation_prep(q, eps_reg, u, w)
-    mesh = q.mesh
-    k2 = (alpha * alpha) * mesh.area
+    geom, U, dU = _variation_prep(op, u, w)
+    mesh = op.immersion.mesh
+    k2 = (op.alpha * op.alpha) * mesh.area
     vol = geom.vol
 
     _, dg, trace = _direction_metric_variation(geom, mesh.basis_grad, w[mesh.triangles])

@@ -160,7 +160,7 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
     last_step = 0.0
 
     while True:
-        adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False, eps_reg=cfg.eps_reg)
+        adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False)
         g = adjoint_gradient(path, adj)
         sq_norm = max(inner_product(path.operators[0], g, g), 0.0)
         g_norm = float(np.sqrt(sq_norm))

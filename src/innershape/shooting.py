@@ -35,10 +35,10 @@ class GeodesicPath:
     """A discrete geodesic: immersions q_0..q_N and velocities u_0..u_{N-1}.
 
     ``kinetic[i]`` is 1/2 <u_i, u_i> at q_i; ``operators[i]`` caches the
-    assembled metric operator at q_i for i < N (reused by the adjoint sweep).
+    assembled metric operator at q_i for i < N (reused by the adjoint sweep);
+    the operators carry the metric's alpha and regularity threshold.
     """
 
-    alpha: float
     dt: float
     immersions: list[Immersion] = field(repr=False)
     velocities: list[np.ndarray] = field(repr=False)
@@ -106,9 +106,7 @@ def shoot(
         try:
             q_next = Immersion(q_i.mesh, q_i.coords + dt * u_i)
             if i < n_steps - 1:
-                momentum = flat(op_i, u_i) + dt * kinetic_surface_gradient(
-                    q_i, alpha, u_i, u_i, eps_reg
-                )
+                momentum = flat(op_i, u_i) + dt * kinetic_surface_gradient(op_i, u_i, u_i)
                 op_next = assemble(q_next, alpha, eps_reg)
                 operators.append(op_next)
                 velocities.append(sharp(op_next, momentum))
@@ -117,7 +115,6 @@ def shoot(
         immersions.append(q_next)
 
     return GeodesicPath(
-        alpha=alpha,
         dt=dt,
         immersions=immersions,
         velocities=velocities,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ZeroVelocityError
 from .geometry import Immersion, check_same_mesh, surface_area
-from .metric import assemble, inner_product
+from .metric import MetricOperator, inner_product, norm
 from .registration import RegistrationConfig, RegistrationResult, RegistrationStatus, register
 from .shooting import path_length, shoot
 
@@ -26,11 +26,8 @@ ZERO_VELOCITY_TOL = 1e-14
 DEGENERATE_ANGLE_DEG = 1.0
 
 
-def geodesic_angle(
-    u: np.ndarray, v: np.ndarray, q: Immersion, alpha: float, eps_reg: float | None = None
-) -> float:
-    """Angle in degrees between two velocities under the metric at q."""
-    op = assemble(q, alpha, eps_reg)
+def geodesic_angle(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> float:
+    """Angle in degrees between two velocities under an assembled metric."""
     uu = inner_product(op, u, u)
     vv = inner_product(op, v, v)
     if uu <= ZERO_VELOCITY_TOL**2 or vv <= ZERO_VELOCITY_TOL**2:
@@ -86,10 +83,9 @@ def triangle_experiment(
                 logger.info("triangle: registering %s -> %s", src, dst)
                 results[key] = register(shapes[src], shapes[dst], cfg)
 
+    # every registration from v starts at the operator assembled at v
     angles = tuple(
-        geodesic_angle(
-            results[v + n1].u0, results[v + n2].u0, shapes[v], cfg.alpha, cfg.eps_reg
-        )
+        geodesic_angle(results[v + n1].path.operators[0], results[v + n1].u0, results[v + n2].u0)
         for v, n1, n2 in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B"))
     )
     for v, a in zip("ABC", angles):
@@ -165,8 +161,8 @@ def karcher_mean(
         velocities = [r.u0 for r in results]
         statuses = [r.status for r in results]
         u_bar = sum(velocities) / len(velocities)
-        op = assemble(mean, cfg.alpha, cfg.eps_reg)
-        vn = float(np.sqrt(max(inner_product(op, u_bar, u_bar), 0.0)))
+        # every registration starts at the operator assembled at the mean
+        vn = norm(results[0].path.operators[0], u_bar)
         norms.append(vn)
         logger.info("mean: outer %d, averaged velocity norm %.6e", outer, vn)
         if vn <= mean_tol:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from innershape import Immersion, Topology, build_grid, load_mesh, save_mesh, save_velocity
-from innershape.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from innershape.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 def run(*argv):
@@ -250,6 +250,13 @@ class TestUsage:
         cfg.write_text("jobs = 2\n")
         assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
                    "--config", str(cfg)) == EXIT_USAGE
+
+    def test_boolean_flag_words(self, tmp_path):
+        out = str(tmp_path / "m.mesh")
+        assert run("meshgen", "--out", out, "--export-frames", "maybe") == EXIT_USAGE
+        assert run("meshgen", "--out", out, "--fixed-step", "off") == EXIT_OK
+        args = build_parser().parse_args(["meshgen", "--out", out, "--fixed-step", "off"])
+        assert args.fixed_step is False
 
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

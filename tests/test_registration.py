@@ -19,7 +19,7 @@ from innershape import (
     require_regular,
     shoot,
 )
-from innershape import metric
+from innershape import adjoint, metric, registration, shooting
 from innershape.fixtures import rotation_matrix
 
 from .conftest import random_field
@@ -147,36 +147,57 @@ class TestRegister:
 
 class TestRegularityThreshold:
     @pytest.fixture
-    def thresholds_seen(self, monkeypatch):
-        """The eps_reg of every regularity check the metric layer makes."""
+    def checks(self, monkeypatch):
+        """The eps_reg of every regularity check the metric layer makes, and
+        the number of operators assembled meanwhile."""
         seen = []
+        assembles = []
 
         def spy(q, eps_reg=None):
             seen.append(eps_reg)
             return require_regular(q, eps_reg)
 
-        monkeypatch.setattr(metric, "require_regular", spy)
-        return seen
+        def counting_assemble(q, alpha, eps_reg=None):
+            assembles.append(q)
+            return metric.assemble(q, alpha, eps_reg)
 
-    def test_eps_reg_reaches_every_check_of_an_iteration(self, bend_problem, thresholds_seen):
+        monkeypatch.setattr(metric, "require_regular", spy)
+        for module in (shooting, adjoint, registration):
+            monkeypatch.setattr(module, "assemble", counting_assemble)
+        return seen, assembles
+
+    def test_eps_reg_reaches_every_check_of_an_iteration(self, bend_problem, checks):
         q0, qt = bend_problem
+        seen, assembles = checks
         eps = 1e-9
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=1,
                                  tol_grad=1e-12, eps_reg=eps)
         res = register(q0, qt, cfg)
         assert res.iterations == 1
-        # forward assembles and D per shoot, plus D/H/C per backward step
-        assert len(thresholds_seen) > 2 * cfg.n_steps
-        assert all(e == eps for e in thresholds_seen)
+        # one check per assembled operator; the variations reuse its geometry
+        assert len(assembles) >= 2 * cfg.n_steps
+        assert len(seen) == len(assembles)
+        assert all(e == eps for e in seen)
 
-    def test_eps_reg_reaches_the_diagnostic_sweep(self, bend_problem, thresholds_seen):
+    def test_eps_reg_reaches_the_diagnostic_sweep(self, bend_problem, checks):
         q0, qt = bend_problem
+        seen, _ = checks
         eps = 1e-9
         path = shoot(q0, 0.1 * (qt.coords - q0.coords), 4, ALPHA, eps_reg=eps)
-        thresholds_seen.clear()
-        backward_sweep(path, qt, 0.5, diagnostics=True, eps_reg=eps)
-        assert thresholds_seen
-        assert all(e == eps for e in thresholds_seen)
+        seen.clear()
+        backward_sweep(path, qt, 0.5, diagnostics=True)
+        # only the diagnostic operator at the endpoint is new; it takes the
+        # path operators' threshold
+        assert seen == [eps]
+
+    def test_one_check_per_operator_of_a_shoot_and_diagnostic_sweep(self, bend_problem, checks):
+        q0, qt = bend_problem
+        seen, assembles = checks
+        path = shoot(q0, 0.1 * (qt.coords - q0.coords), 4, ALPHA)
+        backward_sweep(path, qt, 0.5, diagnostics=True)
+        # the path's operators plus the diagnostic one at the endpoint
+        assert len(assembles) == path.n_steps + 1
+        assert len(seen) == len(assembles)
 
 
 class TestInitialVelocity:

@@ -103,8 +103,8 @@ class TestPathFunctionals:
             0.5 * inner_product(assemble(immersions[i], ALPHA), u, u)
             for i in range(n)
         ])
-        path = GeodesicPath(alpha=ALPHA, dt=dt, immersions=immersions,
-                            velocities=[u] * n, kinetic=kinetic, operators=[])
+        path = GeodesicPath(dt=dt, immersions=immersions, velocities=[u] * n,
+                            kinetic=kinetic, operators=[])
         assert path_energy(path) == pytest.approx(0.5 * float(c @ c), abs=1e-13)
         # constant speed: the length-energy inequality is tight
         assert path_length(path) ** 2 == pytest.approx(2.0 * path_energy(path), abs=1e-12)

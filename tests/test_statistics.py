@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from innershape import (
-    DegenerateElementError,
     Immersion,
     MeanStatus,
     RegistrationConfig,
@@ -22,6 +21,7 @@ from innershape import (
     triangle_experiment,
     vase_family,
 )
+from innershape import statistics
 from innershape.errors import MeshMismatchError
 from innershape.fixtures import rotation_matrix
 
@@ -37,41 +37,39 @@ def constant_field(mesh, vec):
 class TestGeodesicAngle:
     def test_parallel_fields_give_zero(self, flat_square):
         u = constant_field(flat_square.mesh, (1.0, 0.0, 0.0))
-        assert geodesic_angle(u, u, flat_square, ALPHA) == pytest.approx(0.0, abs=1e-5)
+        op = assemble(flat_square, ALPHA)
+        assert geodesic_angle(op, u, u) == pytest.approx(0.0, abs=1e-5)
 
     def test_opposite_fields_give_straight_angle(self, flat_square):
         u = constant_field(flat_square.mesh, (1.0, 0.0, 0.0))
-        assert geodesic_angle(u, -u, flat_square, ALPHA) == pytest.approx(180.0, abs=1e-5)
+        op = assemble(flat_square, ALPHA)
+        assert geodesic_angle(op, u, -u) == pytest.approx(180.0, abs=1e-5)
 
     def test_orthogonal_constant_fields_give_right_angle(self, flat_square):
         u = constant_field(flat_square.mesh, (1.0, 0.0, 0.0))
         v = constant_field(flat_square.mesh, (0.0, 0.0, 2.0))
-        assert geodesic_angle(u, v, flat_square, ALPHA) == pytest.approx(90.0, abs=1e-12)
+        op = assemble(flat_square, ALPHA)
+        assert geodesic_angle(op, u, v) == pytest.approx(90.0, abs=1e-12)
 
     def test_exact_symmetry(self, rng, cylinder_shape):
         u = random_field(rng, cylinder_shape.mesh, 0.5)
         v = random_field(rng, cylinder_shape.mesh, 0.5)
-        assert geodesic_angle(u, v, cylinder_shape, ALPHA) == geodesic_angle(
-            v, u, cylinder_shape, ALPHA
-        )
+        op = assemble(cylinder_shape, ALPHA)
+        assert geodesic_angle(op, u, v) == geodesic_angle(op, v, u)
 
     def test_positive_rescaling_invariance(self, rng, cylinder_shape):
         u = random_field(rng, cylinder_shape.mesh, 0.5)
         v = random_field(rng, cylinder_shape.mesh, 0.5)
-        a = geodesic_angle(u, v, cylinder_shape, ALPHA)
-        b = geodesic_angle(2.0 * u, 0.5 * v, cylinder_shape, ALPHA)
+        op = assemble(cylinder_shape, ALPHA)
+        a = geodesic_angle(op, u, v)
+        b = geodesic_angle(op, 2.0 * u, 0.5 * v)
         assert abs(a - b) <= 1e-12
-
-    def test_eps_reg_governs_regularity_check(self, rng, cylinder_shape):
-        u = random_field(rng, cylinder_shape.mesh, 0.5)
-        with pytest.raises(DegenerateElementError):
-            geodesic_angle(u, -u, cylinder_shape, ALPHA, eps_reg=1e3)
 
     def test_zero_velocity_rejected(self, cylinder_shape, rng):
         u = random_field(rng, cylinder_shape.mesh, 0.5)
         zero = np.zeros_like(u)
         with pytest.raises(ZeroVelocityError):
-            geodesic_angle(zero, u, cylinder_shape, ALPHA)
+            geodesic_angle(assemble(cylinder_shape, ALPHA), zero, u)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +93,23 @@ TRIANGLE_CFG = RegistrationConfig(
 )
 
 
+@pytest.fixture(scope="module")
+def small_triangle(rotated_torus_triple):
+    """The small triangle's report and its registrations keyed "AB", "AC", ..."""
+    names = {id(q): name for name, q in zip("ABC", rotated_torus_triple)}
+    results = {}
+
+    def recording_register(q0, q_target, cfg):
+        result = register(q0, q_target, cfg)
+        results[names[id(q0)] + names[id(q_target)]] = result
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statistics, "register", recording_register)
+        report = triangle_experiment(*rotated_torus_triple, TRIANGLE_CFG)
+    return report, results
+
+
 class TestTriangle:
     def test_odd_step_count_rejected(self, rotated_torus_triple):
         qa, qb, qc = rotated_torus_triple
@@ -113,9 +128,8 @@ class TestTriangle:
         with pytest.raises(ZeroVelocityError):
             triangle_experiment(qa, qa, qc, TRIANGLE_CFG)
 
-    def test_small_triangle_report(self, rotated_torus_triple):
-        qa, qb, qc = rotated_torus_triple
-        report = triangle_experiment(qa, qb, qc, TRIANGLE_CFG)
+    def test_small_triangle_report(self, small_triangle):
+        report, _ = small_triangle
         assert report.converged
         assert len(report.statuses) == 6
         for angle in report.angles_deg:
@@ -129,11 +143,17 @@ class TestTriangle:
         areas = report.vertex_areas
         assert max(areas) - min(areas) <= 1e-12 * max(areas)
 
-    def test_side_length_direction_symmetry(self, rotated_torus_triple):
-        qa, qb, _ = rotated_torus_triple
-        forward = register(qa, qb, TRIANGLE_CFG)
-        backward = register(qb, qa, TRIANGLE_CFG)
-        la, lb = path_length(forward.path), path_length(backward.path)
+    def test_angles_use_the_operator_at_each_vertex(self, small_triangle, rotated_torus_triple):
+        report, results = small_triangle
+        assert len(results) == 6
+        for k, (q, v, n1, n2) in enumerate(zip(rotated_torus_triple, "ABC", "BCA", "CAB")):
+            op = assemble(q, TRIANGLE_CFG.alpha, TRIANGLE_CFG.eps_reg)
+            expected = geodesic_angle(op, results[v + n1].u0, results[v + n2].u0)
+            assert report.angles_deg[k] == expected
+
+    def test_side_length_direction_symmetry(self, small_triangle):
+        _, results = small_triangle
+        la, lb = path_length(results["AB"].path), path_length(results["BA"].path)
         assert abs(la - lb) <= 0.05 * la
 
 

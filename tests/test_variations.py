@@ -5,6 +5,7 @@ import pytest
 
 from innershape import (
     Immersion,
+    assemble,
     kinetic_cross_gradient,
     kinetic_surface_gradient,
     kinetic_surface_hessian,
@@ -37,10 +38,11 @@ class TestSurfaceGradient:
         worst = 0.0
         for _ in range(20):
             q = perturbed_torus(rng)
+            op = assemble(q, ALPHA)
             u = random_field(rng, q.mesh)
             v = random_field(rng, q.mesh)
             dq = random_field(rng, q.mesh)
-            value = pairing(kinetic_surface_gradient(q, ALPHA, u, v), dq)
+            value = pairing(kinetic_surface_gradient(op, u, v), dq)
 
             def at(h, q=q, u=u, v=v, dq=dq):
                 return (
@@ -53,24 +55,27 @@ class TestSurfaceGradient:
 
     def test_translation_direction_vanishes(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         u = random_field(rng, q.mesh)
         v = random_field(rng, q.mesh)
-        cov = kinetic_surface_gradient(q, ALPHA, u, v)
+        cov = kinetic_surface_gradient(op, u, v)
         translation = np.broadcast_to([0.7, -0.3, 1.1], cov.shape)
         scale = float(np.max(np.abs(cov)))
         assert abs(pairing(cov, translation)) <= 1e-12 * max(scale, 1.0)
 
     def test_zero_fields_give_zero_covector(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         zero = np.zeros((q.mesh.n_nodes, 3))
-        assert np.array_equal(kinetic_surface_gradient(q, ALPHA, zero, zero), zero)
+        assert np.array_equal(kinetic_surface_gradient(op, zero, zero), zero)
 
     def test_symmetric_in_u_v(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         u = random_field(rng, q.mesh)
         v = random_field(rng, q.mesh)
-        a = kinetic_surface_gradient(q, ALPHA, u, v)
-        b = kinetic_surface_gradient(q, ALPHA, v, u)
+        a = kinetic_surface_gradient(op, u, v)
+        b = kinetic_surface_gradient(op, v, u)
         assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
@@ -79,41 +84,45 @@ class TestSurfaceHessian:
         worst = 0.0
         for _ in range(5):
             q = perturbed_torus(rng)
+            op = assemble(q, ALPHA)
             u = random_field(rng, q.mesh)
             w = random_field(rng, q.mesh)
             dq = random_field(rng, q.mesh)
-            value = pairing(kinetic_surface_hessian(q, ALPHA, u, w), dq)
+            value = pairing(kinetic_surface_hessian(op, u, w), dq)
 
             def at(h, q=q, u=u, w=w, dq=dq):
-                return (
-                    pairing(kinetic_surface_gradient(q.displaced(h * dq), ALPHA, u, u), w),
-                    pairing(kinetic_surface_gradient(q.displaced(-h * dq), ALPHA, u, u), w),
-                )
+                def first(qh):
+                    return pairing(kinetic_surface_gradient(assemble(qh, ALPHA), u, u), w)
+
+                return first(q.displaced(h * dq)), first(q.displaced(-h * dq))
 
             worst = max(worst, min_rel_fd_error(value, at))
         assert worst <= 1e-6
 
     def test_translation_dq_vanishes(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         u = random_field(rng, q.mesh)
         w = random_field(rng, q.mesh)
-        cov = kinetic_surface_hessian(q, ALPHA, u, w)
+        cov = kinetic_surface_hessian(op, u, w)
         translation = np.broadcast_to([1.0, 0.5, -2.0], cov.shape)
         scale = float(np.max(np.abs(cov)))
         assert abs(pairing(cov, translation)) <= 1e-12 * max(scale, 1.0)
 
     def test_translation_w_gives_zero_covector(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         u = random_field(rng, q.mesh)
         w = np.tile([0.2, -0.4, 0.9], (q.mesh.n_nodes, 1))
-        cov = kinetic_surface_hessian(q, ALPHA, u, w)
+        cov = kinetic_surface_hessian(op, u, w)
         assert np.max(np.abs(cov)) == 0.0
 
     def test_zero_velocity_gives_zero_covector(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         zero = np.zeros((q.mesh.n_nodes, 3))
         w = random_field(rng, q.mesh)
-        assert np.array_equal(kinetic_surface_hessian(q, ALPHA, zero, w), zero)
+        assert np.array_equal(kinetic_surface_hessian(op, zero, w), zero)
 
 
 class TestCrossGradient:
@@ -123,35 +132,38 @@ class TestCrossGradient:
         worst = 0.0
         for _ in range(5):
             q = perturbed_torus(rng)
+            op = assemble(q, ALPHA)
             u = random_field(rng, q.mesh)
             w = random_field(rng, q.mesh)
             du = random_field(rng, q.mesh)
-            left = pairing(kinetic_cross_gradient(q, ALPHA, u, w), du)
-            right = pairing(kinetic_surface_gradient(q, ALPHA, u, du), w)
+            left = pairing(kinetic_cross_gradient(op, u, w), du)
+            right = pairing(kinetic_surface_gradient(op, u, du), w)
             worst = max(worst, abs(left - right) / max(abs(right), 1e-30))
         assert worst <= 1e-12
 
     def test_fd_oracle_in_velocity(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         u = random_field(rng, q.mesh)
         w = random_field(rng, q.mesh)
         du = random_field(rng, q.mesh)
-        value = pairing(kinetic_cross_gradient(q, ALPHA, u, w), du)
+        value = pairing(kinetic_cross_gradient(op, u, w), du)
 
         def at(h):
             # d/dh of ksg(q, u + h du, u + h du) . w is twice the cross term
             return (
-                0.5 * pairing(kinetic_surface_gradient(q, ALPHA, u + h * du, u + h * du), w),
-                0.5 * pairing(kinetic_surface_gradient(q, ALPHA, u - h * du, u - h * du), w),
+                0.5 * pairing(kinetic_surface_gradient(op, u + h * du, u + h * du), w),
+                0.5 * pairing(kinetic_surface_gradient(op, u - h * du, u - h * du), w),
             )
 
         assert min_rel_fd_error(value, at) <= 1e-9
 
     def test_zero_direction_gives_zero_covector(self, rng):
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         u = random_field(rng, q.mesh)
         zero = np.zeros((q.mesh.n_nodes, 3))
-        assert np.max(np.abs(kinetic_cross_gradient(q, ALPHA, u, zero))) == 0.0
+        assert np.max(np.abs(kinetic_cross_gradient(op, u, zero))) == 0.0
 
 
 class TestFieldValidation:
@@ -161,14 +173,15 @@ class TestFieldValidation:
     )
     def test_extra_rows_rejected_in_either_slot(self, variation, rng, cylinder_shape):
         q = cylinder_shape
+        op = assemble(q, ALPHA)
         good = random_field(rng, q.mesh)
         long = rng.standard_normal((q.mesh.n_nodes + 5, 3))
         with pytest.raises(ValueError):
-            variation(q, ALPHA, long, good)
+            variation(op, long, good)
         with pytest.raises(ValueError):
-            variation(q, ALPHA, good, long)
+            variation(op, good, long)
         with pytest.raises(ValueError):
-            variation(q, ALPHA, good, good[:, :2])
+            variation(op, good, good[:, :2])
 
 
 class TestBilinearity:
@@ -176,10 +189,9 @@ class TestBilinearity:
         # the adjoint sweep evaluates 2 D(q; u, w) + dt D(q; u, u) as one call
         dt = 0.1
         q = perturbed_torus(rng)
+        op = assemble(q, ALPHA)
         u = random_field(rng, q.mesh)
         w = random_field(rng, q.mesh)
-        fused = kinetic_surface_gradient(q, ALPHA, u, 2.0 * w + dt * u)
-        split = 2.0 * kinetic_surface_gradient(q, ALPHA, u, w) + dt * kinetic_surface_gradient(
-            q, ALPHA, u, u
-        )
+        fused = kinetic_surface_gradient(op, u, 2.0 * w + dt * u)
+        split = 2.0 * kinetic_surface_gradient(op, u, w) + dt * kinetic_surface_gradient(op, u, u)
         assert np.max(np.abs(fused - split)) <= 1e-13 * max(1.0, np.max(np.abs(split)))
