@@ -9,7 +9,7 @@ offers simple shape statistics: geodesic distances, triangle angles and
 iterated means.
 """
 
-from .adjoint import AdjointState, backward_sweep, gradient, matching_covector
+from .adjoint import backward_sweep, matching_covector
 from .config import ConfigError, RunConfig, as_dict, build_config, parse_file
 from .errors import (
     DegenerateElementError,
@@ -33,11 +33,9 @@ from .fixtures import (
     vase_surface,
 )
 from .geometry import (
-    ElementGeometry,
     Immersion,
     RegularityReport,
     check_regularity,
-    element_geometry,
     require_regular,
     surface_area,
 )
@@ -87,11 +85,9 @@ from .statistics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointState",
     "ConfigError",
     "DegenerateElementError",
     "DomainMesh",
-    "ElementGeometry",
     "GeodesicPath",
     "Immersion",
     "InnerShapeError",
@@ -122,13 +118,11 @@ __all__ = [
     "check_regularity",
     "compatible",
     "cylinder_surface",
-    "element_geometry",
     "energy",
     "export_frames",
     "export_obj",
     "flat",
     "geodesic_angle",
-    "gradient",
     "initial_velocity",
     "inner_product",
     "karcher_mean",

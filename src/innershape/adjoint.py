@@ -24,20 +24,15 @@ seeded with ubar_N = 0 and qbar_N = the matching-term derivative.  D is
 bilinear in its two velocity slots, so its single term in qbar_i is
 2 D(q_i; u_i, w) + dt * D(q_i; u_i, u_i) evaluated in one call.  D, Hess
 and Cross at q_i take the forward path's operator at q_i, which carries
-alpha and the regularity-checked geometry.  The hat
-variables reported to callers are metric-raised forms of these:
-u_hat_i = u_i - sharp_{q_i}(ubar_i) and v_hat_i = -sharp_{q_i}(qbar_i), so
-that u_hat_N = 0, v_hat_N = sharp(-(1/sigma^2) * flat-mass * (q_N - q_target))
-and the metric gradient of E at u_0 is exactly u_0 - u_hat_0.
+alpha and the regularity-checked geometry.  The sweep returns the metric
+gradient of E at u_0, u_0 - u_hat_0 with u_hat_0 = u_0 - sharp_{q_0}(ubar_0);
+it solves with the path's operators and assembles none of its own.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Immersion, check_same_mesh
 from .metric import (
-    assemble,
     flat,
     kinetic_cross_gradient,
     kinetic_surface_gradient,
@@ -48,24 +43,6 @@ from .metric import (
 from .shooting import GeodesicPath
 
 
-@dataclass
-class AdjointState:
-    """Backward-sweep output, indexed chronologically (entry i is time i).
-
-    ``u_hat[0]`` and ``u_hat[N]`` are always present; the interior hat
-    fields are filled only when the sweep runs with diagnostics (they cost
-    two extra solves per step and are not needed for the gradient).
-    """
-
-    sigma: float
-    u_hat: list = field(repr=False)
-    v_hat: list = field(repr=False)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.u_hat) - 1
-
-
 def matching_covector(q: Immersion, q_target: Immersion, sigma: float) -> np.ndarray:
     """Euclidean derivative of the matching term at the path endpoint."""
     check_same_mesh(q.mesh, q_target.mesh, "matching covector")
@@ -73,30 +50,23 @@ def matching_covector(q: Immersion, q_target: Immersion, sigma: float) -> np.nda
     return (mass @ (q.coords - q_target.coords)) / (sigma * sigma)
 
 
-def backward_sweep(
-    path: GeodesicPath,
-    q_target: Immersion,
-    sigma: float,
-    diagnostics: bool = True,
-) -> AdjointState:
+def backward_sweep(path: GeodesicPath, q_target: Immersion, sigma: float) -> np.ndarray:
     """Run the adjoint recursion down a shot path.
 
     Parameters
     ----------
     path : GeodesicPath
         Forward path; its cached operators are reused for every solve and
-        variation, and supply alpha and eps_reg for the diagnostic operator
-        at the endpoint.
+        variation.
     q_target : Immersion
         Matching target for the endpoint.
     sigma : float
         Matching weight 1/(2 sigma^2); must be > 0.
-    diagnostics : bool
-        Fill interior u_hat/v_hat entries (extra solves per step).
 
     Returns
     -------
-    AdjointState
+    ndarray, shape (n, 3)
+        Metric gradient of the objective at u_0.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -105,14 +75,6 @@ def backward_sweep(
 
     qbar = matching_covector(path.final, q_target, sigma)
     ubar = np.zeros_like(qbar)
-
-    u_hat: list = [None] * (n + 1)
-    v_hat: list = [None] * (n + 1)
-    u_hat[n] = np.zeros_like(qbar)
-    if diagnostics:
-        op0 = path.operators[0]
-        op_final = assemble(path.final, op0.alpha, op0.eps_reg)
-        v_hat[n] = -sharp(op_final, qbar)
 
     for i in range(n - 1, -1, -1):
         u_i = path.velocities[i]
@@ -135,14 +97,8 @@ def backward_sweep(
         qbar = qbar_adj + hess + kinetic_surface_gradient(op_i, u_i, 2.0 * w + dt * u_i)
         ubar = flat(op_i, w + dt * u_i) + cross + dt * qbar_adj
 
-        if diagnostics or i == 0:
-            u_hat[i] = u_i - sharp(op_i, ubar)
-        if diagnostics:
-            v_hat[i] = -sharp(op_i, qbar)
-
-    return AdjointState(sigma=sigma, u_hat=u_hat, v_hat=v_hat)
-
-
-def gradient(path: GeodesicPath, adjoint: AdjointState) -> np.ndarray:
-    """Metric gradient of the objective at u_0: exactly u_0 - u_hat_0."""
-    return path.velocities[0] - adjoint.u_hat[0]
+    # formed through u_hat_0, as docs/gradient.md defines it: returning
+    # sharp(op_0, ubar_0) directly changes the last digits of the result
+    u0 = path.velocities[0]
+    u_hat0 = u0 - sharp(path.operators[0], ubar)
+    return u0 - u_hat0

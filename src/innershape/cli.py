@@ -16,21 +16,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .adjoint import backward_sweep, gradient
-from .config import (
-    _BOOL_WORDS,
-    ConfigError,
-    RunConfig,
-    _base_type,
-    as_dict,
-    build_config,
-    parse_file,
-)
+from .adjoint import backward_sweep
+from .config import ConfigError, RunConfig, _convert, _field_types, as_dict, build_config, parse_file
 from .errors import (
     DegenerateElementError,
     MeshError,
@@ -59,7 +50,7 @@ from .mesh import (
     save_mesh,
     save_velocity,
 )
-from .metric import inner_product
+from .metric import assemble, inner_product
 from .registration import RegistrationStatus, energy, register
 from .shooting import export_frames, path_energy, path_length, shoot
 from .statistics import MeanStatus, karcher_mean, triangle_experiment
@@ -88,28 +79,26 @@ _FIXTURE_TOPOLOGY = {
 _BENT_DEFAULTS = {"bend_deg": 90.0, "ripples": 5, "ripple_amplitude": 0.02}
 
 
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.strip().lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}") from None
+def _flag_type(name: str):
+    """Argparse type for config key ``name``: the config file's converter."""
 
+    def parse(text: str):
+        try:
+            return _convert(name, text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-_FLAG_TYPES = {bool: _parse_bool, int: int, float: float, str: str}
-
-
-def _config_flag_fields() -> list:
-    return [(f.name, _base_type(f.type)) for f in fields(RunConfig)]
+    return parse
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
-    for name, base in _config_flag_fields():
+    for name, (base, _) in _field_types().items():
         group.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,
-            type=_FLAG_TYPES[base],
-            default=None,
+            type=_flag_type(name),
+            default=argparse.SUPPRESS,
             metavar=base.__name__.upper(),
             help=f"override config key {name!r}",
         )
@@ -118,11 +107,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _load_config(args) -> tuple[RunConfig, set]:
     """Build the run config and report which keys were set explicitly."""
     file_values = parse_file(args.config) if args.config else {}
-    overrides = {}
-    for name, _ in _config_flag_fields():
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {name: getattr(args, name) for name in _field_types() if hasattr(args, name)}
+    # a flag replaces the file's value; a `none` flag leaves the key at its
+    # default, which is None for every key that accepts none
+    file_values = {k: v for k, v in file_values.items() if k not in overrides}
     cfg = build_config(file_values, overrides)
     return cfg, set(file_values) | set(overrides)
 
@@ -286,7 +274,7 @@ def cmd_shoot(args) -> int:
     if not compatible(q0.mesh, vmesh):
         raise MeshMismatchError("shoot: velocity file does not match the initial mesh")
 
-    path = shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg)
+    path = shoot(assemble(q0, cfg.alpha, cfg.eps_reg), u0, cfg.n_steps)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     written = export_frames(path, os.path.join(out, "frames"))
@@ -398,10 +386,8 @@ def cmd_gradcheck(args) -> int:
     q_target = q0.displaced(0.05 * rng.standard_normal(shape))
     u0 = 0.2 * rng.standard_normal(shape)
 
-    path = shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg)
-    adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False)
-    grad = gradient(path, adj)
-    op0 = path.operators[0]
+    op0 = assemble(q0, cfg.alpha, cfg.eps_reg)
+    grad = backward_sweep(shoot(op0, u0, cfg.n_steps), q_target, cfg.sigma)
 
     header = ["dir"] + [f"h={h:g}" for h in GRADCHECK_STEPS] + ["min"]
     rows = []

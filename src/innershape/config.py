@@ -44,15 +44,26 @@ class RunConfig(RegistrationConfig):
     out_dir: str = "out"
     export_frames: bool = False
 
+    def validate(self) -> None:
+        super().validate()
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        if self.directions < 1:
+            raise ValueError(f"directions must be >= 1, got {self.directions}")
+
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
 
-def _convert(name: str, text: str, target_type) -> object:
+def _convert(name: str, text: str) -> object:
+    """Typed value of config key ``name``; ``none`` only for `X | None` keys."""
+    target_type, optional = _field_types()[name]
     text = text.strip()
     if text.lower() == "none":
-        return None
+        if optional:
+            return None
+        raise ConfigError(f"{name}: a value is required, got {text!r}")
     if target_type is bool:
         try:
             return _BOOL_WORDS[text.lower()]
@@ -71,19 +82,22 @@ def _convert(name: str, text: str, target_type) -> object:
     return text
 
 
-def _base_type(annotation) -> type:
-    """Primitive type of a field annotation, unwrapping `X | None`."""
+def _field_type(annotation) -> tuple[type, bool]:
+    """Primitive type of a field annotation and whether it is `X | None`."""
     if isinstance(annotation, str):
-        name = annotation.replace(" ", "").removesuffix("|None")
-        return {"float": float, "int": int, "bool": bool, "str": str}.get(name, str)
+        name = annotation.replace(" ", "")
+        base = name.removesuffix("|None")
+        return {"float": float, "int": int, "bool": bool, "str": str}.get(base, str), base != name
+    optional = False
     if isinstance(annotation, types.UnionType):
         args = [a for a in typing.get_args(annotation) if a is not type(None)]
+        optional = len(args) < len(typing.get_args(annotation))
         annotation = args[0] if args else str
-    return annotation if annotation in (float, int, bool, str) else str
+    return (annotation if annotation in (float, int, bool, str) else str), optional
 
 
 def _field_types() -> dict:
-    return {f.name: _base_type(f.type) for f in fields(RunConfig)}
+    return {f.name: _field_type(f.type) for f in fields(RunConfig)}
 
 
 def parse_file(path) -> dict:
@@ -108,14 +122,15 @@ def parse_file(path) -> dict:
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Merge defaults, config-file values and CLI overrides into a RunConfig.
 
-    ``overrides`` entries with value None (flag not given) are skipped.
+    ``overrides`` entries with value None are skipped: the key keeps its
+    file or default value.
     """
     types = _field_types()
     cfg = RunConfig()
     for key, text in (file_values or {}).items():
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _convert(key, text, types[key]))
+        setattr(cfg, key, _convert(key, text))
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -73,17 +73,6 @@ class TriangleGeometry:
 
 
 @dataclass
-class ElementGeometry:
-    """Geometry of a single triangle."""
-
-    dq: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    det_g: float
-    vol: float
-
-
-@dataclass
 class RegularityReport:
     """Outcome of a degeneracy scan over all triangles."""
 
@@ -137,27 +126,6 @@ def regularity_threshold(q: Immersion, eps_reg: float | None = None) -> float:
         median = float(np.median(triangle_geometry(q).vol))
         object.__setattr__(q, "_default_threshold", DEFAULT_REGULARITY_FACTOR * median)
     return q._default_threshold
-
-
-def element_geometry(q: Immersion, tri: int, eps_reg: float | None = None) -> ElementGeometry:
-    """Geometry of triangle `tri`; raises if its metric is degenerate.
-
-    A triangle is degenerate when det(g) <= eps_reg^2; by default eps_reg is
-    a small fraction of the immersion's median element volume.
-    """
-    geom = triangle_geometry(q)
-    eps = regularity_threshold(q, eps_reg)
-    if geom.det_g[tri] <= eps * eps:
-        raise DegenerateElementError(
-            f"triangle {tri}: det(g)={geom.det_g[tri]:.3e} <= threshold {eps * eps:.3e}"
-        )
-    return ElementGeometry(
-        dq=geom.dq[tri],
-        g=geom.g[tri],
-        g_inv=geom.g_inv[tri],
-        det_g=float(geom.det_g[tri]),
-        vol=float(geom.vol[tri]),
-    )
 
 
 def check_regularity(q: Immersion, eps_reg: float | None = None) -> RegularityReport:

@@ -72,10 +72,6 @@ class MetricOperator:
     def n_nodes(self) -> int:
         return self.block.shape[0]
 
-    def full_matrix(self) -> sp.csr_matrix:
-        """The 3n-by-3n operator, components stacked [x; y; z]."""
-        return sp.block_diag([self.block] * 3, format="csr")
-
 
 @dataclass(frozen=True)
 class _IndexMaps:

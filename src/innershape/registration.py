@@ -11,10 +11,10 @@ from enum import Enum
 
 import numpy as np
 
-from .adjoint import backward_sweep, gradient as adjoint_gradient
+from .adjoint import backward_sweep
 from .errors import StepFailureError
 from .geometry import Immersion, check_same_mesh
-from .metric import assemble, inner_product, parameter_mass_matrix, sharp
+from .metric import MetricOperator, assemble, inner_product, parameter_mass_matrix, sharp
 from .shooting import GeodesicPath, path_energy, shoot
 
 logger = logging.getLogger(__name__)
@@ -112,12 +112,8 @@ def energy(
     q0: Immersion, u0: np.ndarray, q_target: Immersion, cfg: RegistrationConfig
 ) -> tuple[float, float, float]:
     """Objective value at an initial velocity: (total, kinetic, match)."""
-    path = _shoot(q0, u0, cfg)
+    path = shoot(assemble(q0, cfg.alpha, cfg.eps_reg), u0, cfg.n_steps)
     return _energy_of(path, q_target, cfg)
-
-
-def _shoot(q0: Immersion, u0: np.ndarray, cfg: RegistrationConfig) -> GeodesicPath:
-    return shoot(q0, u0, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg)
 
 
 def _energy_of(
@@ -128,29 +124,33 @@ def _energy_of(
     return kin + match / (2.0 * cfg.sigma * cfg.sigma), kin, match
 
 
-def initial_velocity(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> np.ndarray:
-    """Starting velocity per ``cfg.init``."""
+def initial_velocity(
+    op0: MetricOperator, q_target: Immersion, cfg: RegistrationConfig
+) -> np.ndarray:
+    """Starting velocity at ``op0.immersion`` per ``cfg.init``."""
+    q0 = op0.immersion
     if cfg.init == "zero":
         return np.zeros((q0.mesh.n_nodes, 3))
-    op = assemble(q0, cfg.alpha, cfg.eps_reg)
     mass = parameter_mass_matrix(q0.mesh)
-    return sharp(op, mass @ (q_target.coords - q0.coords))
+    return sharp(op0, mass @ (q_target.coords - q0.coords))
 
 
 def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> RegistrationResult:
     """Descend the registration objective from the configured start.
 
     Returns the best iterate; the history has one row per iterate (the
-    initial one included) with the step size that produced it.  Statuses:
-    CONVERGED when the gradient norm falls to ``tol_grad`` (or the matching
-    error to ``tol_match``), MAX_ITERS when the budget runs out,
+    initial one included) with the step size that produced it.  The operator
+    at ``q0`` is assembled once; the start and every trial shoot from it.
+    Statuses: CONVERGED when the gradient norm falls to ``tol_grad`` (or the
+    matching error to ``tol_match``), MAX_ITERS when the budget runs out,
     STEP_FAILURE when no acceptable step of size >= ``step_min`` exists.
     """
     cfg.validate()
     check_same_mesh(q0.mesh, q_target.mesh, "registration")
 
-    u = initial_velocity(q0, q_target, cfg)
-    path = _shoot(q0, u, cfg)
+    op0 = assemble(q0, cfg.alpha, cfg.eps_reg)
+    u = initial_velocity(op0, q_target, cfg)
+    path = shoot(op0, u, cfg.n_steps)
     e_total, e_kin, e_match = _energy_of(path, q_target, cfg)
 
     history: list[IterationRecord] = []
@@ -160,9 +160,8 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
     last_step = 0.0
 
     while True:
-        adj = backward_sweep(path, q_target, cfg.sigma, diagnostics=False)
-        g = adjoint_gradient(path, adj)
-        sq_norm = max(inner_product(path.operators[0], g, g), 0.0)
+        g = backward_sweep(path, q_target, cfg.sigma)
+        sq_norm = max(inner_product(op0, g, g), 0.0)
         g_norm = float(np.sqrt(sq_norm))
         history.append(
             IterationRecord(iteration, e_total, e_kin, e_match, g_norm, last_step)
@@ -185,7 +184,7 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
         accepted = False
         if cfg.fixed_step:
             try:
-                trial_path = _shoot(q0, u - step * g, cfg)
+                trial_path = shoot(op0, u - step * g, cfg.n_steps)
                 trial = _energy_of(trial_path, q_target, cfg)
                 accepted = True
             except StepFailureError as exc:
@@ -193,7 +192,7 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
         else:
             while step >= cfg.step_min:
                 try:
-                    trial_path = _shoot(q0, u - step * g, cfg)
+                    trial_path = shoot(op0, u - step * g, cfg.n_steps)
                     trial = _energy_of(trial_path, q_target, cfg)
                 except StepFailureError as exc:
                     logger.debug("step %.2e rejected: %s", step, exc)

@@ -34,9 +34,10 @@ from . import mesh as meshio
 class GeodesicPath:
     """A discrete geodesic: immersions q_0..q_N and velocities u_0..u_{N-1}.
 
-    ``kinetic[i]`` is 1/2 <u_i, u_i> at q_i; ``operators[i]`` caches the
-    assembled metric operator at q_i for i < N (reused by the adjoint sweep);
-    the operators carry the metric's alpha and regularity threshold.
+    ``kinetic[i]`` is 1/2 <u_i, u_i> at q_i; ``operators[i]`` is the
+    assembled metric operator at q_i for i < N (reused by the adjoint sweep):
+    ``operators[0]`` is the operator the path was shot from, and the later
+    ones carry its alpha and regularity threshold.
     """
 
     dt: float
@@ -54,33 +55,27 @@ class GeodesicPath:
         return self.immersions[-1]
 
 
-def shoot(
-    q0: Immersion,
-    u0: np.ndarray,
-    n_steps: int,
-    alpha: float,
-    eps_reg: float | None = None,
-) -> GeodesicPath:
-    """Integrate the geodesic flow from an initial immersion and velocity.
+def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
+    """Integrate the geodesic flow from an initial operator and velocity.
 
     Parameters
     ----------
-    q0 : Immersion
+    op0 : MetricOperator
+        Assembled metric at the initial immersion ``op0.immersion``; the
+        operators at later steps are assembled with its alpha and eps_reg.
     u0 : ndarray, shape (n, 3)
         Initial velocity, one vector per unique node.
     n_steps : int
         Number of time steps N; dt = 1/N.
-    alpha : float
-        Metric length scale.
-    eps_reg : float, optional
-        Degeneracy threshold forwarded to every geometry check.
 
     Raises
     ------
     StepFailureError
         Wrapping degenerate geometry or solver failures, with the index of
-        the step being advanced.
+        the step being advanced.  A degenerate initial immersion fails
+        earlier, in the ``assemble`` that built ``op0``.
     """
+    q0 = op0.immersion
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (q0.mesh.n_nodes, 3):
         raise ValueError(f"expected ({q0.mesh.n_nodes}, 3) velocity, got {u0.shape}")
@@ -91,12 +86,7 @@ def shoot(
     immersions = [q0]
     velocities = [u0]
     kinetic = np.empty(n_steps)
-    operators: list[MetricOperator] = []
-
-    try:
-        operators.append(assemble(q0, alpha, eps_reg))
-    except (DegenerateElementError, SolverError, ValueError) as exc:
-        raise StepFailureError(0, str(exc)) from exc
+    operators = [op0]
 
     for i in range(n_steps):
         q_i = immersions[i]
@@ -107,7 +97,7 @@ def shoot(
             q_next = Immersion(q_i.mesh, q_i.coords + dt * u_i)
             if i < n_steps - 1:
                 momentum = flat(op_i, u_i) + dt * kinetic_surface_gradient(op_i, u_i, u_i)
-                op_next = assemble(q_next, alpha, eps_reg)
+                op_next = assemble(q_next, op0.alpha, op0.eps_reg)
                 operators.append(op_next)
                 velocities.append(sharp(op_next, momentum))
         except (DegenerateElementError, SolverError, ValueError) as exc:

@@ -147,6 +147,8 @@ def karcher_mean(
     """
     if not shapes:
         raise ValueError("karcher_mean needs at least one shape")
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     mean = init if init is not None else shapes[0]
     for k, s in enumerate(shapes):
         check_same_mesh(mean.mesh, s.mesh, f"mean shape {k}")
@@ -162,13 +164,14 @@ def karcher_mean(
         statuses = [r.status for r in results]
         u_bar = sum(velocities) / len(velocities)
         # every registration starts at the operator assembled at the mean
-        vn = norm(results[0].path.operators[0], u_bar)
+        op_mean = results[0].path.operators[0]
+        vn = norm(op_mean, u_bar)
         norms.append(vn)
         logger.info("mean: outer %d, averaged velocity norm %.6e", outer, vn)
         if vn <= mean_tol:
             status = MeanStatus.CONVERGED
             break
-        mean = shoot(mean, u_bar, cfg.n_steps, cfg.alpha, eps_reg=cfg.eps_reg).final
+        mean = shoot(op_mean, u_bar, cfg.n_steps).final
 
     return MeanResult(
         mean=mean,

@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from innershape import (
-    AdjointState,
     Immersion,
     Topology,
     backward_sweep,
     build_grid,
     cylinder_surface,
     energy,
-    gradient,
     inner_product,
     matching_covector,
     parameter_mass_matrix,
     shoot,
 )
 from innershape.fixtures import rotation_matrix
-from innershape.metric import assemble, sharp
+from innershape.metric import assemble
 from innershape.registration import RegistrationConfig
 
 from .conftest import random_field
@@ -65,10 +63,8 @@ class TestBackwardSweep:
     def test_fd_gate_small(self, small_problem, rng):
         q0, u0, q_target = small_problem
         cfg = RegistrationConfig(alpha=ALPHA, sigma=SIGMA, n_steps=3)
-        path = shoot(q0, u0, 3, ALPHA)
-        adj = backward_sweep(path, q_target, SIGMA, diagnostics=False)
-        grad = gradient(path, adj)
-        op0 = path.operators[0]
+        op0 = assemble(q0, ALPHA)
+        grad = backward_sweep(shoot(op0, u0, 3), q_target, SIGMA)
 
         worst = 0.0
         for _ in range(5):
@@ -83,27 +79,6 @@ class TestBackwardSweep:
             worst = max(worst, best)
         assert worst <= 1e-5
 
-    def test_final_velocity_hat_is_zero(self, small_problem):
-        q0, u0, q_target = small_problem
-        path = shoot(q0, u0, 4, ALPHA)
-        adj = backward_sweep(path, q_target, SIGMA)
-        assert np.array_equal(adj.u_hat[path.n_steps], np.zeros_like(u0))
-
-    def test_final_position_hat_matches_mismatch_solve(self, small_problem):
-        q0, u0, q_target = small_problem
-        path = shoot(q0, u0, 4, ALPHA)
-        adj = backward_sweep(path, q_target, SIGMA, diagnostics=True)
-        op_n = assemble(path.final, ALPHA)
-        want = -sharp(op_n, matching_covector(path.final, q_target, SIGMA))
-        assert np.max(np.abs(adj.v_hat[path.n_steps] - want)) <= 1e-12
-
-    def test_zero_mismatch_final_hats_vanish(self, small_problem):
-        q0, u0, _ = small_problem
-        path = shoot(q0, u0, 4, ALPHA)
-        adj = backward_sweep(path, path.final, SIGMA, diagnostics=True)
-        assert np.array_equal(adj.v_hat[path.n_steps], np.zeros_like(u0))
-        assert np.array_equal(adj.u_hat[path.n_steps], np.zeros_like(u0))
-
     def test_zero_mismatch_gradient_first_order_in_dt(self, small_problem):
         # the exact discrete gradient of the kinetic energy alone is
         # u_0 + O(dt): the deviation must shrink linearly with the step
@@ -111,9 +86,8 @@ class TestBackwardSweep:
         u0 = smooth_field(q0.mesh)
         errs = {}
         for n in (8, 16):
-            path = shoot(q0, u0, n, ALPHA)
-            adj = backward_sweep(path, path.final, SIGMA, diagnostics=False)
-            g = gradient(path, adj)
+            path = shoot(assemble(q0, ALPHA), u0, n)
+            g = backward_sweep(path, path.final, SIGMA)
             errs[n] = np.linalg.norm(g - u0) / np.linalg.norm(u0)
         assert errs[8] <= 0.5 / 8
         assert 1.5 <= errs[8] / errs[16] <= 2.5
@@ -121,38 +95,17 @@ class TestBackwardSweep:
     def test_stationary_problem_gives_exact_zero(self, small_problem):
         q0, _, _ = small_problem
         zero = np.zeros((q0.mesh.n_nodes, 3))
-        path = shoot(q0, zero, 4, ALPHA)
-        adj = backward_sweep(path, q0, SIGMA)
-        assert np.array_equal(gradient(path, adj), zero)
+        path = shoot(assemble(q0, ALPHA), zero, 4)
+        assert np.array_equal(backward_sweep(path, q0, SIGMA), zero)
 
     def test_rotation_equivariance(self, small_problem):
         q0, u0, q_target = small_problem
         rot = rotation_matrix("y", 25.0) @ rotation_matrix("z", 130.0)
         b = np.array([0.1, 0.7, -0.2])
 
-        path = shoot(q0, u0, 3, ALPHA)
-        g = gradient(path, backward_sweep(path, q_target, SIGMA, diagnostics=False))
+        g = backward_sweep(shoot(assemble(q0, ALPHA), u0, 3), q_target, SIGMA)
 
         q0_m = Immersion(q0.mesh, q0.coords @ rot.T + b)
         qt_m = Immersion(q0.mesh, q_target.coords @ rot.T + b)
-        path_m = shoot(q0_m, u0 @ rot.T, 3, ALPHA)
-        g_m = gradient(path_m, backward_sweep(path_m, qt_m, SIGMA, diagnostics=False))
+        g_m = backward_sweep(shoot(assemble(q0_m, ALPHA), u0 @ rot.T, 3), qt_m, SIGMA)
         assert np.max(np.abs(g_m - g @ rot.T)) <= 1e-10
-
-
-class TestGradientMap:
-    def _path(self, small_problem):
-        q0, u0, _ = small_problem
-        return shoot(q0, u0, 2, ALPHA)
-
-    def test_zero_hat_returns_velocity(self, small_problem):
-        path = self._path(small_problem)
-        u0 = path.velocities[0]
-        adj = AdjointState(sigma=SIGMA, u_hat=[np.zeros_like(u0)], v_hat=[])
-        assert np.array_equal(gradient(path, adj), u0)
-
-    def test_hat_equal_to_velocity_returns_zero(self, small_problem):
-        path = self._path(small_problem)
-        u0 = path.velocities[0]
-        adj = AdjointState(sigma=SIGMA, u_hat=[u0.copy()], v_hat=[])
-        assert np.array_equal(gradient(path, adj), np.zeros_like(u0))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from innershape import Immersion, Topology, build_grid, load_mesh, save_mesh, save_velocity
-from innershape.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
+from innershape.cli import (
+    EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _load_config, build_parser, main,
+)
 
 
 def run(*argv):
@@ -160,6 +162,16 @@ class TestShoot:
         assert len(frame_meshes) == 4
         assert all(p.read_bytes() == final for p in frame_meshes)
 
+    def test_collapsed_initial_mesh_is_numerical_failure(self, sheets, tmp_path):
+        mesh, coords = load_mesh(sheets["base"])
+        collapsed = tmp_path / "point.mesh"
+        save_mesh(mesh, np.zeros_like(coords), str(collapsed))
+        vel = tmp_path / "zero.vel"
+        save_velocity(mesh, np.zeros_like(coords), str(vel))
+        code = run("shoot", "--initial", str(collapsed), "--velocity", str(vel),
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_NUMERICAL
+
     def test_velocity_from_other_mesh_rejected(self, sheets, tmp_path):
         other = build_grid(Topology.PLANE, 4, 4)
         vel = tmp_path / "wrong.vel"
@@ -209,6 +221,11 @@ class TestMean:
         norms_csv = (out / "norms.csv").read_text().strip().splitlines()
         assert len(norms_csv) == 2  # header + one outer iteration
 
+    def test_zero_outer_iterations_is_usage_error(self, sheets, tmp_path):
+        code = run("mean", "--shapes", sheets["plus"], sheets["minus"],
+                   "--out-dir", str(tmp_path / "mean"), "--max-outer", "0")
+        assert code == EXIT_USAGE
+
     def test_unconverged_mean_exits_nonzero(self, sheets, tmp_path):
         out = tmp_path / "mean"
         code = run("mean", "--shapes", sheets["plus"], sheets["minus"],
@@ -229,6 +246,11 @@ class TestGradcheck:
         assert summary["passed"] is True
         assert len(summary["min_errors"]) == 3
         assert summary["worst_error"] <= 1e-5
+
+    def test_zero_directions_is_usage_error(self, tmp_path):
+        code = run("gradcheck", "--topology", "plane", "--nx", "4", "--ny", "4",
+                   "--directions", "0", "--out-dir", str(tmp_path / "gc"))
+        assert code == EXIT_USAGE
 
 
 class TestUsage:
@@ -257,6 +279,19 @@ class TestUsage:
         assert run("meshgen", "--out", out, "--fixed-step", "off") == EXIT_OK
         args = build_parser().parse_args(["meshgen", "--out", out, "--fixed-step", "off"])
         assert args.fixed_step is False
+
+    def test_none_words(self, tmp_path):
+        out = str(tmp_path / "m.mesh")
+        assert run("meshgen", "--out", out, "--alpha", "none") == EXIT_USAGE
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = none\n")
+        assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
+        # a none flag unsets an optional key the config file set
+        cfg.write_text("tol_match = 0.01\n")
+        args = build_parser().parse_args(
+            ["meshgen", "--out", out, "--config", str(cfg), "--tol-match", "none"])
+        assert _load_config(args)[0].tol_match is None
+        assert run("meshgen", "--out", out, "--tol-match", "none") == EXIT_OK
 
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

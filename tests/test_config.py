@@ -72,6 +72,18 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="number"):
             build_config({"alpha": "big"})
 
+    def test_none_only_for_optional_keys(self):
+        cfg = build_config({"tol_match": "none", "eps_reg": "None"})
+        assert cfg.tol_match is None and cfg.eps_reg is None
+        for key in ("alpha", "nx", "export_frames", "topology"):
+            with pytest.raises(ConfigError, match=key):
+                build_config({key: "none"})
+
+    def test_experiment_counts_validated(self):
+        for key in ("max_outer", "directions"):
+            with pytest.raises(ConfigError, match=key):
+                build_config({key: "0"})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config({"alhpa": "0.5"})

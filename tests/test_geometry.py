@@ -11,7 +11,6 @@ from innershape import (
     build_grid,
     check_regularity,
     cylinder_surface,
-    element_geometry,
     require_regular,
     surface_area,
 )
@@ -77,11 +76,6 @@ class TestFirstFundamentalForm:
     def test_flat_identity_area_is_one(self, plane_mesh):
         assert abs(surface_area(flat_immersion(plane_mesh)) - 1.0) <= 1e-12
 
-    def test_element_geometry_single_triangle(self, flat_square):
-        elem = element_geometry(flat_square, 0)
-        assert np.allclose(elem.g, np.eye(2), atol=1e-14)
-        assert elem.vol == pytest.approx(1.0, abs=1e-14)
-
 
 class TestRegularity:
     def test_flat_identity_regular(self, plane_mesh):
@@ -113,8 +107,6 @@ class TestRegularity:
         q = Immersion(plane_mesh, np.zeros((plane_mesh.n_nodes, 3)))
         with pytest.raises(DegenerateElementError):
             require_regular(q, eps_reg=1e-8)
-        with pytest.raises(DegenerateElementError):
-            element_geometry(q, 0, eps_reg=1e-8)
 
 
 class TestRegularityThreshold:

@@ -55,17 +55,6 @@ class TestAssembly:
         diff = (mat - mat.T).tocoo()
         assert diff.nnz == 0 or np.all(diff.data == 0.0)
 
-    def test_full_matrix_is_three_block_copies(self, flat_square):
-        op = assemble(flat_square, ALPHA)
-        full = op.full_matrix()
-        n = op.n_nodes
-        assert full.shape == (3 * n, 3 * n)
-        block = op.block.toarray()
-        dense = full.toarray()
-        for k in range(3):
-            sl = slice(k * n, (k + 1) * n)
-            assert np.array_equal(dense[sl, sl], block)
-
     def test_quadrature_oracle_random_instances(self, rng):
         worst = 0.0
         for _ in range(20):

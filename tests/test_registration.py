@@ -8,6 +8,7 @@ from innershape import (
     RegistrationConfig,
     RegistrationStatus,
     Topology,
+    assemble,
     backward_sweep,
     build_grid,
     cylinder_surface,
@@ -65,7 +66,7 @@ class TestEnergy:
         q0, _ = bend_problem
         u0 = random_field(rng, q0.mesh, 0.05)
         cfg = RegistrationConfig(alpha=ALPHA, sigma=1.0, n_steps=4)
-        path = shoot(q0, u0, 4, ALPHA)
+        path = shoot(assemble(q0, ALPHA), u0, 4)
         total, kinetic, match = energy(q0, u0, path.final, cfg)
         assert match == 0.0
         assert total == kinetic == pytest.approx(path_energy(path), rel=1e-14)
@@ -149,7 +150,7 @@ class TestRegularityThreshold:
     @pytest.fixture
     def checks(self, monkeypatch):
         """The eps_reg of every regularity check the metric layer makes, and
-        the number of operators assembled meanwhile."""
+        the immersions of the operators assembled meanwhile."""
         seen = []
         assembles = []
 
@@ -162,55 +163,76 @@ class TestRegularityThreshold:
             return metric.assemble(q, alpha, eps_reg)
 
         monkeypatch.setattr(metric, "require_regular", spy)
-        for module in (shooting, adjoint, registration):
+        for module in (shooting, registration):
             monkeypatch.setattr(module, "assemble", counting_assemble)
         return seen, assembles
 
-    def test_eps_reg_reaches_every_check_of_an_iteration(self, bend_problem, checks):
+    def test_eps_reg_reaches_every_check_of_an_iteration(self, bend_problem, checks, monkeypatch):
         q0, qt = bend_problem
         seen, assembles = checks
+        shoots = []
+
+        def counting_shoot(op0, u0, n_steps):
+            shoots.append(op0)
+            return shooting.shoot(op0, u0, n_steps)
+
+        monkeypatch.setattr(registration, "shoot", counting_shoot)
         eps = 1e-9
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=1,
                                  tol_grad=1e-12, eps_reg=eps)
         res = register(q0, qt, cfg)
         assert res.iterations == 1
-        # one check per assembled operator; the variations reuse its geometry
-        assert len(assembles) >= 2 * cfg.n_steps
+        # the operator at q0 once, then every shoot from it assembles the
+        # later steps; the variations reuse each operator's geometry
+        assert len(shoots) >= 2
+        assert all(op is shoots[0] for op in shoots)
+        assert len(assembles) == 1 + len(shoots) * (cfg.n_steps - 1)
         assert len(seen) == len(assembles)
         assert all(e == eps for e in seen)
 
     def test_eps_reg_reaches_the_diagnostic_sweep(self, bend_problem, checks):
         q0, qt = bend_problem
-        seen, _ = checks
-        eps = 1e-9
-        path = shoot(q0, 0.1 * (qt.coords - q0.coords), 4, ALPHA, eps_reg=eps)
+        seen, assembles = checks
+        path = shoot(assemble(q0, ALPHA, eps_reg=1e-9), 0.1 * (qt.coords - q0.coords), 4)
         seen.clear()
-        backward_sweep(path, qt, 0.5, diagnostics=True)
-        # only the diagnostic operator at the endpoint is new; it takes the
-        # path operators' threshold
-        assert seen == [eps]
+        assembles.clear()
+        backward_sweep(path, qt, 0.5)
+        # the sweep solves with the path's operators and builds none
+        assert not hasattr(adjoint, "assemble")
+        assert seen == []
+        assert assembles == []
 
     def test_one_check_per_operator_of_a_shoot_and_diagnostic_sweep(self, bend_problem, checks):
         q0, qt = bend_problem
         seen, assembles = checks
-        path = shoot(q0, 0.1 * (qt.coords - q0.coords), 4, ALPHA)
-        backward_sweep(path, qt, 0.5, diagnostics=True)
-        # the path's operators plus the diagnostic one at the endpoint
-        assert len(assembles) == path.n_steps + 1
+        op0 = assemble(q0, ALPHA)
+        seen.clear()
+        path = shoot(op0, 0.1 * (qt.coords - q0.coords), 4)
+        backward_sweep(path, qt, 0.5)
+        # operators[0] is the caller's; the shoot assembles the N - 1 others
+        assert len(assembles) == path.n_steps - 1
         assert len(seen) == len(assembles)
+
+    def test_l2diff_start_assembles_once_at_q0(self, bend_problem, checks):
+        q0, qt = bend_problem
+        _, assembles = checks
+        cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=0,
+                                 init="l2diff")
+        register(q0, qt, cfg)
+        assert sum(q is q0 for q in assembles) == 1
 
 
 class TestInitialVelocity:
     def test_zero_mode(self, bend_problem):
         q0, qt = bend_problem
         cfg = RegistrationConfig(init="zero")
-        assert np.array_equal(initial_velocity(q0, qt, cfg),
+        assert np.array_equal(initial_velocity(assemble(q0, cfg.alpha), qt, cfg),
                               np.zeros((q0.mesh.n_nodes, 3)))
 
     def test_l2diff_mode_points_toward_target(self, bend_problem):
         q0, qt = bend_problem
         cfg = RegistrationConfig(alpha=ALPHA, init="l2diff")
-        u = initial_velocity(q0, qt, cfg)
+        u = initial_velocity(assemble(q0, ALPHA), qt, cfg)
         # moving along u must decrease the pointwise mismatch
         before = l2_matching(q0, qt)
         after = l2_matching(q0.displaced(0.1 * u), qt)

@@ -34,7 +34,7 @@ def smooth_field(mesh, amplitude=0.3):
 class TestShoot:
     def test_zero_velocity_is_exactly_stationary(self, cylinder_shape):
         zero = np.zeros((cylinder_shape.mesh.n_nodes, 3))
-        path = shoot(cylinder_shape, zero, 6, ALPHA)
+        path = shoot(assemble(cylinder_shape, ALPHA), zero, 6)
         for q in path.immersions:
             assert np.array_equal(q.coords, cylinder_shape.coords)
         for u in path.velocities:
@@ -43,13 +43,13 @@ class TestShoot:
 
     def test_single_step_is_plain_displacement(self, cylinder_shape, rng):
         u0 = random_field(rng, cylinder_shape.mesh, scale=0.05)
-        path = shoot(cylinder_shape, u0, 1, ALPHA)
+        path = shoot(assemble(cylinder_shape, ALPHA), u0, 1)
         assert path.dt == 1.0
         assert np.array_equal(path.final.coords, cylinder_shape.coords + u0)
 
     def test_endpoint_self_convergence_first_order(self, cylinder_shape):
         u0 = smooth_field(cylinder_shape.mesh)
-        ends = {n: shoot(cylinder_shape, u0, n, ALPHA).final.coords
+        ends = {n: shoot(assemble(cylinder_shape, ALPHA), u0, n).final.coords
                 for n in (10, 20, 40)}
         d1 = np.linalg.norm(ends[10] - ends[20])
         d2 = np.linalg.norm(ends[20] - ends[40])
@@ -59,10 +59,10 @@ class TestShoot:
         u0 = smooth_field(cylinder_shape.mesh)
         rot = rotation_matrix("z", 40.0) @ rotation_matrix("x", 15.0)
         b = np.array([0.2, -0.5, 1.0])
-        base = shoot(cylinder_shape, u0, 5, ALPHA)
+        base = shoot(assemble(cylinder_shape, ALPHA), u0, 5)
         moved = shoot(
-            Immersion(cylinder_shape.mesh, cylinder_shape.coords @ rot.T + b),
-            u0 @ rot.T, 5, ALPHA,
+            assemble(Immersion(cylinder_shape.mesh, cylinder_shape.coords @ rot.T + b), ALPHA),
+            u0 @ rot.T, 5,
         )
         worst = 0.0
         for q, qm in zip(base.immersions, moved.immersions):
@@ -71,23 +71,29 @@ class TestShoot:
             worst = max(worst, np.max(np.abs(um - u @ rot.T)))
         assert worst <= 1e-10
 
+    def test_starts_from_the_given_operator(self, cylinder_shape):
+        op0 = assemble(cylinder_shape, ALPHA, eps_reg=1e-9)
+        path = shoot(op0, smooth_field(cylinder_shape.mesh), 3)
+        assert path.operators[0] is op0
+        assert all(op.alpha == ALPHA and op.eps_reg == 1e-9 for op in path.operators)
+
     def test_collapse_raises_step_failure(self, flat_square):
         u0 = -flat_square.coords - [0.0, 0.0, 0.0]
         u0[:, 2] = 0.0  # drive every node straight to the origin
         with pytest.raises(StepFailureError) as err:
-            shoot(flat_square, 2.0 * u0, 2, ALPHA)
+            shoot(assemble(flat_square, ALPHA), 2.0 * u0, 2)
         assert err.value.step == 0
 
     def test_invalid_step_count_rejected(self, flat_square):
         zero = np.zeros((flat_square.mesh.n_nodes, 3))
         with pytest.raises(ValueError):
-            shoot(flat_square, zero, 0, ALPHA)
+            shoot(assemble(flat_square, ALPHA), zero, 0)
 
 
 class TestPathFunctionals:
     def test_zero_path_has_zero_energy_and_length(self, cylinder_shape):
         zero = np.zeros((cylinder_shape.mesh.n_nodes, 3))
-        path = shoot(cylinder_shape, zero, 4, ALPHA)
+        path = shoot(assemble(cylinder_shape, ALPHA), zero, 4)
         assert path_energy(path) == 0.0
         assert path_length(path) == 0.0
 
@@ -111,7 +117,7 @@ class TestPathFunctionals:
 
     def test_energy_matches_recorded_kinetic(self, cylinder_shape):
         u0 = smooth_field(cylinder_shape.mesh)
-        path = shoot(cylinder_shape, u0, 5, ALPHA)
+        path = shoot(assemble(cylinder_shape, ALPHA), u0, 5)
         recomputed = [
             0.5 * inner_product(path.operators[i], path.velocities[i], path.velocities[i])
             for i in range(path.n_steps)
@@ -121,5 +127,5 @@ class TestPathFunctionals:
 
     def test_length_energy_inequality(self, cylinder_shape):
         u0 = smooth_field(cylinder_shape.mesh)
-        path = shoot(cylinder_shape, u0, 6, ALPHA)
+        path = shoot(assemble(cylinder_shape, ALPHA), u0, 6)
         assert path_length(path) ** 2 <= 2.0 * path_energy(path) + 1e-12

@@ -179,6 +179,10 @@ class TestKarcherMean:
         with pytest.raises(ValueError):
             karcher_mean([], None, RegistrationConfig())
 
+    def test_zero_outer_iterations_rejected(self, flat_square):
+        with pytest.raises(ValueError, match="max_outer"):
+            karcher_mean([flat_square], None, RegistrationConfig(), max_outer=0)
+
     def test_single_shape_fixed_point(self, translated_sheets):
         base, plus, _ = translated_sheets
         cfg = MEAN_CFG_FACTORY(l2_matching(base, plus))
