@@ -1,8 +1,11 @@
-"""Endpoint registration by gradient descent on the initial velocity.
+"""Endpoint registration by metric L-BFGS on the initial velocity.
 
 Minimizes  E(u_0) = path energy + 1/(2 sigma^2) * |q_N - q_target|^2_flat
-over the initial velocity of a shot geodesic, using the exact adjoint
-gradient and Armijo backtracking with step doubling after accepted steps.
+over the initial velocity of a shot geodesic.  The exact adjoint gradient
+is the Riesz gradient in (R^{n x 3}, <.,.>_{op0}), the metric at q0, so
+limited-memory BFGS (Liu & Nocedal 1989) runs its two-loop recursion in that
+inner product, and the metric acts as the preconditioner.  Each direction is
+searched by Armijo backtracking from a unit step.
 """
 
 import logging
@@ -21,6 +24,9 @@ logger = logging.getLogger(__name__)
 
 INIT_MODES = ("zero", "l2diff")
 
+#: curvature pairs (s, y) kept by the L-BFGS memory
+LBFGS_MEMORY = 8
+
 
 @dataclass
 class RegistrationConfig:
@@ -28,23 +34,22 @@ class RegistrationConfig:
 
     ``init`` selects the initial velocity: "zero", or "l2diff" for the
     metric-raised pointwise difference to the target.  ``tol_match`` is
-    optional; when set, reaching it also counts as convergence.  With
-    ``fixed_step`` the line search is disabled and every step uses
-    ``step_size`` unchanged.
+    optional; when set, reaching it also counts as convergence.  The line
+    search accepts a step t along the direction d when the energy falls
+    strictly and by at least ``armijo_c * t * <g, d>``; otherwise t shrinks
+    by ``armijo_shrink`` until it falls below ``step_min``.
     """
 
     alpha: float = 0.6
     sigma: float = 1.0
     n_steps: int = 10
     max_iters: int = 200
-    step_size: float = 1.0
     armijo_c: float = 1e-4
     armijo_shrink: float = 0.5
     step_min: float = 1e-12
     tol_grad: float = 1e-6
     tol_match: float | None = None
     init: str = "zero"
-    fixed_step: bool = False
     eps_reg: float | None = None
 
     def validate(self) -> None:
@@ -60,8 +65,6 @@ class RegistrationConfig:
             raise ValueError(f"armijo_shrink must be in (0, 1), got {self.armijo_shrink}")
         if not 0 < self.armijo_c < 1:
             raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c}")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
@@ -135,15 +138,61 @@ def initial_velocity(
     return sharp(op0, mass @ (q_target.coords - q0.coords))
 
 
-def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> RegistrationResult:
-    """Descend the registration objective from the configured start.
+def _two_loop(op0: MetricOperator, pairs: list, g: np.ndarray) -> np.ndarray:
+    """L-BFGS inverse-Hessian approximation applied to ``g``, in the metric at op0.
 
-    Returns the best iterate; the history has one row per iterate (the
-    initial one included) with the step size that produced it.  The operator
-    at ``q0`` is assembled once; the start and every trial shoot from it.
+    ``pairs`` holds ``(s, y, 1 / <y, s>)``, oldest first; the initial
+    inverse Hessian is ``<s, y> / <y, y>`` times the identity of the newest pair.
+    """
+    r = g
+    coefs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * inner_product(op0, s, r)
+        r = r - a * y
+        coefs.append(a)
+    s, y, rho = pairs[-1]
+    r = r / (rho * inner_product(op0, y, y))
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        r = r + (a - rho * inner_product(op0, y, r)) * s
+    return r
+
+
+def _remember(op0: MetricOperator, pairs: list, s: np.ndarray, y: np.ndarray) -> None:
+    """Store the pair (s, y) unless its curvature <y, s> is not positive."""
+    ys = inner_product(op0, y, s)
+    if ys > 0:
+        pairs.append((s, y, 1.0 / ys))
+        del pairs[:-LBFGS_MEMORY]
+
+
+def _search_direction(
+    op0: MetricOperator, pairs: list, g: np.ndarray, sq_norm: float
+) -> tuple[np.ndarray, float, float]:
+    """Direction d, its slope <g, d> and the first trial step along it.
+
+    The L-BFGS direction ``-H g`` is tried at step 1.  With no stored pair,
+    or when ``-H g`` is no descent direction, steepest descent ``-g`` is
+    tried at step ``min(1, 1/|g|)``.
+    """
+    if pairs:
+        d = -_two_loop(op0, pairs, g)
+        slope = inner_product(op0, g, d)
+        if slope < 0:
+            return d, slope, 1.0
+    return -g, -sq_norm, min(1.0, sq_norm**-0.5)
+
+
+def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> RegistrationResult:
+    """Minimize the registration objective by metric L-BFGS from the configured start.
+
+    Returns the last, lowest iterate; the history has one row per iterate (the
+    initial one included) with the accepted step along the search direction
+    that produced it.  The operator at ``q0`` is assembled once; the start
+    and every trial shoot from it, and it carries the L-BFGS inner product.
     Statuses: CONVERGED when the gradient norm falls to ``tol_grad`` (or the
     matching error to ``tol_match``), MAX_ITERS when the budget runs out,
-    STEP_FAILURE when no acceptable step of size >= ``step_min`` exists.
+    STEP_FAILURE when no step of size >= ``step_min`` lowers the energy
+    enough.
     """
     cfg.validate()
     check_same_mesh(q0.mesh, q_target.mesh, "registration")
@@ -154,10 +203,11 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
     e_total, e_kin, e_match = _energy_of(path, q_target, cfg)
 
     history: list[IterationRecord] = []
-    step = cfg.step_size
+    pairs: list = []
     status = RegistrationStatus.MAX_ITERS
     iteration = 0
     last_step = 0.0
+    g_prev = s = None
 
     while True:
         g = backward_sweep(path, q_target, cfg.sigma)
@@ -181,38 +231,35 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
             status = RegistrationStatus.MAX_ITERS
             break
 
+        if g_prev is not None:
+            _remember(op0, pairs, s, g - g_prev)
+        d, slope, step = _search_direction(op0, pairs, g, sq_norm)
         accepted = False
-        if cfg.fixed_step:
+        while step >= cfg.step_min:
             try:
-                trial_path = shoot(op0, u - step * g, cfg.n_steps)
+                trial_path = shoot(op0, u + step * d, cfg.n_steps)
                 trial = _energy_of(trial_path, q_target, cfg)
-                accepted = True
             except StepFailureError as exc:
-                logger.warning("fixed step failed: %s", exc)
-        else:
-            while step >= cfg.step_min:
-                try:
-                    trial_path = shoot(op0, u - step * g, cfg.n_steps)
-                    trial = _energy_of(trial_path, q_target, cfg)
-                except StepFailureError as exc:
-                    logger.debug("step %.2e rejected: %s", step, exc)
-                    step *= cfg.armijo_shrink
-                    continue
-                if trial[0] <= e_total - cfg.armijo_c * step * sq_norm:
-                    accepted = True
-                    break
+                logger.debug("step %.2e rejected: %s", step, exc)
                 step *= cfg.armijo_shrink
+                continue
+            # the strict decrease also rejects steps whose Armijo margin
+            # falls below one ulp of the energy
+            if trial[0] < e_total and trial[0] <= e_total + cfg.armijo_c * step * slope:
+                accepted = True
+                break
+            step *= cfg.armijo_shrink
 
         if not accepted:
             status = RegistrationStatus.STEP_FAILURE
             break
 
-        u = u - step * g
+        s = step * d
+        u = u + s
+        g_prev = g
         path = trial_path
         e_total, e_kin, e_match = trial
         iteration += 1
         last_step = step
-        if not cfg.fixed_step:
-            step *= 2.0
 
     return RegistrationResult(u0=u, path=path, history=history, status=status)

@@ -187,7 +187,7 @@ class TestTriangle:
         code = run("triangle", "--a", sheets["base"], "--b", sheets["plus"],
                    "--c", sheets["side"], "--out-dir", str(out),
                    "--sigma", "0.3", "--n-steps", "4", "--max-iters", "80",
-                   "--tol-grad", "1e-12", "--tol-match", "5e-5")
+                   "--tol-grad", "1e-8", "--tol-match", "5e-5")
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["statuses"]) == {"AB", "AC", "BA", "BC", "CA", "CB"}
@@ -273,12 +273,21 @@ class TestUsage:
         assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
                    "--config", str(cfg)) == EXIT_USAGE
 
+    def test_removed_descent_settings(self, tmp_path):
+        out = str(tmp_path / "m.mesh")
+        assert run("meshgen", "--out", out, "--fixed-step", "on") == EXIT_USAGE
+        assert run("meshgen", "--out", out, "--step-size", "0.5") == EXIT_USAGE
+        cfg = tmp_path / "run.cfg"
+        for line in ("fixed_step = on\n", "step_size = 0.5\n"):
+            cfg.write_text(line)
+            assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
+
     def test_boolean_flag_words(self, tmp_path):
         out = str(tmp_path / "m.mesh")
         assert run("meshgen", "--out", out, "--export-frames", "maybe") == EXIT_USAGE
-        assert run("meshgen", "--out", out, "--fixed-step", "off") == EXIT_OK
-        args = build_parser().parse_args(["meshgen", "--out", out, "--fixed-step", "off"])
-        assert args.fixed_step is False
+        assert run("meshgen", "--out", out, "--export-frames", "off") == EXIT_OK
+        args = build_parser().parse_args(["meshgen", "--out", out, "--export-frames", "off"])
+        assert args.export_frames is False
 
     def test_none_words(self, tmp_path):
         out = str(tmp_path / "m.mesh")

@@ -132,18 +132,77 @@ class TestRegister:
     def test_line_search_failure_reported(self, bend_problem):
         q0, qt = bend_problem
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=10,
-                                 tol_grad=1e-15, step_size=1.0, step_min=10.0)
+                                 tol_grad=1e-15, step_min=10.0)
         res = register(q0, qt, cfg)
         assert res.status is RegistrationStatus.STEP_FAILURE
         assert res.history  # the failed iterate is still recorded
 
-    def test_fixed_step_mode_descends(self, bend_problem):
-        q0, qt = bend_problem
-        cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=6,
-                                 tol_grad=1e-12, fixed_step=True, step_size=0.05)
-        res = register(q0, qt, cfg)
+    def test_line_search_stops_when_the_energy_no_longer_falls(self):
+        # near the minimiser the Armijo margin falls below one ulp of the
+        # energy; such steps must be rejected, not recorded as iterates
+        mesh = build_grid(Topology.PLANE, 6, 6)
+        base = flat_immersion(mesh)
+        side = base.displaced(np.tile([-0.03, 0.02, 0.035], (mesh.n_nodes, 1)))
+        plus = base.displaced(np.tile([0.04, -0.03, 0.05], (mesh.n_nodes, 1)))
+        cfg = RegistrationConfig(alpha=ALPHA, sigma=0.3, n_steps=4, max_iters=400,
+                                 tol_grad=1e-14)
+        res = register(side, plus, cfg)
         energies = [h.energy for h in res.history]
-        assert energies[-1] < energies[0]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+        assert res.status is RegistrationStatus.STEP_FAILURE
+
+
+class TestLBFGS:
+    @pytest.fixture
+    def op0(self, bend_problem):
+        return assemble(bend_problem[0], ALPHA)
+
+    def stored_pairs(self, rng, op0, count):
+        pairs = []
+        for _ in range(count):
+            s = random_field(rng, op0.immersion.mesh, 0.1)
+            y = s + random_field(rng, op0.immersion.mesh, 0.02)
+            registration._remember(op0, pairs, s, y)
+        return pairs
+
+    def test_secant_equation_for_the_newest_pair(self, rng, op0):
+        for count in (1, 3, registration.LBFGS_MEMORY + 2):
+            pairs = self.stored_pairs(rng, op0, count)
+            assert len(pairs) == min(count, registration.LBFGS_MEMORY)
+            s, y, _ = pairs[-1]
+            hy = registration._two_loop(op0, pairs, y)
+            assert metric.norm(op0, hy - s) <= 1e-12 * metric.norm(op0, s)
+
+    def test_pair_without_positive_curvature_is_not_stored(self, rng, op0):
+        pairs = self.stored_pairs(rng, op0, 2)
+        kept = list(pairs)
+        s = random_field(rng, op0.immersion.mesh, 0.1)
+        registration._remember(op0, pairs, s, -s)
+        registration._remember(op0, pairs, s, np.zeros_like(s))
+        assert len(pairs) == len(kept)
+        assert all(a is b for a, b in zip(pairs, kept))
+
+    def test_non_descent_direction_falls_back_to_steepest_descent(self, rng, op0):
+        # a pair of negative curvature (never stored by _remember) turns
+        # -H g into +g for g orthogonal to y
+        y = random_field(rng, op0.immersion.mesh, 0.1)
+        yy = metric.inner_product(op0, y, y)
+        g = random_field(rng, op0.immersion.mesh, 0.1)
+        g = g - metric.inner_product(op0, g, y) / yy * y
+        sq_norm = metric.inner_product(op0, g, g)
+        d, slope, step = registration._search_direction(op0, [(-y, y, -1.0 / yy)], g, sq_norm)
+        assert np.array_equal(d, -g)
+        assert slope == -sq_norm
+        assert step == pytest.approx(min(1.0, 1.0 / np.sqrt(sq_norm)), rel=1e-15)
+
+    def test_quasi_newton_direction_starts_at_unit_step(self, rng, op0):
+        pairs = self.stored_pairs(rng, op0, 3)
+        g = random_field(rng, op0.immersion.mesh, 0.1)
+        d, slope, step = registration._search_direction(
+            op0, pairs, g, metric.inner_product(op0, g, g))
+        assert np.array_equal(d, -registration._two_loop(op0, pairs, g))
+        assert slope == metric.inner_product(op0, g, d) < 0
+        assert step == 1.0
 
 
 class TestRegularityThreshold:
