@@ -3,7 +3,7 @@
 The package discretizes parametrized surfaces as piecewise-linear immersions
 of flat model domains (plane, cylinder, torus), equips the space of nodal
 velocity fields with a volume-weighted first-order inner product, integrates
-geodesics of that metric, and matches surfaces by gradient descent on a
+geodesics of that metric, and matches surfaces by metric L-BFGS on a
 shooting energy with an exact adjoint gradient.  On top of registration it
 offers simple shape statistics: geodesic distances, triangle angles and
 iterated means.

@@ -239,7 +239,7 @@ def cmd_register(args) -> int:
     cfg, _ = _load_config(args)
     template = _load_immersion(args.template)
     target = _load_immersion(args.target)
-    result = register(template, target, cfg)
+    result = register(assemble(template, cfg.alpha, cfg.eps_reg), target, cfg)
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -397,8 +397,8 @@ def cmd_gradcheck(args) -> int:
         pairing = inner_product(op0, grad, v)
         errs = []
         for h in GRADCHECK_STEPS:
-            e_plus, _, _ = energy(q0, u0 + h * v, q_target, cfg)
-            e_minus, _, _ = energy(q0, u0 - h * v, q_target, cfg)
+            e_plus, _, _ = energy(shoot(op0, u0 + h * v, cfg.n_steps), q_target, cfg.sigma)
+            e_minus, _, _ = energy(shoot(op0, u0 - h * v, cfg.n_steps), q_target, cfg.sigma)
             fd = (e_plus - e_minus) / (2.0 * h)
             scale = max(abs(pairing), abs(fd), 1e-30)
             errs.append(abs(pairing - fd) / scale)

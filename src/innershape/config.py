@@ -5,6 +5,7 @@ blank lines ignored.  Every key can be overridden by the matching CLI flag;
 unknown keys are rejected so typos fail loudly.
 """
 
+import math
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -76,18 +77,17 @@ def _convert(name: str, text: str) -> object:
             raise ConfigError(f"{name}: expected an integer, got {text!r}") from None
     if target_type is float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"{name}: expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: expected a finite number, got {text!r}")
+        return value
     return text
 
 
 def _field_type(annotation) -> tuple[type, bool]:
     """Primitive type of a field annotation and whether it is `X | None`."""
-    if isinstance(annotation, str):
-        name = annotation.replace(" ", "")
-        base = name.removesuffix("|None")
-        return {"float": float, "int": int, "bool": bool, "str": str}.get(base, str), base != name
     optional = False
     if isinstance(annotation, types.UnionType):
         args = [a for a in typing.get_args(annotation) if a is not type(None)]

@@ -17,7 +17,7 @@ import numpy as np
 from .adjoint import backward_sweep
 from .errors import StepFailureError
 from .geometry import Immersion, check_same_mesh
-from .metric import MetricOperator, assemble, inner_product, parameter_mass_matrix, sharp
+from .metric import MetricOperator, inner_product, parameter_mass_matrix, sharp
 from .shooting import GeodesicPath, path_energy, shoot
 
 logger = logging.getLogger(__name__)
@@ -37,7 +37,8 @@ class RegistrationConfig:
     optional; when set, reaching it also counts as convergence.  The line
     search accepts a step t along the direction d when the energy falls
     strictly and by at least ``armijo_c * t * <g, d>``; otherwise t shrinks
-    by ``armijo_shrink`` until it falls below ``step_min``.
+    by ``armijo_shrink`` until it falls below ``step_min``.  ``alpha`` and
+    ``eps_reg`` are read where the operator at the start is assembled.
     """
 
     alpha: float = 0.6
@@ -67,6 +68,8 @@ class RegistrationConfig:
             raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
+        if self.eps_reg is not None and self.eps_reg < 0:
+            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
 
 
 class RegistrationStatus(Enum):
@@ -111,20 +114,11 @@ def l2_matching(q: Immersion, q_target: Immersion) -> float:
     return float(np.vdot(d, mass @ d))
 
 
-def energy(
-    q0: Immersion, u0: np.ndarray, q_target: Immersion, cfg: RegistrationConfig
-) -> tuple[float, float, float]:
-    """Objective value at an initial velocity: (total, kinetic, match)."""
-    path = shoot(assemble(q0, cfg.alpha, cfg.eps_reg), u0, cfg.n_steps)
-    return _energy_of(path, q_target, cfg)
-
-
-def _energy_of(
-    path: GeodesicPath, q_target: Immersion, cfg: RegistrationConfig
-) -> tuple[float, float, float]:
+def energy(path: GeodesicPath, q_target: Immersion, sigma: float) -> tuple[float, float, float]:
+    """Objective value of a shot path: (total, kinetic, match)."""
     kin = path_energy(path)
     match = l2_matching(path.final, q_target)
-    return kin + match / (2.0 * cfg.sigma * cfg.sigma), kin, match
+    return kin + match / (2.0 * sigma * sigma), kin, match
 
 
 def initial_velocity(
@@ -182,25 +176,27 @@ def _search_direction(
     return -g, -sq_norm, min(1.0, sq_norm**-0.5)
 
 
-def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> RegistrationResult:
-    """Minimize the registration objective by metric L-BFGS from the configured start.
+def register(
+    op0: MetricOperator, q_target: Immersion, cfg: RegistrationConfig
+) -> RegistrationResult:
+    """Minimize the registration objective by metric L-BFGS from ``op0.immersion``.
 
-    Returns the last, lowest iterate; the history has one row per iterate (the
-    initial one included) with the accepted step along the search direction
-    that produced it.  The operator at ``q0`` is assembled once; the start
-    and every trial shoot from it, and it carries the L-BFGS inner product.
+    ``alpha`` and ``eps_reg`` come from ``op0``, not ``cfg``.  The start and
+    every trial shoot from ``op0``, and it carries the L-BFGS inner product.
+    Returns the last, lowest iterate; the history has one row per iterate
+    (the initial one included) with the accepted step along the search
+    direction that produced it.
     Statuses: CONVERGED when the gradient norm falls to ``tol_grad`` (or the
     matching error to ``tol_match``), MAX_ITERS when the budget runs out,
     STEP_FAILURE when no step of size >= ``step_min`` lowers the energy
     enough.
     """
     cfg.validate()
-    check_same_mesh(q0.mesh, q_target.mesh, "registration")
+    check_same_mesh(op0.immersion.mesh, q_target.mesh, "registration")
 
-    op0 = assemble(q0, cfg.alpha, cfg.eps_reg)
     u = initial_velocity(op0, q_target, cfg)
     path = shoot(op0, u, cfg.n_steps)
-    e_total, e_kin, e_match = _energy_of(path, q_target, cfg)
+    e_total, e_kin, e_match = energy(path, q_target, cfg.sigma)
 
     history: list[IterationRecord] = []
     pairs: list = []
@@ -238,7 +234,7 @@ def register(q0: Immersion, q_target: Immersion, cfg: RegistrationConfig) -> Reg
         while step >= cfg.step_min:
             try:
                 trial_path = shoot(op0, u + step * d, cfg.n_steps)
-                trial = _energy_of(trial_path, q_target, cfg)
+                trial = energy(trial_path, q_target, cfg.sigma)
             except StepFailureError as exc:
                 logger.debug("step %.2e rejected: %s", step, exc)
                 step *= cfg.armijo_shrink

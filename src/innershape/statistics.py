@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ZeroVelocityError
 from .geometry import Immersion, check_same_mesh, surface_area
-from .metric import MetricOperator, inner_product, norm
+from .metric import MetricOperator, assemble, inner_product, norm
 from .registration import RegistrationConfig, RegistrationResult, RegistrationStatus, register
 from .shooting import path_length, shoot
 
@@ -75,17 +75,17 @@ def triangle_experiment(
     check_same_mesh(qa.mesh, qc.mesh, "triangle")
 
     shapes = {"A": qa, "B": qb, "C": qc}
+    ops: dict[str, MetricOperator] = {}
     results: dict[str, RegistrationResult] = {}
     for src in "ABC":
+        ops[src] = assemble(shapes[src], cfg.alpha, cfg.eps_reg)
         for dst in "ABC":
             if src != dst:
-                key = src + dst
                 logger.info("triangle: registering %s -> %s", src, dst)
-                results[key] = register(shapes[src], shapes[dst], cfg)
+                results[src + dst] = register(ops[src], shapes[dst], cfg)
 
-    # every registration from v starts at the operator assembled at v
     angles = tuple(
-        geodesic_angle(results[v + n1].path.operators[0], results[v + n1].u0, results[v + n2].u0)
+        geodesic_angle(ops[v], results[v + n1].u0, results[v + n2].u0)
         for v, n1, n2 in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B"))
     )
     for v, a in zip("ABC", angles):
@@ -159,12 +159,11 @@ def karcher_mean(
     status = MeanStatus.MAX_OUTER
 
     for outer in range(1, max_outer + 1):
-        results = [register(mean, s, cfg) for s in shapes]
+        op_mean = assemble(mean, cfg.alpha, cfg.eps_reg)
+        results = [register(op_mean, s, cfg) for s in shapes]
         velocities = [r.u0 for r in results]
         statuses = [r.status for r in results]
         u_bar = sum(velocities) / len(velocities)
-        # every registration starts at the operator assembled at the mean
-        op_mean = results[0].path.operators[0]
         vn = norm(op_mean, u_bar)
         norms.append(vn)
         logger.info("mean: outer %d, averaged velocity norm %.6e", outer, vn)

@@ -66,7 +66,7 @@ def bend_registration():
         tol_grad=1e-9, tol_match=0.0015 * initial_match,
     )
     start = time.monotonic()
-    result = register(q0, target, cfg)
+    result = register(assemble(q0, ALPHA), target, cfg)
     elapsed = time.monotonic() - start
     suite_state.EXCLUDED_SECONDS["bend_registration_16x16"] = elapsed
     return q0, target, initial_match, result, elapsed
@@ -91,8 +91,8 @@ def test_criterion_1_gradient_vs_finite_differences(capsys):
         pairing = inner_product(op0, grad, direction)
         errors = []
         for h in FD_STEPS:
-            e_plus, _, _ = energy(q0, u0 + h * direction, q_target, cfg)
-            e_minus, _, _ = energy(q0, u0 - h * direction, q_target, cfg)
+            e_plus, _, _ = energy(shoot(op0, u0 + h * direction, cfg.n_steps), q_target, cfg.sigma)
+            e_minus, _, _ = energy(shoot(op0, u0 - h * direction, cfg.n_steps), q_target, cfg.sigma)
             fd = (e_plus - e_minus) / (2.0 * h)
             scale = max(abs(pairing), abs(fd), 1e-30)
             errors.append(abs(pairing - fd) / scale)

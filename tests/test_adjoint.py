@@ -72,8 +72,8 @@ class TestBackwardSweep:
             pair = inner_product(op0, grad, d)
             best = np.inf
             for h in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-                ep, _, _ = energy(q0, u0 + h * d, q_target, cfg)
-                em, _, _ = energy(q0, u0 - h * d, q_target, cfg)
+                ep, _, _ = energy(shoot(op0, u0 + h * d, cfg.n_steps), q_target, cfg.sigma)
+                em, _, _ = energy(shoot(op0, u0 - h * d, cfg.n_steps), q_target, cfg.sigma)
                 fd = (ep - em) / (2.0 * h)
                 best = min(best, abs(pair - fd) / max(abs(pair), abs(fd), 1e-30))
             worst = max(worst, best)

@@ -302,6 +302,20 @@ class TestUsage:
         assert _load_config(args)[0].tol_match is None
         assert run("meshgen", "--out", out, "--tol-match", "none") == EXIT_OK
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--sigma", "inf"], ""),
+        (["--eps-reg", "nan"], ""),
+        (["--eps-reg", "-0.5"], ""),
+        ([], "alpha = nan\n"),
+    ], ids=["sigma-inf", "eps-reg-nan", "eps-reg-negative", "alpha-nan-in-file"])
+    def test_non_finite_or_negative_setting(self, sheets, tmp_path, flags, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code = run("register", "--template", sheets["base"], "--target", sheets["plus"],
+                   "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+                   "--n-steps", "4", "--max-iters", "2", *flags)
+        assert code == EXIT_USAGE
+
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")

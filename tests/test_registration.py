@@ -57,7 +57,7 @@ class TestEnergy:
         q0, qt = bend_problem
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4)
         zero = np.zeros((q0.mesh.n_nodes, 3))
-        total, kinetic, match = energy(q0, zero, qt, cfg)
+        total, kinetic, match = energy(shoot(assemble(q0, ALPHA), zero, 4), qt, cfg.sigma)
         assert kinetic == 0.0
         assert match == pytest.approx(l2_matching(q0, qt), rel=1e-14)
         assert total == pytest.approx(match / (2.0 * 0.5**2), rel=1e-14)
@@ -67,7 +67,7 @@ class TestEnergy:
         u0 = random_field(rng, q0.mesh, 0.05)
         cfg = RegistrationConfig(alpha=ALPHA, sigma=1.0, n_steps=4)
         path = shoot(assemble(q0, ALPHA), u0, 4)
-        total, kinetic, match = energy(q0, u0, path.final, cfg)
+        total, kinetic, match = energy(path, path.final, cfg.sigma)
         assert match == 0.0
         assert total == kinetic == pytest.approx(path_energy(path), rel=1e-14)
 
@@ -76,7 +76,7 @@ class TestRegister:
     def test_target_equals_template_converges_immediately(self, bend_problem):
         q0, _ = bend_problem
         cfg = RegistrationConfig(alpha=ALPHA, sigma=1.0, n_steps=4)
-        res = register(q0, q0, cfg)
+        res = register(assemble(q0, ALPHA), q0, cfg)
         assert res.status is RegistrationStatus.CONVERGED
         assert res.iterations == 0
         assert res.energy == 0.0
@@ -90,7 +90,7 @@ class TestRegister:
         m0 = l2_matching(q0, qt)
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.3, n_steps=5, max_iters=50,
                                  tol_grad=1e-12, tol_match=0.01 * m0)
-        res = register(q0, qt, cfg)
+        res = register(assemble(q0, ALPHA), qt, cfg)
         assert res.status is RegistrationStatus.CONVERGED
         assert res.history[-1].match <= 0.01 * m0
         energies = [h.energy for h in res.history]
@@ -100,7 +100,7 @@ class TestRegister:
         q0, qt = bend_problem
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=15,
                                  tol_grad=1e-12)
-        res = register(q0, qt, cfg)
+        res = register(assemble(q0, ALPHA), qt, cfg)
         energies = [h.energy for h in res.history]
         assert len(energies) >= 2
         assert all(b < a for a, b in zip(energies, energies[1:]))
@@ -111,7 +111,7 @@ class TestRegister:
         for sigma in (0.3, 3.0):
             cfg = RegistrationConfig(alpha=ALPHA, sigma=sigma, n_steps=5,
                                      max_iters=120, tol_grad=2e-5)
-            results[sigma] = register(q0, qt, cfg).history[-1]
+            results[sigma] = register(assemble(q0, ALPHA), qt, cfg).history[-1]
         assert results[3.0].kinetic < results[0.3].kinetic
         assert results[3.0].match > results[0.3].match
 
@@ -119,11 +119,11 @@ class TestRegister:
         q0, qt = bend_problem
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=30,
                                  tol_grad=1e-6, init="l2diff")
-        res = register(q0, qt, cfg)
+        res = register(assemble(q0, ALPHA), qt, cfg)
         rot = rotation_matrix("z", 33.0) @ rotation_matrix("x", -20.0)
         b = np.array([0.3, -0.1, 0.8])
         res_m = register(
-            Immersion(q0.mesh, q0.coords @ rot.T + b),
+            assemble(Immersion(q0.mesh, q0.coords @ rot.T + b), ALPHA),
             Immersion(q0.mesh, qt.coords @ rot.T + b),
             cfg,
         )
@@ -133,7 +133,7 @@ class TestRegister:
         q0, qt = bend_problem
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=10,
                                  tol_grad=1e-15, step_min=10.0)
-        res = register(q0, qt, cfg)
+        res = register(assemble(q0, ALPHA), qt, cfg)
         assert res.status is RegistrationStatus.STEP_FAILURE
         assert res.history  # the failed iterate is still recorded
 
@@ -146,7 +146,7 @@ class TestRegister:
         plus = base.displaced(np.tile([0.04, -0.03, 0.05], (mesh.n_nodes, 1)))
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.3, n_steps=4, max_iters=400,
                                  tol_grad=1e-14)
-        res = register(side, plus, cfg)
+        res = register(assemble(side, ALPHA), plus, cfg)
         energies = [h.energy for h in res.history]
         assert all(b < a for a, b in zip(energies, energies[1:]))
         assert res.status is RegistrationStatus.STEP_FAILURE
@@ -219,10 +219,10 @@ class TestRegularityThreshold:
 
         def counting_assemble(q, alpha, eps_reg=None):
             assembles.append(q)
-            return metric.assemble(q, alpha, eps_reg)
+            return assemble(q, alpha, eps_reg)
 
         monkeypatch.setattr(metric, "require_regular", spy)
-        for module in (shooting, registration):
+        for module in (metric, shooting):
             monkeypatch.setattr(module, "assemble", counting_assemble)
         return seen, assembles
 
@@ -239,9 +239,9 @@ class TestRegularityThreshold:
         eps = 1e-9
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=1,
                                  tol_grad=1e-12, eps_reg=eps)
-        res = register(q0, qt, cfg)
+        res = register(metric.assemble(q0, ALPHA, eps), qt, cfg)
         assert res.iterations == 1
-        # the operator at q0 once, then every shoot from it assembles the
+        # the caller's operator at q0 once, then every shoot from it assembles the
         # later steps; the variations reuse each operator's geometry
         assert len(shoots) >= 2
         assert all(op is shoots[0] for op in shoots)
@@ -277,8 +277,10 @@ class TestRegularityThreshold:
         _, assembles = checks
         cfg = RegistrationConfig(alpha=ALPHA, sigma=0.5, n_steps=4, max_iters=0,
                                  init="l2diff")
-        register(q0, qt, cfg)
-        assert sum(q is q0 for q in assembles) == 1
+        register(assemble(q0, ALPHA), qt, cfg)
+        # the caller assembles at q0; register builds no operator there
+        assert not hasattr(registration, "assemble")
+        assert not any(q is q0 for q in assembles)
 
 
 class TestInitialVelocity:

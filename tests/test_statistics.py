@@ -1,5 +1,8 @@
 """Shape statistics: velocity angles, geodesic triangles, iterative means."""
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,13 +24,29 @@ from innershape import (
     triangle_experiment,
     vase_family,
 )
-from innershape import statistics
+from innershape import metric, statistics
 from innershape.errors import MeshMismatchError
 from innershape.fixtures import rotation_matrix
 
 from .conftest import random_field
 
 ALPHA = 0.6
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Immersions of the operators assembled through any binding of `assemble`."""
+    seen = []
+    original = metric.assemble
+
+    def spy(q, alpha, eps_reg=None):
+        seen.append(q)
+        return original(q, alpha, eps_reg)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "innershape" and getattr(module, "assemble", None) is original:
+            monkeypatch.setattr(module, "assemble", spy)
+    return seen
 
 
 def constant_field(mesh, vec):
@@ -99,9 +118,9 @@ def small_triangle(rotated_torus_triple):
     names = {id(q): name for name, q in zip("ABC", rotated_torus_triple)}
     results = {}
 
-    def recording_register(q0, q_target, cfg):
-        result = register(q0, q_target, cfg)
-        results[names[id(q0)] + names[id(q_target)]] = result
+    def recording_register(op0, q_target, cfg):
+        result = register(op0, q_target, cfg)
+        results[names[id(op0.immersion)] + names[id(q_target)]] = result
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -150,6 +169,10 @@ class TestTriangle:
             op = assemble(q, TRIANGLE_CFG.alpha, TRIANGLE_CFG.eps_reg)
             expected = geodesic_angle(op, results[v + n1].u0, results[v + n2].u0)
             assert report.angles_deg[k] == expected
+
+    def test_one_operator_per_vertex(self, rotated_torus_triple, assembled):
+        triangle_experiment(*rotated_torus_triple, replace(TRIANGLE_CFG, max_iters=0))
+        assert [sum(q is v for q in assembled) for v in rotated_torus_triple] == [1, 1, 1]
 
     def test_side_length_direction_symmetry(self, small_triangle):
         _, results = small_triangle
@@ -207,6 +230,25 @@ class TestKarcherMean:
         assert res.velocity_norms[0] <= 0.1 * part
         assert np.array_equal(res.mean.coords, base.coords)
         assert np.max(np.abs(res.mean.coords - base.coords)) <= 1e-3
+
+    def test_one_operator_per_mean_and_outer_iteration(self, assembled, monkeypatch):
+        mesh = build_grid(Topology.CYLINDER, 6, 6)
+        vases = vase_family(mesh)[:3]
+        starts = []
+
+        def recording_register(op0, q_target, cfg):
+            starts.append(op0)
+            return register(op0, q_target, cfg)
+
+        monkeypatch.setattr(statistics, "register", recording_register)
+        cfg = RegistrationConfig(alpha=ALPHA, sigma=0.05, n_steps=4, max_iters=3)
+        res = karcher_mean(vases, None, cfg, mean_tol=0.0, max_outer=3)
+        assert res.iterations == 3
+        # every registration of an outer iteration starts from its mean's operator
+        ops = starts[:: len(vases)]
+        assert len(starts) == len(ops) * len(vases)
+        assert all(op is ops[k // len(vases)] for k, op in enumerate(starts))
+        assert [sum(q is op.immersion for q in assembled) for op in ops] == [1, 1, 1]
 
     def test_vase_family_norms_decrease(self):
         mesh = build_grid(Topology.CYLINDER, 6, 6)
