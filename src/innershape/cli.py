@@ -7,7 +7,9 @@ Outputs are a pure function of (config, input files, seed): rerunning a
 command with the same inputs reproduces the files byte for byte.
 
 Exit codes: 0 success, 1 numerical failure (solver, step or convergence),
-2 usage or config error, 3 I/O error.
+2 usage or config error, 3 I/O error.  Commands check their inputs against
+each other before they assemble a metric, so a usage error outranks the
+numerical failure of a degenerate input.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from .fixtures import (
     vase_family,
     vase_surface,
 )
-from .geometry import Immersion, surface_area
+from .geometry import Immersion, check_same_mesh, surface_area
 from .mesh import (
     Topology,
     build_grid,
@@ -239,6 +241,7 @@ def cmd_register(args) -> int:
     cfg, _ = _load_config(args)
     template = _load_immersion(args.template)
     target = _load_immersion(args.target)
+    check_same_mesh(template.mesh, target.mesh, "registration")
     result = register(assemble(template, cfg.alpha, cfg.eps_reg), target, cfg)
 
     out = cfg.out_dir
@@ -300,7 +303,11 @@ def cmd_triangle(args) -> int:
     qa = _load_immersion(args.a)
     qb = _load_immersion(args.b)
     qc = _load_immersion(args.c)
-    report = triangle_experiment(qa, qb, qc, cfg)
+    if cfg.n_steps % 2 != 0:
+        raise ValueError(f"triangle midpoints need an even n_steps, got {cfg.n_steps}")
+    for q in (qb, qc):
+        check_same_mesh(qa.mesh, q.mesh, "triangle")
+    report = triangle_experiment(assemble(qa, cfg.alpha, cfg.eps_reg), qb, qc, cfg)
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -333,9 +340,11 @@ def cmd_triangle(args) -> int:
 def cmd_mean(args) -> int:
     cfg, _ = _load_config(args)
     shapes = [_load_immersion(p) for p in args.shapes]
-    init = _load_immersion(args.start) if args.start else None
-    result = karcher_mean(shapes, init, cfg, mean_tol=cfg.mean_tol,
-                          max_outer=cfg.max_outer)
+    start = _load_immersion(args.start) if args.start else shapes[0]
+    for k, s in enumerate(shapes):
+        check_same_mesh(start.mesh, s.mesh, f"mean shape {k}")
+    result = karcher_mean(shapes, assemble(start, cfg.alpha, cfg.eps_reg), cfg,
+                          mean_tol=cfg.mean_tol, max_outer=cfg.max_outer)
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)

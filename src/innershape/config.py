@@ -20,8 +20,11 @@ class ConfigError(InnerShapeError):
 
 @dataclass
 class RunConfig(RegistrationConfig):
-    """Registration parameters plus mesh, fixture and experiment settings."""
+    """Registration parameters plus metric, mesh, fixture and experiment settings."""
 
+    # metric
+    alpha: float = 0.6
+    eps_reg: float | None = None
     # mesh
     topology: str = "cylinder"
     nx: int = 16
@@ -47,6 +50,10 @@ class RunConfig(RegistrationConfig):
 
     def validate(self) -> None:
         super().validate()
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.eps_reg is not None and self.eps_reg < 0:
+            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.directions < 1:

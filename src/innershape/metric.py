@@ -141,17 +141,19 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
     ----------
     q : Immersion
     alpha : float
-        Length scale weighting the first-order term; must be >= 0.
+        Length scale weighting the first-order term; must be finite and >= 0.
     eps_reg : float, optional
-        Degeneracy threshold on element volumes (default: a small fraction
-        of the median volume).
+        Degeneracy threshold on element volumes, finite and >= 0 (default: a
+        small fraction of the median volume).
 
     Returns
     -------
     MetricOperator
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if eps_reg is not None and not (np.isfinite(eps_reg) and eps_reg >= 0):
+        raise ValueError(f"eps_reg must be None or finite and >= 0, got {eps_reg}")
     geom = require_regular(q, eps_reg)
     block = _assemble_scalar(q.mesh, _element_matrices(q, alpha, geom))
     return MetricOperator(immersion=q, alpha=alpha, block=block, eps_reg=eps_reg)

@@ -27,6 +27,11 @@ INIT_MODES = ("zero", "l2diff")
 #: curvature pairs (s, y) kept by the L-BFGS memory
 LBFGS_MEMORY = 8
 
+#: Armijo sufficient-decrease constant, backtracking factor and smallest step
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+STEP_MIN = 1e-12
+
 
 @dataclass
 class RegistrationConfig:
@@ -34,42 +39,30 @@ class RegistrationConfig:
 
     ``init`` selects the initial velocity: "zero", or "l2diff" for the
     metric-raised pointwise difference to the target.  ``tol_match`` is
-    optional; when set, reaching it also counts as convergence.  The line
-    search accepts a step t along the direction d when the energy falls
-    strictly and by at least ``armijo_c * t * <g, d>``; otherwise t shrinks
-    by ``armijo_shrink`` until it falls below ``step_min``.  ``alpha`` and
-    ``eps_reg`` are read where the operator at the start is assembled.
+    optional; when set, reaching it also counts as convergence.  The metric's
+    ``alpha`` and ``eps_reg`` travel with the operator ``register`` starts from.
     """
 
-    alpha: float = 0.6
     sigma: float = 1.0
     n_steps: int = 10
     max_iters: int = 200
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    step_min: float = 1e-12
     tol_grad: float = 1e-6
     tol_match: float | None = None
     init: str = "zero"
-    eps_reg: float | None = None
 
     def validate(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not 0 < self.armijo_shrink < 1:
-            raise ValueError(f"armijo_shrink must be in (0, 1), got {self.armijo_shrink}")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError(f"armijo_c must be in (0, 1), got {self.armijo_c}")
+        if not np.isfinite(self.tol_grad):
+            raise ValueError(f"tol_grad must be finite, got {self.tol_grad}")
+        if self.tol_match is not None and not np.isfinite(self.tol_match):
+            raise ValueError(f"tol_match must be finite or None, got {self.tol_match}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.eps_reg is not None and self.eps_reg < 0:
-            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
 
 
 class RegistrationStatus(Enum):
@@ -181,14 +174,17 @@ def register(
 ) -> RegistrationResult:
     """Minimize the registration objective by metric L-BFGS from ``op0.immersion``.
 
-    ``alpha`` and ``eps_reg`` come from ``op0``, not ``cfg``.  The start and
-    every trial shoot from ``op0``, and it carries the L-BFGS inner product.
+    ``alpha`` and ``eps_reg`` come from ``op0``.  The start and every trial
+    shoot from ``op0``, and it carries the L-BFGS inner product.  A step t
+    along the direction d is accepted when the energy falls strictly and by
+    at least ``ARMIJO_C * t * <g, d>``; otherwise t shrinks by
+    ``ARMIJO_SHRINK``.
     Returns the last, lowest iterate; the history has one row per iterate
     (the initial one included) with the accepted step along the search
     direction that produced it.
     Statuses: CONVERGED when the gradient norm falls to ``tol_grad`` (or the
     matching error to ``tol_match``), MAX_ITERS when the budget runs out,
-    STEP_FAILURE when no step of size >= ``step_min`` lowers the energy
+    STEP_FAILURE when no step of size >= ``STEP_MIN`` lowers the energy
     enough.
     """
     cfg.validate()
@@ -231,20 +227,20 @@ def register(
             _remember(op0, pairs, s, g - g_prev)
         d, slope, step = _search_direction(op0, pairs, g, sq_norm)
         accepted = False
-        while step >= cfg.step_min:
+        while step >= STEP_MIN:
             try:
                 trial_path = shoot(op0, u + step * d, cfg.n_steps)
                 trial = energy(trial_path, q_target, cfg.sigma)
             except StepFailureError as exc:
                 logger.debug("step %.2e rejected: %s", step, exc)
-                step *= cfg.armijo_shrink
+                step *= ARMIJO_SHRINK
                 continue
             # the strict decrease also rejects steps whose Armijo margin
             # falls below one ulp of the energy
-            if trial[0] < e_total and trial[0] <= e_total + cfg.armijo_c * step * slope:
+            if trial[0] < e_total and trial[0] <= e_total + ARMIJO_C * step * slope:
                 accepted = True
                 break
-            step *= cfg.armijo_shrink
+            step *= ARMIJO_SHRINK
 
         if not accepted:
             status = RegistrationStatus.STEP_FAILURE

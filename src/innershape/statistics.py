@@ -63,26 +63,27 @@ class TriangleReport:
 
 
 def triangle_experiment(
-    qa: Immersion, qb: Immersion, qc: Immersion, cfg: RegistrationConfig
+    op_a: MetricOperator, qb: Immersion, qc: Immersion, cfg: RegistrationConfig
 ) -> TriangleReport:
     """Register all ordered vertex pairs and report the triangle geometry.
 
-    Needs an even step count so path midpoints land on a frame.
+    Vertex A is ``op_a.immersion``; the operators at B and C are assembled
+    with ``op_a.alpha`` and ``op_a.eps_reg``.  Needs an even step count so
+    path midpoints land on a frame.
     """
     if cfg.n_steps % 2 != 0:
         raise ValueError(f"triangle midpoints need an even n_steps, got {cfg.n_steps}")
-    check_same_mesh(qa.mesh, qb.mesh, "triangle")
-    check_same_mesh(qa.mesh, qc.mesh, "triangle")
+    check_same_mesh(op_a.immersion.mesh, qb.mesh, "triangle")
+    check_same_mesh(op_a.immersion.mesh, qc.mesh, "triangle")
 
-    shapes = {"A": qa, "B": qb, "C": qc}
-    ops: dict[str, MetricOperator] = {}
+    ops = {"A": op_a, "B": assemble(qb, op_a.alpha, op_a.eps_reg),
+           "C": assemble(qc, op_a.alpha, op_a.eps_reg)}
     results: dict[str, RegistrationResult] = {}
     for src in "ABC":
-        ops[src] = assemble(shapes[src], cfg.alpha, cfg.eps_reg)
         for dst in "ABC":
             if src != dst:
                 logger.info("triangle: registering %s -> %s", src, dst)
-                results[src + dst] = register(ops[src], shapes[dst], cfg)
+                results[src + dst] = register(ops[src], ops[dst].immersion, cfg)
 
     angles = tuple(
         geodesic_angle(ops[v], results[v + n1].u0, results[v + n2].u0)
@@ -100,7 +101,7 @@ def triangle_experiment(
         side_lengths=lengths,
         midpoints=midpoints,
         midpoint_areas=tuple(surface_area(m) for m in midpoints),
-        vertex_areas=tuple(surface_area(shapes[v]) for v in "ABC"),
+        vertex_areas=tuple(surface_area(ops[v].immersion) for v in "ABC"),
         statuses={k: r.status for k, r in results.items()},
     )
 
@@ -133,7 +134,7 @@ class MeanResult:
 
 def karcher_mean(
     shapes: list[Immersion],
-    init: Immersion | None,
+    op_start: MetricOperator,
     cfg: RegistrationConfig,
     mean_tol: float = 1e-3,
     max_outer: int = 20,
@@ -141,15 +142,16 @@ def karcher_mean(
     """Fixed-point mean: register the mean to every shape, average the
     initial velocities, shoot along the average, repeat.
 
-    Stops when the averaged velocity's metric norm at the mean drops to
-    ``mean_tol`` or after ``max_outer`` iterations.  ``init`` defaults to
-    the first shape.
+    The mean starts at ``op_start.immersion``; every later mean is assembled
+    with ``op_start.alpha`` and ``op_start.eps_reg``.  Stops when the
+    averaged velocity's metric norm at the mean drops to ``mean_tol`` or
+    after ``max_outer`` iterations.
     """
     if not shapes:
         raise ValueError("karcher_mean needs at least one shape")
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
-    mean = init if init is not None else shapes[0]
+    mean = op_start.immersion
     for k, s in enumerate(shapes):
         check_same_mesh(mean.mesh, s.mesh, f"mean shape {k}")
 
@@ -159,7 +161,7 @@ def karcher_mean(
     status = MeanStatus.MAX_OUTER
 
     for outer in range(1, max_outer + 1):
-        op_mean = assemble(mean, cfg.alpha, cfg.eps_reg)
+        op_mean = assemble(mean, op_start.alpha, op_start.eps_reg) if outer > 1 else op_start
         results = [register(op_mean, s, cfg) for s in shapes]
         velocities = [r.u0 for r in results]
         statuses = [r.status for r in results]

@@ -62,7 +62,7 @@ def bend_registration():
     target = cylinder_surface(mesh, bend_deg=90.0, ripples=5, ripple_amplitude=0.02)
     initial_match = l2_matching(q0, target)
     cfg = RegistrationConfig(
-        alpha=ALPHA, sigma=0.05, n_steps=10, max_iters=250,
+        sigma=0.05, n_steps=10, max_iters=250,
         tol_grad=1e-9, tol_match=0.0015 * initial_match,
     )
     start = time.monotonic()
@@ -80,7 +80,7 @@ def test_criterion_1_gradient_vs_finite_differences(capsys):
     shape = (mesh.n_nodes, 3)
     u0 = 0.2 * rng.standard_normal(shape)
     q_target = q0.displaced(0.05 * rng.standard_normal(shape))
-    cfg = RegistrationConfig(alpha=ALPHA, sigma=1.0, n_steps=5)
+    cfg = RegistrationConfig(sigma=1.0, n_steps=5)
 
     op0 = assemble(q0, ALPHA)
     grad = backward_sweep(shoot(op0, u0, cfg.n_steps), q_target, cfg.sigma)
@@ -268,10 +268,10 @@ def test_criterion_7_torus_triangle(capsys):
     mesh = build_grid(Topology.TORUS, 10, 10)
     qa, qb, qc = torus_triangle(mesh)
     cfg = RegistrationConfig(
-        alpha=ALPHA, sigma=0.25, n_steps=8, max_iters=400,
+        sigma=0.25, n_steps=8, max_iters=400,
         tol_grad=7e-4, init="l2diff",
     )
-    report = triangle_experiment(qa, qb, qc, cfg)
+    report = triangle_experiment(assemble(qa, ALPHA), qb, qc, cfg)
 
     vertex_pairs = ((0, 1), (1, 2), (2, 0))  # endpoints of sides AB, BC, CA
     shrinking = all(
@@ -291,9 +291,9 @@ def test_criterion_7_torus_triangle(capsys):
 def test_criterion_8_karcher_means(capsys):
     mesh = build_grid(Topology.CYLINDER, 8, 8)
     vases = vase_family(mesh)
-    cfg = RegistrationConfig(alpha=ALPHA, sigma=0.05, n_steps=4,
+    cfg = RegistrationConfig(sigma=0.05, n_steps=4,
                              max_iters=200, tol_grad=2e-3)
-    result = karcher_mean(vases, None, cfg, mean_tol=2e-3, max_outer=6)
+    result = karcher_mean(vases, assemble(vases[0], ALPHA), cfg, mean_tol=2e-3, max_outer=6)
     norms = result.velocity_norms
     monotone = all(b < a for a, b in zip(norms, norms[1:]))
     within_six = len(norms) <= 6 and norms[-1] < 0.05 * norms[0]
@@ -304,10 +304,11 @@ def test_criterion_8_karcher_means(capsys):
     offset = np.tile(np.array([0.04, -0.03, 0.05]), (pmesh.n_nodes, 1))
     plus, minus = q0.displaced(offset), q0.displaced(-offset)
     ecfg = RegistrationConfig(
-        alpha=ALPHA, sigma=0.15, n_steps=4, max_iters=60,
+        sigma=0.15, n_steps=4, max_iters=60,
         tol_grad=1e-12, tol_match=1e-3 * l2_matching(q0, plus),
     )
-    single = karcher_mean([plus], q0, ecfg, mean_tol=1e-2, max_outer=10)
+    op = assemble(q0, ALPHA)
+    single = karcher_mean([plus], op, ecfg, mean_tol=1e-2, max_outer=10)
     single_ok = (
         single.status is MeanStatus.CONVERGED
         and single.iterations == 2
@@ -316,8 +317,7 @@ def test_criterion_8_karcher_means(capsys):
 
     # opposite translations: the averaged velocity cancels at once and the
     # mean stays at the center
-    pair = karcher_mean([plus, minus], q0, ecfg, mean_tol=1e-2, max_outer=10)
-    op = assemble(q0, ALPHA)
+    pair = karcher_mean([plus, minus], op, ecfg, mean_tol=1e-2, max_outer=10)
     smallest_part = min(
         float(np.sqrt(inner_product(op, u, u))) for u in pair.per_shape_velocities
     )

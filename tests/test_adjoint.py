@@ -62,7 +62,7 @@ class TestMatchingCovector:
 class TestBackwardSweep:
     def test_fd_gate_small(self, small_problem, rng):
         q0, u0, q_target = small_problem
-        cfg = RegistrationConfig(alpha=ALPHA, sigma=SIGMA, n_steps=3)
+        cfg = RegistrationConfig(sigma=SIGMA, n_steps=3)
         op0 = assemble(q0, ALPHA)
         grad = backward_sweep(shoot(op0, u0, 3), q_target, SIGMA)
 

@@ -275,11 +275,11 @@ class TestUsage:
 
     def test_removed_descent_settings(self, tmp_path):
         out = str(tmp_path / "m.mesh")
-        assert run("meshgen", "--out", out, "--fixed-step", "on") == EXIT_USAGE
-        assert run("meshgen", "--out", out, "--step-size", "0.5") == EXIT_USAGE
         cfg = tmp_path / "run.cfg"
-        for line in ("fixed_step = on\n", "step_size = 0.5\n"):
-            cfg.write_text(line)
+        for key, value in [("fixed_step", "on"), ("step_size", "0.5"), ("armijo_c", "1e-4"),
+                           ("armijo_shrink", "0.5"), ("step_min", "1e-12")]:
+            assert run("meshgen", "--out", out, "--" + key.replace("_", "-"), value) == EXIT_USAGE
+            cfg.write_text(f"{key} = {value}\n")
             assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
 
     def test_boolean_flag_words(self, tmp_path):
@@ -314,6 +314,25 @@ class TestUsage:
         code = run("register", "--template", sheets["base"], "--target", sheets["plus"],
                    "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
                    "--n-steps", "4", "--max-iters", "2", *flags)
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["register", "triangle", "mean"])
+    def test_mesh_mismatch_reported_before_a_collapsed_start(self, sheets, tmp_path, command):
+        # a usage error (exit 2) outranks the numerical failure (exit 1) of
+        # assembling the metric at a collapsed first shape
+        mesh, coords = load_mesh(sheets["base"])
+        collapsed = tmp_path / "point.mesh"
+        save_mesh(mesh, np.zeros_like(coords), str(collapsed))
+        other = tmp_path / "other.mesh"
+        coarse = build_grid(Topology.PLANE, 4, 4)
+        save_mesh(coarse, np.column_stack([coarse.nodes, np.zeros(coarse.n_nodes)]), str(other))
+        inputs = {
+            "register": ["--template", str(collapsed), "--target", str(other)],
+            "triangle": ["--a", str(collapsed), "--b", sheets["plus"], "--c", str(other),
+                         "--n-steps", "4"],
+            "mean": ["--shapes", str(collapsed), str(other)],
+        }[command]
+        code = run(command, *inputs, "--out-dir", str(tmp_path / "run"))
         assert code == EXIT_USAGE
 
     def test_unknown_config_key_in_file(self, tmp_path):

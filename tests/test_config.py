@@ -1,5 +1,9 @@
 """Key-value config files: parsing, typing, merging, validation."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from innershape.config import ConfigError, RunConfig, as_dict, build_config, parse_file
@@ -120,3 +124,12 @@ class TestAsDict:
     def test_values_are_plain(self):
         for value in as_dict(RunConfig()).values():
             assert value is None or isinstance(value, (bool, int, float, str))
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[2] for line in section.splitlines() if line.startswith("| ")]
+    # drop the header row and the value lists in parentheses
+    keys = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", " ".join(rows[1:])))
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))

@@ -35,12 +35,12 @@ ALPHA = 0.6
 
 @pytest.fixture
 def assembled(monkeypatch):
-    """Immersions of the operators assembled through any binding of `assemble`."""
+    """(immersion, alpha, eps_reg) of every assembly through any binding of `assemble`."""
     seen = []
     original = metric.assemble
 
     def spy(q, alpha, eps_reg=None):
-        seen.append(q)
+        seen.append((q, alpha, eps_reg))
         return original(q, alpha, eps_reg)
 
     for name, module in list(sys.modules.items()):
@@ -108,7 +108,7 @@ def rotated_torus_triple():
 
 
 TRIANGLE_CFG = RegistrationConfig(
-    alpha=ALPHA, sigma=0.25, n_steps=4, max_iters=150, tol_grad=1e-3, init="l2diff"
+    sigma=0.25, n_steps=4, max_iters=150, tol_grad=1e-3, init="l2diff"
 )
 
 
@@ -125,7 +125,8 @@ def small_triangle(rotated_torus_triple):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statistics, "register", recording_register)
-        report = triangle_experiment(*rotated_torus_triple, TRIANGLE_CFG)
+        qa, qb, qc = rotated_torus_triple
+        report = triangle_experiment(assemble(qa, ALPHA), qb, qc, TRIANGLE_CFG)
     return report, results
 
 
@@ -134,18 +135,18 @@ class TestTriangle:
         qa, qb, qc = rotated_torus_triple
         cfg = RegistrationConfig(n_steps=3)
         with pytest.raises(ValueError):
-            triangle_experiment(qa, qb, qc, cfg)
+            triangle_experiment(assemble(qa, ALPHA), qb, qc, cfg)
 
     def test_mismatched_meshes_rejected(self, rotated_torus_triple, torus_mesh):
         qa, qb, _ = rotated_torus_triple
         other = torus_surface(torus_mesh)
         with pytest.raises(MeshMismatchError):
-            triangle_experiment(qa, qb, other, TRIANGLE_CFG)
+            triangle_experiment(assemble(qa, ALPHA), qb, other, TRIANGLE_CFG)
 
     def test_coincident_vertices_rejected(self, rotated_torus_triple):
         qa, _, qc = rotated_torus_triple
         with pytest.raises(ZeroVelocityError):
-            triangle_experiment(qa, qa, qc, TRIANGLE_CFG)
+            triangle_experiment(assemble(qa, ALPHA), qa, qc, TRIANGLE_CFG)
 
     def test_small_triangle_report(self, small_triangle):
         report, _ = small_triangle
@@ -166,13 +167,23 @@ class TestTriangle:
         report, results = small_triangle
         assert len(results) == 6
         for k, (q, v, n1, n2) in enumerate(zip(rotated_torus_triple, "ABC", "BCA", "CAB")):
-            op = assemble(q, TRIANGLE_CFG.alpha, TRIANGLE_CFG.eps_reg)
+            op = assemble(q, ALPHA)
             expected = geodesic_angle(op, results[v + n1].u0, results[v + n2].u0)
             assert report.angles_deg[k] == expected
 
     def test_one_operator_per_vertex(self, rotated_torus_triple, assembled):
-        triangle_experiment(*rotated_torus_triple, replace(TRIANGLE_CFG, max_iters=0))
-        assert [sum(q is v for q in assembled) for v in rotated_torus_triple] == [1, 1, 1]
+        qa, qb, qc = rotated_torus_triple
+        triangle_experiment(metric.assemble(qa, ALPHA), qb, qc,
+                            replace(TRIANGLE_CFG, max_iters=0))
+        assert [sum(q is v for q, *_ in assembled) for v in rotated_torus_triple] == [1, 1, 1]
+
+    def test_settings_reach_every_assembly(self, rotated_torus_triple, assembled):
+        qa, qb, qc = rotated_torus_triple
+        triangle_experiment(metric.assemble(qa, 0.45, 1e-9), qb, qc,
+                            replace(TRIANGLE_CFG, max_iters=1))
+        # the vertex operators and every shoot's later steps
+        assert len(assembled) > 3
+        assert all((a, e) == (0.45, 1e-9) for _, a, e in assembled)
 
     def test_side_length_direction_symmetry(self, small_triangle):
         _, results = small_triangle
@@ -192,24 +203,25 @@ def translated_sheets():
 
 
 MEAN_CFG_FACTORY = lambda m0: RegistrationConfig(  # noqa: E731
-    alpha=ALPHA, sigma=0.15, n_steps=4, max_iters=60, tol_grad=1e-12,
+    sigma=0.15, n_steps=4, max_iters=60, tol_grad=1e-12,
     tol_match=1e-3 * m0,
 )
 
 
 class TestKarcherMean:
-    def test_empty_collection_rejected(self):
+    def test_empty_collection_rejected(self, flat_square):
         with pytest.raises(ValueError):
-            karcher_mean([], None, RegistrationConfig())
+            karcher_mean([], assemble(flat_square, ALPHA), RegistrationConfig())
 
     def test_zero_outer_iterations_rejected(self, flat_square):
         with pytest.raises(ValueError, match="max_outer"):
-            karcher_mean([flat_square], None, RegistrationConfig(), max_outer=0)
+            karcher_mean([flat_square], assemble(flat_square, ALPHA), RegistrationConfig(),
+                         max_outer=0)
 
     def test_single_shape_fixed_point(self, translated_sheets):
         base, plus, _ = translated_sheets
         cfg = MEAN_CFG_FACTORY(l2_matching(base, plus))
-        res = karcher_mean([plus], base, cfg, mean_tol=1e-2, max_outer=10)
+        res = karcher_mean([plus], assemble(base, ALPHA), cfg, mean_tol=1e-2, max_outer=10)
         assert res.status is MeanStatus.CONVERGED
         # one productive move, then the averaged velocity is already below tol
         assert res.iterations == 2
@@ -219,11 +231,11 @@ class TestKarcherMean:
     def test_symmetric_pair_keeps_mean_at_center(self, translated_sheets):
         base, plus, minus = translated_sheets
         cfg = MEAN_CFG_FACTORY(l2_matching(base, plus))
-        res = karcher_mean([plus, minus], base, cfg, mean_tol=1e-2, max_outer=10)
+        op = assemble(base, ALPHA)
+        res = karcher_mean([plus, minus], op, cfg, mean_tol=1e-2, max_outer=10)
         assert res.status is MeanStatus.CONVERGED
         assert res.iterations == 1
         # opposite targets nearly cancel: the average is far below each part
-        op = assemble(base, cfg.alpha)
         part = min(
             np.sqrt(inner_product(op, v, v)) for v in res.per_shape_velocities
         )
@@ -241,21 +253,33 @@ class TestKarcherMean:
             return register(op0, q_target, cfg)
 
         monkeypatch.setattr(statistics, "register", recording_register)
-        cfg = RegistrationConfig(alpha=ALPHA, sigma=0.05, n_steps=4, max_iters=3)
-        res = karcher_mean(vases, None, cfg, mean_tol=0.0, max_outer=3)
+        cfg = RegistrationConfig(sigma=0.05, n_steps=4, max_iters=3)
+        res = karcher_mean(vases, metric.assemble(vases[0], ALPHA), cfg,
+                           mean_tol=0.0, max_outer=3)
         assert res.iterations == 3
         # every registration of an outer iteration starts from its mean's operator
         ops = starts[:: len(vases)]
         assert len(starts) == len(ops) * len(vases)
         assert all(op is ops[k // len(vases)] for k, op in enumerate(starts))
-        assert [sum(q is op.immersion for q in assembled) for op in ops] == [1, 1, 1]
+        assert [sum(q is op.immersion for q, *_ in assembled) for op in ops] == [1, 1, 1]
+
+    def test_settings_reach_every_assembly(self, assembled):
+        mesh = build_grid(Topology.CYLINDER, 6, 6)
+        vases = vase_family(mesh)[:2]
+        cfg = RegistrationConfig(sigma=0.05, n_steps=4, max_iters=1)
+        res = karcher_mean(vases, metric.assemble(vases[0], 0.45, 1e-9), cfg,
+                           mean_tol=0.0, max_outer=2)
+        assert res.iterations == 2
+        # the start, the moved mean and every shoot's later steps
+        assert len(assembled) > 2
+        assert all((a, e) == (0.45, 1e-9) for _, a, e in assembled)
 
     def test_vase_family_norms_decrease(self):
         mesh = build_grid(Topology.CYLINDER, 6, 6)
         vases = vase_family(mesh)[:3]
-        cfg = RegistrationConfig(alpha=ALPHA, sigma=0.05, n_steps=4,
+        cfg = RegistrationConfig(sigma=0.05, n_steps=4,
                                  max_iters=120, tol_grad=5e-3)
-        res = karcher_mean(vases, None, cfg, mean_tol=7e-3, max_outer=5)
+        res = karcher_mean(vases, assemble(vases[0], ALPHA), cfg, mean_tol=7e-3, max_outer=5)
         assert res.status is MeanStatus.CONVERGED
         assert len(res.statuses) == len(vases)
         norms = res.velocity_norms
