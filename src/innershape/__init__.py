@@ -32,13 +32,7 @@ from .fixtures import (
     vase_family,
     vase_surface,
 )
-from .geometry import (
-    Immersion,
-    RegularityReport,
-    check_regularity,
-    require_regular,
-    surface_area,
-)
+from .geometry import Immersion, require_regular, surface_area
 from .mesh import (
     DomainMesh,
     Topology,
@@ -102,7 +96,6 @@ __all__ = [
     "RegistrationConfig",
     "RegistrationResult",
     "RegistrationStatus",
-    "RegularityReport",
     "RunConfig",
     "SolverError",
     "StepFailureError",
@@ -115,7 +108,6 @@ __all__ = [
     "backward_sweep",
     "build_config",
     "build_grid",
-    "check_regularity",
     "compatible",
     "cylinder_surface",
     "energy",

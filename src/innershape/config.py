@@ -54,6 +54,10 @@ class RunConfig(RegistrationConfig):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.eps_reg is not None and self.eps_reg < 0:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
+        if self.mean_tol < 0:
+            raise ValueError(f"mean_tol must be >= 0, got {self.mean_tol}")
+        if self.fd_tol < 0:
+            raise ValueError(f"fd_tol must be >= 0, got {self.fd_tol}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.directions < 1:

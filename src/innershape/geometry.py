@@ -21,9 +21,9 @@ DEFAULT_REGULARITY_FACTOR = 1e-10
 class Immersion:
     """An immersed surface: one R^3 position per unique mesh node.
 
-    Coordinates are copied to a read-only float64 array; per-triangle
-    geometry and the default regularity threshold are computed once on
-    demand and cached.
+    Plain data: a mesh and a read-only float64 copy of the coordinates.  The
+    per-triangle geometry is not kept here; ``assemble`` computes it once,
+    checks its regularity and keeps it on the operator it returns.
     """
 
     mesh: DomainMesh
@@ -39,8 +39,6 @@ class Immersion:
             raise ValueError("immersion coordinates must be finite")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_geom", None)
-        object.__setattr__(self, "_default_threshold", None)
 
     def displaced(self, delta: np.ndarray) -> "Immersion":
         """New immersion with coordinates shifted by a nodal field."""
@@ -56,99 +54,63 @@ class TriangleGeometry:
     dq : ndarray, shape (ntri, 3, 2)
         Differential of the immersion: ambient component by parameter
         direction, constant per triangle.
-    g : ndarray, shape (ntri, 2, 2)
-        First fundamental form dq^T dq.
     g_inv : ndarray, shape (ntri, 2, 2)
-        Inverse of g (exactly symmetric by construction).
+        Inverse of the first fundamental form g = dq^T dq (exactly symmetric
+        by construction).
     det_g : ndarray, shape (ntri,)
     vol : ndarray, shape (ntri,)
         sqrt(det g), the induced volume density.
     """
 
     dq: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
     g_inv: np.ndarray = field(repr=False)
     det_g: np.ndarray = field(repr=False)
     vol: np.ndarray = field(repr=False)
 
 
-@dataclass
-class RegularityReport:
-    """Outcome of a degeneracy scan over all triangles."""
-
-    threshold: float
-    min_vol: float
-    offenders: list[tuple[int, float]]
-
-    @property
-    def regular(self) -> bool:
-        return not self.offenders
-
-
 def triangle_geometry(q: Immersion) -> TriangleGeometry:
-    """Per-triangle differential, metric, inverse and volume density (cached)."""
-    if q._geom is not None:
-        return q._geom
+    """Per-triangle differential, inverse metric and volume density.
+
+    Computed afresh on every call; the geometry of an assembled operator's
+    immersion is ``op.geom``.
+    """
     mesh = q.mesh
     corner = q.coords[mesh.triangles]  # (ntri, 3 vertices, 3 components)
     dq = np.einsum("tac,tap->tcp", corner, mesh.basis_grad)
     g00 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 0])
     g01 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 1])
     g11 = np.einsum("tc,tc->t", dq[:, :, 1], dq[:, :, 1])
-    g = np.empty((mesh.n_triangles, 2, 2))
-    g[:, 0, 0] = g00
-    g[:, 0, 1] = g01
-    g[:, 1, 0] = g01
-    g[:, 1, 1] = g11
     det_g = g00 * g11 - g01 * g01
     with np.errstate(invalid="ignore"):
         vol = np.sqrt(np.maximum(det_g, 0.0))
-    g_inv = np.empty_like(g)
+    g_inv = np.empty((mesh.n_triangles, 2, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_det = np.where(det_g != 0.0, 1.0 / det_g, np.inf)
         g_inv[:, 0, 0] = g11 * inv_det
         g_inv[:, 0, 1] = -g01 * inv_det
         g_inv[:, 1, 0] = -g01 * inv_det
         g_inv[:, 1, 1] = g00 * inv_det
-    geom = TriangleGeometry(dq=dq, g=g, g_inv=g_inv, det_g=det_g, vol=vol)
-    object.__setattr__(q, "_geom", geom)
-    return geom
-
-
-def regularity_threshold(q: Immersion, eps_reg: float | None = None) -> float:
-    """Degeneracy threshold on vol: explicit value, or a fraction of the median.
-
-    The default is computed once per immersion and cached on it.
-    """
-    if eps_reg is not None:
-        return eps_reg
-    if q._default_threshold is None:
-        median = float(np.median(triangle_geometry(q).vol))
-        object.__setattr__(q, "_default_threshold", DEFAULT_REGULARITY_FACTOR * median)
-    return q._default_threshold
-
-
-def check_regularity(q: Immersion, eps_reg: float | None = None) -> RegularityReport:
-    """Scan all triangles for degenerate metrics."""
-    geom = triangle_geometry(q)
-    eps = regularity_threshold(q, eps_reg)
-    bad = np.nonzero(geom.det_g <= eps * eps)[0]
-    offenders = [(int(t), float(geom.vol[t])) for t in bad]
-    return RegularityReport(
-        threshold=eps, min_vol=float(np.min(geom.vol)), offenders=offenders
-    )
+    return TriangleGeometry(dq=dq, g_inv=g_inv, det_g=det_g, vol=vol)
 
 
 def require_regular(q: Immersion, eps_reg: float | None = None) -> TriangleGeometry:
-    """Cached geometry, raising on the first degenerate triangle."""
-    report = check_regularity(q, eps_reg)
-    if not report.regular:
-        t, vol = report.offenders[0]
+    """The immersion's geometry, raising on the first degenerate triangle.
+
+    A triangle is degenerate when det(g) <= eps^2, with eps = ``eps_reg`` or,
+    when that is None, ``DEFAULT_REGULARITY_FACTOR`` times the median volume.
+    ``assemble`` calls this once per operator and keeps the geometry it
+    returns as ``op.geom``.
+    """
+    geom = triangle_geometry(q)
+    eps = DEFAULT_REGULARITY_FACTOR * float(np.median(geom.vol)) if eps_reg is None else eps_reg
+    bad = np.nonzero(geom.det_g <= eps * eps)[0]
+    if bad.size:
+        t = int(bad[0])
         raise DegenerateElementError(
-            f"triangle {t}: vol={vol:.3e} <= threshold {report.threshold:.3e}"
-            + (f" ({len(report.offenders)} offending triangles)" if len(report.offenders) > 1 else "")
+            f"triangle {t}: vol={float(geom.vol[t]):.3e} <= threshold {eps:.3e}"
+            + (f" ({bad.size} offending triangles)" if bad.size > 1 else "")
         )
-    return triangle_geometry(q)
+    return geom
 
 
 def surface_area(q: Immersion) -> float:

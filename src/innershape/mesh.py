@@ -267,6 +267,8 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
             values[k] = [float(p) for p in parts[1:]]
         except ValueError:
             raise MeshFormatError("bad coordinate", line=lineno) from None
+        if not np.all(np.isfinite(values[k])):
+            raise MeshFormatError("non-finite coordinate", line=lineno)
     for k in range(n_tris):
         lineno = 4 + n_nodes + k
         parts = need(3 + n_nodes + k).split()

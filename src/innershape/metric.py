@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
-from .geometry import Immersion, TriangleGeometry, require_regular, triangle_geometry
+from .geometry import Immersion, TriangleGeometry, require_regular
 from .mesh import DomainMesh
 
 #: exact integrals of products of linear basis functions on the unit-area
@@ -60,13 +60,16 @@ class MetricOperator:
 
     The full operator on stacked (n, 3) fields is block-diagonal with three
     copies of ``block``; ``flat``/``sharp`` apply it to all columns at once.
-    ``eps_reg`` is the threshold the immersion was checked with.
+    ``geom`` is the immersion's per-triangle geometry, which ``assemble``
+    checked for regularity with the threshold ``eps_reg`` (None: the
+    default); the kinetic variations read it from here.
     """
 
     immersion: Immersion
     alpha: float
     block: sp.csr_matrix = field(repr=False)
-    eps_reg: float | None = None
+    eps_reg: float | None
+    geom: TriangleGeometry = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -149,6 +152,7 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
     Returns
     -------
     MetricOperator
+        The block, with the regularity-checked geometry of ``q`` as ``geom``.
     """
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
@@ -156,7 +160,7 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
         raise ValueError(f"eps_reg must be None or finite and >= 0, got {eps_reg}")
     geom = require_regular(q, eps_reg)
     block = _assemble_scalar(q.mesh, _element_matrices(q, alpha, geom))
-    return MetricOperator(immersion=q, alpha=alpha, block=block, eps_reg=eps_reg)
+    return MetricOperator(immersion=q, alpha=alpha, block=block, eps_reg=eps_reg, geom=geom)
 
 
 def parameter_mass_matrix(mesh: DomainMesh) -> sp.csr_matrix:
@@ -244,14 +248,14 @@ def _frob(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _variation_prep(op: MetricOperator, *fields: np.ndarray):
-    """Validate every field's shape, then return the geometry ``assemble``
-    checked, the corner values U of the first field and its differential
-    dU = grad^T U."""
+    """Validate every field's shape, then return the operator's geometry
+    ``op.geom`` (checked by ``assemble``), the corner values U of the first
+    field and its differential dU = grad^T U."""
     for f in fields:
         _check_field(op.n_nodes, f)
     mesh = op.immersion.mesh
     U = fields[0][mesh.triangles]
-    return triangle_geometry(op.immersion), U, _index_maps(mesh).grad_t @ U
+    return op.geom, U, _index_maps(mesh).grad_t @ U
 
 
 def _scatter(mesh: DomainMesh, local: np.ndarray) -> np.ndarray:

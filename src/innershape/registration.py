@@ -57,10 +57,10 @@ class RegistrationConfig:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not np.isfinite(self.tol_grad):
-            raise ValueError(f"tol_grad must be finite, got {self.tol_grad}")
-        if self.tol_match is not None and not np.isfinite(self.tol_match):
-            raise ValueError(f"tol_match must be finite or None, got {self.tol_match}")
+        if not (np.isfinite(self.tol_grad) and self.tol_grad >= 0):
+            raise ValueError(f"tol_grad must be finite and >= 0, got {self.tol_grad}")
+        if self.tol_match is not None and not (np.isfinite(self.tol_match) and self.tol_match >= 0):
+            raise ValueError(f"tol_match must be None or finite and >= 0, got {self.tol_match}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 

@@ -1,5 +1,7 @@
 """Backward sweep and the exact gradient of the discrete shooting objective."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from innershape import (
     parameter_mass_matrix,
     shoot,
 )
+from innershape import geometry, shooting
 from innershape.fixtures import rotation_matrix
 from innershape.metric import assemble
 from innershape.registration import RegistrationConfig
@@ -109,3 +112,24 @@ class TestBackwardSweep:
         qt_m = Immersion(q0.mesh, q_target.coords @ rot.T + b)
         g_m = backward_sweep(shoot(assemble(q0_m, ALPHA), u0 @ rot.T, 3), qt_m, SIGMA)
         assert np.max(np.abs(g_m - g @ rot.T)) <= 1e-10
+
+    def test_variations_read_the_geometry_from_the_operators(self, small_problem, monkeypatch):
+        q0, u0, q_target = small_problem
+        op0 = assemble(q0, ALPHA)
+        path = shoot(op0, u0, 3)
+        want = backward_sweep(path, q_target, SIGMA)
+        assembled = {op.immersion.coords.tobytes(): op for op in path.operators}
+
+        def recomputed(q):
+            raise AssertionError("triangle geometry recomputed after assembly")
+
+        real = geometry.triangle_geometry
+        for name, module in list(sys.modules.items()):
+            if name.startswith("innershape") and vars(module).get("triangle_geometry") is real:
+                monkeypatch.setattr(module, "triangle_geometry", recomputed)
+        # replay the shoot with the operators assembled above
+        monkeypatch.setattr(shooting, "assemble",
+                            lambda q, alpha, eps_reg: assembled[q.coords.tobytes()])
+        replay = shoot(op0, u0, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(replay.velocities, path.velocities))
+        assert np.array_equal(backward_sweep(replay, q_target, SIGMA), want)

@@ -143,6 +143,15 @@ class TestRegister:
                    "--target", sheets["base"], "--out-dir", str(tmp_path / "o"))
         assert code == EXIT_IO
 
+    def test_non_finite_template_is_io_error(self, sheets, tmp_path):
+        bad = tmp_path / "nan.mesh"
+        lines = open(sheets["base"]).read().splitlines()
+        lines[3] = "v nan 0.0 0.0"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("register", "--template", str(bad),
+                   "--target", sheets["base"], "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_IO
+
 
 class TestShoot:
     def test_zero_velocity_keeps_all_frames_identical(self, sheets, tmp_path):
@@ -171,6 +180,17 @@ class TestShoot:
         code = run("shoot", "--initial", str(collapsed), "--velocity", str(vel),
                    "--out-dir", str(tmp_path / "o"))
         assert code == EXIT_NUMERICAL
+
+    def test_non_finite_velocity_is_io_error(self, sheets, tmp_path):
+        mesh, coords = load_mesh(sheets["base"])
+        vel = tmp_path / "inf.vel"
+        save_velocity(mesh, np.zeros_like(coords), str(vel))
+        lines = vel.read_text().splitlines()
+        lines[3] = "v inf 0.0 0.0"
+        vel.write_text("\n".join(lines) + "\n")
+        code = run("shoot", "--initial", sheets["base"], "--velocity", str(vel),
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_IO
 
     def test_velocity_from_other_mesh_rejected(self, sheets, tmp_path):
         other = build_grid(Topology.PLANE, 4, 4)
@@ -307,7 +327,13 @@ class TestUsage:
         (["--eps-reg", "nan"], ""),
         (["--eps-reg", "-0.5"], ""),
         ([], "alpha = nan\n"),
-    ], ids=["sigma-inf", "eps-reg-nan", "eps-reg-negative", "alpha-nan-in-file"])
+        (["--tol-grad", "-1"], ""),
+        ([], "tol_match = -1\n"),
+        (["--mean-tol", "-1"], ""),
+        (["--fd-tol", "-1"], ""),
+    ], ids=["sigma-inf", "eps-reg-nan", "eps-reg-negative", "alpha-nan-in-file",
+            "tol-grad-negative", "tol-match-negative-in-file", "mean-tol-negative",
+            "fd-tol-negative"])
     def test_non_finite_or_negative_setting(self, sheets, tmp_path, flags, config):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)

@@ -8,8 +8,8 @@ from innershape import (
     Immersion,
     MeshMismatchError,
     Topology,
+    assemble,
     build_grid,
-    check_regularity,
     cylinder_surface,
     require_regular,
     surface_area,
@@ -18,7 +18,6 @@ from innershape.fixtures import rotation_matrix
 from innershape.geometry import (
     DEFAULT_REGULARITY_FACTOR,
     check_same_mesh,
-    regularity_threshold,
     triangle_geometry,
 )
 
@@ -27,19 +26,24 @@ def flat_immersion(mesh, scale=1.0):
     return Immersion(mesh, np.column_stack([scale * mesh.nodes, np.zeros(mesh.n_nodes)]))
 
 
+def first_form(geom):
+    """Per-triangle first fundamental form g = dq^T dq."""
+    return geom.dq.transpose(0, 2, 1) @ geom.dq
+
+
 class TestFirstFundamentalForm:
     def test_flat_identity(self, plane_mesh):
         q = flat_immersion(plane_mesh)
         geom = triangle_geometry(q)
-        eye = np.broadcast_to(np.eye(2), geom.g.shape)
-        assert np.allclose(geom.g, eye, atol=1e-14)
+        eye = np.broadcast_to(np.eye(2), geom.g_inv.shape)
+        assert np.allclose(first_form(geom), eye, atol=1e-14)
         assert np.allclose(geom.g_inv, eye, atol=1e-14)
         assert np.allclose(geom.vol, 1.0, atol=1e-14)
 
     def test_scaled_flat(self, plane_mesh):
         q = flat_immersion(plane_mesh, scale=2.0)
         geom = triangle_geometry(q)
-        assert np.allclose(geom.g, 4.0 * np.eye(2), atol=1e-13)
+        assert np.allclose(first_form(geom), 4.0 * np.eye(2), atol=1e-13)
         assert np.allclose(geom.g_inv, 0.25 * np.eye(2), atol=1e-13)
         assert np.allclose(geom.vol, 4.0, atol=1e-13)
 
@@ -51,7 +55,7 @@ class TestFirstFundamentalForm:
         for n in (8, 16, 32):
             mesh = build_grid(Topology.CYLINDER, n, n)
             geom = triangle_geometry(cylinder_surface(mesh, radius=r))
-            g_errs.append(np.max(np.abs(geom.g - target_g)))
+            g_errs.append(np.max(np.abs(first_form(geom) - target_g)))
             vol_errs.append(np.max(np.abs(geom.vol - target_vol)))
         assert g_errs[0] > g_errs[1] > g_errs[2]
         assert vol_errs[0] > vol_errs[1] > vol_errs[2]
@@ -63,13 +67,13 @@ class TestFirstFundamentalForm:
         moved = Immersion(bumpy_torus.mesh, bumpy_torus.coords @ rot.T + [0.3, -1.2, 2.0])
         g0 = triangle_geometry(bumpy_torus)
         g1 = triangle_geometry(moved)
-        assert np.max(np.abs(g1.g - g0.g)) <= 1e-12
+        assert np.max(np.abs(first_form(g1) - first_form(g0))) <= 1e-12
         assert np.max(np.abs(g1.g_inv - g0.g_inv)) <= 1e-12
         assert np.max(np.abs(g1.vol - g0.vol)) <= 1e-12
 
     def test_metric_inverse_consistent(self, bumpy_torus):
         geom = triangle_geometry(bumpy_torus)
-        prod = np.einsum("tij,tjk->tik", geom.g_inv, geom.g)
+        prod = np.einsum("tij,tjk->tik", geom.g_inv, first_form(geom))
         eye = np.broadcast_to(np.eye(2), prod.shape)
         assert np.max(np.abs(prod - eye)) <= 1e-12
 
@@ -79,14 +83,13 @@ class TestFirstFundamentalForm:
 
 class TestRegularity:
     def test_flat_identity_regular(self, plane_mesh):
-        report = check_regularity(flat_immersion(plane_mesh))
-        assert report.regular
-        assert report.offenders == []
+        q = flat_immersion(plane_mesh)
+        geom = require_regular(q)
+        assert np.array_equal(geom.vol, triangle_geometry(q).vol)
 
     def test_cylinder_regular_at_explicit_threshold(self):
         mesh = build_grid(Topology.CYLINDER, 16, 16)
-        report = check_regularity(cylinder_surface(mesh), eps_reg=1e-8)
-        assert report.regular
+        require_regular(cylinder_surface(mesh), eps_reg=1e-8)
 
     def test_collapsed_node_flags_incident_triangles(self, plane_mesh):
         q = flat_immersion(plane_mesh)
@@ -94,55 +97,35 @@ class TestRegularity:
         a = plane_mesh.grid_index(1, 1)
         b = plane_mesh.grid_index(2, 1)
         coords[a] = coords[b]  # collapse one interior node onto its neighbor
-        report = check_regularity(Immersion(plane_mesh, coords), eps_reg=1e-6)
-        flagged = {t for t, _ in report.offenders}
-        incident = {
+        incident = [
             t for t in range(plane_mesh.n_triangles)
             if a in plane_mesh.triangles[t] and b in plane_mesh.triangles[t]
-        }
-        assert not report.regular
-        assert flagged == incident
+        ]
+        assert len(incident) > 1
+        with pytest.raises(
+            DegenerateElementError,
+            match=rf"^triangle {incident[0]}: vol=\S+ <= threshold 1\.000e-06 "
+            rf"\({len(incident)} offending triangles\)$",
+        ):
+            require_regular(Immersion(plane_mesh, coords), eps_reg=1e-6)
 
     def test_degenerate_element_raises(self, plane_mesh):
         q = Immersion(plane_mesh, np.zeros((plane_mesh.n_nodes, 3)))
         with pytest.raises(DegenerateElementError):
             require_regular(q, eps_reg=1e-8)
 
-
-class TestRegularityThreshold:
-    @pytest.fixture
-    def median_calls(self, monkeypatch):
-        calls = []
-        real = np.median
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "median", counting)
-        return calls
-
-    def test_default_median_once_per_immersion(self, cylinder_shape, median_calls):
-        q = Immersion(cylinder_shape.mesh, cylinder_shape.coords)
-        first = regularity_threshold(q)
-        for _ in range(3):
+    def test_threshold_defaults_to_a_fraction_of_the_median_volume(self, cylinder_shape):
+        coords = cylinder_shape.coords.copy()
+        coords[1] = coords[0]
+        q = Immersion(cylinder_shape.mesh, coords)
+        eps = DEFAULT_REGULARITY_FACTOR * float(np.median(triangle_geometry(q).vol))
+        with pytest.raises(DegenerateElementError, match=rf"<= threshold {eps:.3e}"):
             require_regular(q)
-            check_regularity(q)
-        assert regularity_threshold(q) == first
-        assert len(median_calls) == 1
-        regularity_threshold(q.displaced(np.full(q.coords.shape, 0.1)))
-        assert len(median_calls) == 2
-        assert first == DEFAULT_REGULARITY_FACTOR * float(np.median(triangle_geometry(q).vol))
 
-    def test_explicit_eps_bypasses_cache(self, cylinder_shape, median_calls):
+    def test_assembled_immersion_holds_only_its_data(self, cylinder_shape):
         q = Immersion(cylinder_shape.mesh, cylinder_shape.coords)
-        assert regularity_threshold(q, 1e-3) == 1e-3
-        assert median_calls == []
-        assert q._default_threshold is None
-        default = regularity_threshold(q)
-        assert regularity_threshold(q, 1e-3) == 1e-3
-        assert regularity_threshold(q) == default
-        assert len(median_calls) == 1
+        assemble(q, 0.6)
+        assert set(vars(q)) == {"mesh", "coords"}
 
 
 class TestImmersionValidation:

@@ -152,6 +152,20 @@ class TestNativeFormat:
             load_mesh(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("save, load, word", [
+        (save_mesh, load_mesh, "nan"), (save_velocity, load_velocity, "-inf"),
+    ], ids=["mesh-nan", "velocity-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, save, load, word):
+        mesh = build_grid(Topology.PLANE, 1, 1)
+        path = tmp_path / "values.txt"
+        save(mesh, np.zeros((4, 3)), path)
+        lines = path.read_text().splitlines()
+        lines[4] = f"v 0.0 {word} 0.0"  # the second coordinate row, line 5
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError) as err:
+            load(path)
+        assert err.value.line == 5
+
     def test_header_count_mismatch_rejected(self, tmp_path):
         mesh = build_grid(Topology.PLANE, 1, 1)
         coords = np.zeros((4, 3))

@@ -306,7 +306,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("setting", [
         {"sigma": math.inf}, {"tol_grad": math.nan}, {"tol_match": -math.inf},
-    ], ids=["sigma-inf", "tol-grad-nan", "tol-match-minus-inf"])
+        {"tol_grad": -1.0}, {"tol_match": -1.0},
+    ], ids=["sigma-inf", "tol-grad-nan", "tol-match-minus-inf",
+            "tol-grad-negative", "tol-match-negative"])
     def test_non_finite_setting_rejected(self, bend_problem, setting):
         q0, qt = bend_problem
         cfg = RegistrationConfig(n_steps=4, **setting)

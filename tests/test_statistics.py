@@ -218,6 +218,11 @@ class TestKarcherMean:
             karcher_mean([flat_square], assemble(flat_square, ALPHA), RegistrationConfig(),
                          max_outer=0)
 
+    def test_negative_mean_tol_rejected(self, flat_square):
+        with pytest.raises(ValueError, match="mean_tol"):
+            karcher_mean([flat_square], assemble(flat_square, ALPHA), RegistrationConfig(),
+                         mean_tol=-1.0)
+
     def test_single_shape_fixed_point(self, translated_sheets):
         base, plus, _ = translated_sheets
         cfg = MEAN_CFG_FACTORY(l2_matching(base, plus))
