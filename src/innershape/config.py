@@ -49,6 +49,10 @@ class RunConfig(RegistrationConfig):
     export_frames: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         super().validate()
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")

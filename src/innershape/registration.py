@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adjoint import backward_sweep
+from .adjoint import backward_sweep, check_sigma
 from .errors import StepFailureError
 from .geometry import Immersion, check_same_mesh
 from .metric import MetricOperator, inner_product, parameter_mass_matrix, sharp
@@ -51,8 +51,7 @@ class RegistrationConfig:
     init: str = "zero"
 
     def validate(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        check_sigma(self.sigma)
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.max_iters < 0:
@@ -109,6 +108,7 @@ def l2_matching(q: Immersion, q_target: Immersion) -> float:
 
 def energy(path: GeodesicPath, q_target: Immersion, sigma: float) -> tuple[float, float, float]:
     """Objective value of a shot path: (total, kinetic, match)."""
+    check_sigma(sigma)
     kin = path_energy(path)
     match = l2_matching(path.final, q_target)
     return kin + match / (2.0 * sigma * sigma), kin, match

@@ -149,8 +149,8 @@ def karcher_mean(
     """
     if not shapes:
         raise ValueError("karcher_mean needs at least one shape")
-    if mean_tol < 0:
-        raise ValueError(f"mean_tol must be >= 0, got {mean_tol}")
+    if not (np.isfinite(mean_tol) and mean_tol >= 0):
+        raise ValueError(f"mean_tol must be finite and >= 0, got {mean_tol}")
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     mean = op_start.immersion

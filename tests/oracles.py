@@ -2,10 +2,22 @@
 
 Everything here is deliberately written in plain per-triangle loops with
 textbook formulas, sharing no code with the package's vectorized assembly:
-disagreement between the two routes is a bug in one of them.
+disagreement between the two routes is a bug in one of them.  The one
+exception is ``covector_sweep``, which checks the algebra of the adjoint
+recursion rather than the variations: it runs the lowered (covector) form of
+the sweep on the package's own solves and variations.
 """
 
 import numpy as np
+
+from innershape.adjoint import matching_covector
+from innershape.metric import (
+    flat,
+    kinetic_cross_gradient,
+    kinetic_surface_gradient,
+    kinetic_surface_hessian,
+    sharp,
+)
 
 #: reference-triangle hat-function gradients on the unit triangle
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -119,3 +131,45 @@ def min_fd_error(pairing: float, values_at, steps=(1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
         scale = max(abs(pairing), abs(fd), 1e-30)
         best = min(best, abs(pairing - fd) / scale)
     return best
+
+
+def covector_sweep(path, q_target, sigma: float) -> np.ndarray:
+    """Metric gradient of the shooting objective by the covector recursion.
+
+    Carries ubar_i = dE/du_i and qbar_i = dE/dq_i as docs/gradient.md
+    derives them: with w = sharp_{q_{i+1}}(ubar_{i+1}),
+
+        qbar'   = qbar_{i+1} - 2 D(q_{i+1}; u_{i+1}, w)
+        qbar_i  = qbar' + D(q_i; u_i, 2 w + dt u_i) + dt H(q_i; u_i, w)
+        ubar_i  = flat_{q_i}(w + dt u_i) + 2 dt C(q_i; u_i, w) + dt qbar'
+
+    seeded with ubar_N = 0, and returns sharp_{q_0}(ubar_0).
+    """
+    n = path.n_steps
+    dt = path.dt
+
+    qbar = matching_covector(path.final, q_target, sigma)
+    ubar = np.zeros_like(qbar)
+
+    for i in range(n - 1, -1, -1):
+        u_i = path.velocities[i]
+        op_i = path.operators[i]
+
+        if np.any(ubar):
+            op_next = path.operators[i + 1]
+            w = sharp(op_next, ubar)
+            qbar_adj = qbar - 2.0 * kinetic_surface_gradient(op_next, path.velocities[i + 1], w)
+            cross = 2.0 * dt * kinetic_cross_gradient(op_i, u_i, w)
+            hess = dt * kinetic_surface_hessian(op_i, u_i, w)
+        else:
+            w = np.zeros_like(ubar)
+            qbar_adj = qbar
+            cross = 0.0
+            hess = 0.0
+
+        qbar = qbar_adj + hess + kinetic_surface_gradient(op_i, u_i, 2.0 * w + dt * u_i)
+        ubar = flat(op_i, w + dt * u_i) + cross + dt * qbar_adj
+
+    u0 = path.velocities[0]
+    u_hat0 = u0 - sharp(path.operators[0], ubar)
+    return u0 - u_hat0

@@ -1,5 +1,6 @@
 """Backward sweep and the exact gradient of the discrete shooting objective."""
 
+import math
 import sys
 
 import numpy as np
@@ -16,27 +17,46 @@ from innershape import (
     matching_covector,
     parameter_mass_matrix,
     shoot,
+    torus_surface,
 )
-from innershape import geometry, shooting
+from innershape import adjoint, geometry, shooting
 from innershape.fixtures import rotation_matrix
 from innershape.metric import assemble
 from innershape.registration import RegistrationConfig
 
 from .conftest import random_field
+from .oracles import covector_sweep
 from .test_shooting import smooth_field
 
 ALPHA = 0.6
 SIGMA = 1.0
+TOPOLOGIES = [Topology.PLANE, Topology.CYLINDER, Topology.TORUS]
+
+
+def problem(topology):
+    """Random start velocity and nearby target on a 6x6 surface of ``topology``.
+
+    The torus tube (minor radius 0.15) is thinner than the plane and the
+    cylinder, so its velocity is scaled down to keep every triangle of the
+    shot path well away from collapse.
+    """
+    mesh = build_grid(topology, 6, 6)
+    if topology is Topology.PLANE:
+        q0 = Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
+    elif topology is Topology.CYLINDER:
+        q0 = cylinder_surface(mesh)
+    else:
+        q0 = torus_surface(mesh, 0.35, 0.15)
+    rng = np.random.default_rng(11)
+    scale = 0.1 if topology is Topology.TORUS else 0.25
+    u0 = scale * rng.standard_normal((mesh.n_nodes, 3))
+    q_target = q0.displaced(0.05 * rng.standard_normal((mesh.n_nodes, 3)))
+    return q0, u0, q_target
 
 
 @pytest.fixture(scope="module")
 def small_problem():
-    mesh = build_grid(Topology.CYLINDER, 6, 6)
-    q0 = cylinder_surface(mesh)
-    rng = np.random.default_rng(11)
-    u0 = 0.25 * rng.standard_normal((mesh.n_nodes, 3))
-    q_target = q0.displaced(0.05 * rng.standard_normal((mesh.n_nodes, 3)))
-    return q0, u0, q_target
+    return problem(Topology.CYLINDER)
 
 
 class TestMatchingCovector:
@@ -62,9 +82,23 @@ class TestMatchingCovector:
         assert value == pytest.approx(fd, rel=1e-7)
 
 
-class TestBackwardSweep:
-    def test_fd_gate_small(self, small_problem, rng):
+class TestBadSigma:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejected_by_every_matching_term(self, small_problem, sigma):
         q0, u0, q_target = small_problem
+        path = shoot(assemble(q0, ALPHA), u0, 3)
+        with pytest.raises(ValueError, match="sigma"):
+            matching_covector(path.final, q_target, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            energy(path, q_target, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            backward_sweep(path, q_target, sigma)
+
+
+class TestBackwardSweep:
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name.lower())
+    def test_fd_gate_small(self, topology, rng):
+        q0, u0, q_target = problem(topology)
         cfg = RegistrationConfig(sigma=SIGMA, n_steps=3)
         op0 = assemble(q0, ALPHA)
         grad = backward_sweep(shoot(op0, u0, 3), q_target, SIGMA)
@@ -81,6 +115,33 @@ class TestBackwardSweep:
                 best = min(best, abs(pair - fd) / max(abs(pair), abs(fd), 1e-30))
             worst = max(worst, best)
         assert worst <= 1e-5
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 5])
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name.lower())
+    def test_agrees_with_the_covector_recursion(self, topology, n_steps):
+        q0, u0, q_target = problem(topology)
+        path = shoot(assemble(q0, ALPHA), u0, n_steps)
+        want = covector_sweep(path, q_target, SIGMA)
+        got = backward_sweep(path, q_target, SIGMA)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    def test_one_solve_and_one_surface_gradient_per_step(self, small_problem, monkeypatch,
+                                                         n_steps):
+        q0, u0, q_target = small_problem
+        path = shoot(assemble(q0, ALPHA), u0, n_steps)
+        calls = {"sharp": 0, "kinetic_surface_gradient": 0}
+        for name in calls:
+            real = getattr(adjoint, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(adjoint, name, counted)
+        backward_sweep(path, q_target, SIGMA)
+        assert calls == {"sharp": n_steps, "kinetic_surface_gradient": n_steps}
+        assert not hasattr(adjoint, "flat")
 
     def test_zero_mismatch_gradient_first_order_in_dt(self, small_problem):
         # the exact discrete gradient of the kinetic energy alone is

@@ -1,5 +1,6 @@
 """Key-value config files: parsing, typing, merging, validation."""
 
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from innershape.config import ConfigError, RunConfig, as_dict, build_config, parse_file
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type in (float, float | None)]
 
 
 def write(tmp_path, text):
@@ -111,6 +114,14 @@ class TestBuildConfig:
     def test_init_mode_validated(self):
         with pytest.raises(ConfigError, match="init"):
             build_config({"init": "bogus"})
+
+
+class TestValidate:
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_number_set_in_code_rejected(self, key):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=key):
+                RunConfig(**{key: value}).validate()
 
 
 class TestAsDict:

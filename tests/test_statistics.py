@@ -1,5 +1,6 @@
 """Shape statistics: velocity angles, geodesic triangles, iterative means."""
 
+import math
 import sys
 from dataclasses import replace
 
@@ -222,6 +223,11 @@ class TestKarcherMean:
         with pytest.raises(ValueError, match="mean_tol"):
             karcher_mean([flat_square], assemble(flat_square, ALPHA), RegistrationConfig(),
                          mean_tol=-1.0)
+
+    def test_non_finite_mean_tol_rejected(self, flat_square):
+        with pytest.raises(ValueError, match="mean_tol"):
+            karcher_mean([flat_square], assemble(flat_square, ALPHA), RegistrationConfig(),
+                         mean_tol=math.nan)
 
     def test_single_shape_fixed_point(self, translated_sheets):
         base, plus, _ = translated_sheets
