@@ -49,9 +49,8 @@ from .metric import (
     assemble,
     flat,
     inner_product,
-    kinetic_cross_gradient,
+    kinetic_adjoint_covectors,
     kinetic_surface_gradient,
-    kinetic_surface_hessian,
     norm,
     parameter_mass_matrix,
     sharp,
@@ -118,9 +117,8 @@ __all__ = [
     "initial_velocity",
     "inner_product",
     "karcher_mean",
-    "kinetic_cross_gradient",
+    "kinetic_adjoint_covectors",
     "kinetic_surface_gradient",
-    "kinetic_surface_hessian",
     "l2_matching",
     "load_mesh",
     "load_velocity",

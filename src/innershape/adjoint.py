@@ -22,9 +22,12 @@ W_N = 0 and qbar' = the matching-term derivative, step i = N-1 .. 0 runs
             + D(q_i; u_i, 2 (W_{i+1} - W_i) + dt * u_i)
 
 with D the kinetic surface gradient, and returns W_0, the metric gradient
-of E at u_0.  D is bilinear in its two velocity slots, so its single call
-fuses this step's D(q_i; u_i, 2 W_{i+1} + dt * u_i) with the next step's
--2 D(q_i; u_i, W_i).  Every solve and variation takes the forward path's
+of E at u_0.  Cross and Hess come from one ``kinetic_adjoint_covectors``
+call.  D is bilinear in its two velocity slots, so its single call fuses
+this step's D(q_i; u_i, 2 W_{i+1} + dt * u_i) with the next step's
+-2 D(q_i; u_i, W_i).  Nothing reads the qbar' of step i = 0, so that
+update is not formed: a sweep of N steps makes N solves, N kernel calls
+and N - 1 D calls.  Every solve and variation takes the forward path's
 operator at q_i, which carries alpha and the regularity-checked geometry;
 the sweep assembles none of its own.  docs/gradient.md derives the
 recursion.
@@ -34,9 +37,8 @@ import numpy as np
 
 from .geometry import Immersion, check_same_mesh
 from .metric import (
-    kinetic_cross_gradient,
+    kinetic_adjoint_covectors,
     kinetic_surface_gradient,
-    kinetic_surface_hessian,
     parameter_mass_matrix,
     sharp,
 )
@@ -80,8 +82,9 @@ def backward_sweep(path: GeodesicPath, q_target: Immersion, sigma: float) -> np.
     w = np.zeros_like(qbar)
     for i in range(path.n_steps - 1, -1, -1):
         op, u = path.operators[i], path.velocities[i]
-        w_next = w + dt * u + sharp(op, 2.0 * dt * kinetic_cross_gradient(op, u, w) + dt * qbar)
-        qbar = (qbar + dt * kinetic_surface_hessian(op, u, w)
-                + kinetic_surface_gradient(op, u, 2.0 * (w - w_next) + dt * u))
+        cross, hess = kinetic_adjoint_covectors(op, u, w)
+        w_next = w + dt * u + sharp(op, 2.0 * dt * cross + dt * qbar)
+        if i:
+            qbar = qbar + dt * hess + kinetic_surface_gradient(op, u, 2.0 * (w - w_next) + dt * u)
         w = w_next
     return w

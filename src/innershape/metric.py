@@ -19,11 +19,11 @@ the discrete geodesic equation and its adjoint.  Each takes the assembled
 operator at q, which carries alpha and the immersion's geometry, already
 checked for regularity by ``assemble``:
 
-* ``kinetic_surface_gradient``  -- d/dq l(u, v; q) as a nodal covector,
-* ``kinetic_surface_hessian``   -- second q-variation of l(u, u; q)
-  contracted with a direction field,
-* ``kinetic_cross_gradient``    -- covector in the velocity slot of the
-  surface gradient paired with a fixed field.
+* ``kinetic_surface_gradient``   -- d/dq l(u, v; q) as a nodal covector,
+* ``kinetic_adjoint_covectors``  -- the pair the adjoint sweep needs at one
+  step: the covector in the velocity slot of the surface gradient paired
+  with a fixed field w, and the second q-variation of l(u, u; q)
+  contracted with w.
 
 All covectors pair with nodal variations by the plain Euclidean dot product
 over node values.
@@ -291,19 +291,18 @@ def kinetic_surface_gradient(op: MetricOperator, u: np.ndarray, v: np.ndarray) -
     return _scatter(mesh, local)
 
 
-def _direction_metric_variation(geom: TriangleGeometry, grad, W):
-    """delta(dq), delta(g) and tr(ginv delta(g)) for a direction field W."""
-    ddq = W.transpose(0, 2, 1) @ grad
-    dg = ddq.transpose(0, 2, 1) @ geom.dq
-    dg = dg + dg.transpose(0, 2, 1)
-    return ddq, dg, _frob(geom.g_inv, dg)
+def kinetic_adjoint_covectors(
+    op: MetricOperator, u: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cross and Hessian covectors of the kinetic form at (u, w).
 
-
-def kinetic_surface_hessian(op: MetricOperator, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Second q-variation of 1/2 <u, u>_q contracted with direction w.
-
-    Returns the nodal covector of dq -> d^2/dq^2 [1/2 <u, u>_q](w, dq); the
-    underlying bilinear form is symmetric in (w, dq).
+    Returns ``(cross, hessian)``.  ``cross`` is the covector in the velocity
+    slot of the surface gradient paired with w:
+    cross . du = kinetic_surface_gradient(op, u, du) . w for every field du.
+    ``hessian`` is the second q-variation of 1/2 <u, u>_q contracted with
+    direction w, the nodal covector of dq -> d^2/dq^2 [1/2 <u, u>_q](w, dq);
+    the underlying bilinear form is symmetric in (w, dq).  Each adjoint step
+    needs both at the same (op, u, w), so they share one preparation.
     """
     geom, U, dU = _variation_prep(op, u, w)
     mesh = op.immersion.mesh
@@ -312,13 +311,22 @@ def kinetic_surface_hessian(op: MetricOperator, u: np.ndarray, w: np.ndarray) ->
     g_inv = geom.g_inv
 
     Au = g_inv @ dU
-    c = mesh.area * _frob(_M3 @ U, U) + k2 * _frob(Au, dU)
+    MU = _M3 @ U
+    # delta(dq), delta(g) and tr(ginv delta(g)) for the direction field w
+    ddq = w[mesh.triangles].transpose(0, 2, 1) @ mesh.basis_grad
+    dg = ddq.transpose(0, 2, 1) @ geom.dq
+    dg = dg + dg.transpose(0, 2, 1)
+    trace = _frob(g_inv, dg)
+    G = g_inv @ dg
+
+    coeff = 0.25 * vol * trace
+    Y = (coeff * k2)[:, None, None] * Au - (0.5 * k2 * vol)[:, None, None] * (G @ Au)
+    cross = _scatter(mesh, (coeff * mesh.area)[:, None, None] * MU + mesh.basis_grad @ Y)
+
+    c = mesh.area * _frob(MU, U) + k2 * _frob(Au, dU)
     S = Au @ _transposed(Au)
     Z = 0.25 * (vol * c)[:, None, None] * g_inv - 0.5 * (k2 * vol)[:, None, None] * S
-
-    ddq, dg, trace = _direction_metric_variation(geom, mesh.basis_grad, w[mesh.triangles])
     dvol = 0.5 * vol * trace
-    G = g_inv @ dg
     dginv = -(G @ g_inv)
     dc = -k2 * _frob(dg, S)
     T1 = G @ S
@@ -326,27 +334,7 @@ def kinetic_surface_hessian(op: MetricOperator, u: np.ndarray, w: np.ndarray) ->
     dZ = (
         0.25 * (dvol * c + vol * dc)[:, None, None] * g_inv
         + 0.25 * (vol * c)[:, None, None] * dginv
-        - 0.5 * (k2)[:, None, None] * (dvol[:, None, None] * S + vol[:, None, None] * dS)
+        - 0.5 * k2[:, None, None] * (dvol[:, None, None] * S + vol[:, None, None] * dS)
     )
     psi = 2.0 * (ddq @ Z + geom.dq @ dZ)
-    return _scatter(mesh, mesh.basis_grad @ _transposed(psi))
-
-
-def kinetic_cross_gradient(op: MetricOperator, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Covector in the velocity slot of the surface gradient paired with w.
-
-    Returns F with F . du = kinetic_surface_gradient(op, u, du) . w
-    for every field du; w plays the role of a fixed surface direction.
-    """
-    geom, U, dU = _variation_prep(op, u, w)
-    mesh = op.immersion.mesh
-    k2 = (op.alpha * op.alpha) * mesh.area
-    vol = geom.vol
-
-    _, dg, trace = _direction_metric_variation(geom, mesh.basis_grad, w[mesh.triangles])
-    Au = geom.g_inv @ dU
-    coeff = 0.25 * vol * trace
-    term1 = (coeff * mesh.area)[:, None, None] * (_M3 @ U)
-    X = geom.g_inv @ dg @ Au
-    Y = (coeff * k2)[:, None, None] * Au - (0.5 * k2 * vol)[:, None, None] * X
-    return _scatter(mesh, term1 + mesh.basis_grad @ Y)
+    return cross, _scatter(mesh, mesh.basis_grad @ _transposed(psi))

@@ -13,9 +13,8 @@ import numpy as np
 from innershape.adjoint import matching_covector
 from innershape.metric import (
     flat,
-    kinetic_cross_gradient,
+    kinetic_adjoint_covectors,
     kinetic_surface_gradient,
-    kinetic_surface_hessian,
     sharp,
 )
 
@@ -159,8 +158,8 @@ def covector_sweep(path, q_target, sigma: float) -> np.ndarray:
             op_next = path.operators[i + 1]
             w = sharp(op_next, ubar)
             qbar_adj = qbar - 2.0 * kinetic_surface_gradient(op_next, path.velocities[i + 1], w)
-            cross = 2.0 * dt * kinetic_cross_gradient(op_i, u_i, w)
-            hess = dt * kinetic_surface_hessian(op_i, u_i, w)
+            cross, hess = kinetic_adjoint_covectors(op_i, u_i, w)
+            cross, hess = 2.0 * dt * cross, dt * hess
         else:
             w = np.zeros_like(ubar)
             qbar_adj = qbar

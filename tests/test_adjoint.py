@@ -130,7 +130,7 @@ class TestBackwardSweep:
                                                          n_steps):
         q0, u0, q_target = small_problem
         path = shoot(assemble(q0, ALPHA), u0, n_steps)
-        calls = {"sharp": 0, "kinetic_surface_gradient": 0}
+        calls = {"sharp": 0, "kinetic_adjoint_covectors": 0, "kinetic_surface_gradient": 0}
         for name in calls:
             real = getattr(adjoint, name)
 
@@ -140,8 +140,11 @@ class TestBackwardSweep:
 
             monkeypatch.setattr(adjoint, name, counted)
         backward_sweep(path, q_target, SIGMA)
-        assert calls == {"sharp": n_steps, "kinetic_surface_gradient": n_steps}
-        assert not hasattr(adjoint, "flat")
+        # step i = 0 forms no qbar' update, so it needs no D
+        assert calls == {"sharp": n_steps, "kinetic_adjoint_covectors": n_steps,
+                         "kinetic_surface_gradient": n_steps - 1}
+        for name in ("flat", "kinetic_cross_gradient", "kinetic_surface_hessian"):
+            assert not hasattr(adjoint, name)
 
     def test_zero_mismatch_gradient_first_order_in_dt(self, small_problem):
         # the exact discrete gradient of the kinetic energy alone is

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import innershape
 from innershape.config import ConfigError, RunConfig, as_dict, build_config, parse_file
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type in (float, float | None)]
@@ -144,3 +145,16 @@ def test_readme_configuration_table_lists_every_key():
     # drop the header row and the value lists in parentheses
     keys = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", " ".join(rows[1:])))
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+
+def test_readme_and_gradient_note_cite_only_exported_names():
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    table = readme.split("\nKey entry points:\n", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    cells = " ".join(line.split("|")[2] for line in table.splitlines())
+    # notes in parentheses may cite arguments rather than entry points
+    names = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cells)))
+    cited = set(re.findall(r"\bkinetic_\w+", (root / "docs" / "gradient.md").read_text()))
+    assert names and cited
+    assert sorted(names - set(innershape.__all__)) == []
+    assert sorted(cited - set(innershape.__all__)) == []
