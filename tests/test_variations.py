@@ -166,7 +166,21 @@ class TestCrossGradient:
 
 
 class TestFieldValidation:
-    @pytest.mark.parametrize("variation", [kinetic_surface_gradient, kinetic_adjoint_covectors])
+    @pytest.mark.parametrize(
+        "variation",
+        [
+            kinetic_surface_gradient,
+            # the kernel's two outputs, named for the covector each one is
+            pytest.param(
+                lambda op, u, w: kinetic_adjoint_covectors(op, u, w)[0],
+                id="kinetic_cross_gradient",
+            ),
+            pytest.param(
+                lambda op, u, w: kinetic_adjoint_covectors(op, u, w)[1],
+                id="kinetic_surface_hessian",
+            ),
+        ],
+    )
     def test_extra_rows_rejected_in_either_slot(self, variation, rng, cylinder_shape):
         q = cylinder_shape
         op = assemble(q, ALPHA)
