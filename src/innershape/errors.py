@@ -35,8 +35,9 @@ class DegenerateElementError(InnerShapeError):
 
 
 class SolverError(InnerShapeError):
-    """Sharp-solve failed: the factorization broke down, the solution is
-    not finite, or its relative residual exceeds ``SHARP_RESIDUAL_TOL``."""
+    """Sharp-solve failed: the block is not positive definite (its Cholesky
+    factorization broke down), the solution is not finite, or its relative
+    residual exceeds ``SHARP_RESIDUAL_TOL``."""
 
 
 class StepFailureError(InnerShapeError):

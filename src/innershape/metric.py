@@ -32,15 +32,19 @@ Every kernel works on per-triangle stacks with batched matrix products.  The
 index maps that move between triangles and nodes depend only on the mesh and
 are built once per ``DomainMesh`` (see ``_index_maps``): the transposed basis
 gradient, the block's fixed CSR pattern with the slot of every local entry
-(assembly is one ``bincount`` into that pattern), and a sparse node-by-corner
-matrix that sums corner covectors onto nodes.
+(assembly is one ``bincount`` into that pattern), a sparse node-by-corner
+matrix that sums corner covectors onto nodes, and the band layout that
+``sharp`` factors the block in.  That layout comes from the grid itself (see
+``_band_order``): row-major node order is already a band of half-width
+ncols + 1 on the plane and the cylinder, and folding the rows of the torus
+keeps its wrapped rows near each other, so no fill-reducing ordering is run.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolverError
 from .geometry import Immersion, TriangleGeometry, require_regular
@@ -84,6 +88,11 @@ class _IndexMaps:
     ``indices`` are the CSR pattern of the scalar block, and ``slot[k]`` is
     the pattern position of the k-th entry of a raveled (ntri, 3, 3) local
     stack; ``scatter`` maps raveled (3 * ntri, 3) corner values to nodes.
+    ``perm`` is the band order of the nodes (``perm[k]`` is the node at band
+    position k) and ``kd`` the block's half-bandwidth in that order; the
+    pattern entries ``lower`` (those on or below the diagonal in band order)
+    go to the positions ``band`` of a raveled Fortran-order (kd + 1, n) array
+    in LAPACK lower band storage.
     """
 
     grad_t: np.ndarray
@@ -91,6 +100,30 @@ class _IndexMaps:
     indices: np.ndarray
     slot: np.ndarray
     scatter: sp.csr_matrix
+    perm: np.ndarray
+    kd: int
+    lower: np.ndarray
+    band: np.ndarray
+
+
+def _band_order(mesh: DomainMesh) -> np.ndarray:
+    """Node order in which the scalar block of a grid mesh is a narrow band.
+
+    Nodes are numbered row by row, and each couples only to its own row and
+    the two next to it, so row-major order is a band unless the rows wrap.
+    On the torus, level k holds rows k and nrows-1-k, interleaved column by
+    column with the second row's columns reversed, so every pair of coupled
+    nodes lies in one level or two consecutive ones: the half-bandwidth is
+    2 ncols + 2 for an even row count and 3 ncols - 2 for an odd one, whose
+    middle row forms the last level alone.
+    """
+    n = mesh.n_nodes
+    if not mesh.topology.periodic_y:
+        return np.arange(n)
+    grid = np.arange(n).reshape(mesh.ny, mesh.nx)
+    half = mesh.ny // 2
+    pairs = np.stack([grid[:half], grid[::-1, ::-1][:half]], axis=2)
+    return np.concatenate([pairs.ravel(), grid[half : mesh.ny - half].ravel()])
 
 
 def _index_maps(mesh: DomainMesh) -> _IndexMaps:
@@ -104,6 +137,11 @@ def _index_maps(mesh: DomainMesh) -> _IndexMaps:
         keys, slot = np.unique(rows * n + cols, return_inverse=True)
         counts = np.bincount(keys // n, minlength=n)
         corners = tris.size
+        perm = _band_order(mesh)
+        position = np.argsort(perm)
+        r, c = position[keys // n], position[keys % n]
+        kd = int(np.max(r - c))
+        lower = np.flatnonzero(r >= c)
         cached = _IndexMaps(
             grad_t=np.ascontiguousarray(mesh.basis_grad.transpose(0, 2, 1)),
             indptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
@@ -112,6 +150,11 @@ def _index_maps(mesh: DomainMesh) -> _IndexMaps:
             scatter=sp.csr_matrix(
                 (np.ones(corners), (tris.ravel(), np.arange(corners))), shape=(n, corners)
             ),
+            perm=perm,
+            kd=kd,
+            lower=lower,
+            # entry (r, c) of the band-ordered block sits at band row r - c, column c
+            band=c[lower] * (kd + 1) + (r - c)[lower],
         )
         object.__setattr__(mesh, "_index_maps", cached)
     return cached
@@ -196,21 +239,28 @@ def flat(op: MetricOperator, u: np.ndarray) -> np.ndarray:
 def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
     """Raise the index: solve A x = p for all three components at once.
 
-    One sparse LU factorization of the SPD block in symmetric mode per call;
-    raises SolverError when the block is singular, the solution is not
-    finite, or its relative residual exceeds ``SHARP_RESIDUAL_TOL``.
+    One banded Cholesky factorization (LAPACK ``dpbtrf``) of the SPD block
+    per call, in the mesh's band order (see ``_band_order``), then one
+    banded solve of the three columns.  Reads the block's values through the
+    CSR pattern that ``assemble`` builds.  Raises SolverError when the block
+    is not positive definite, the solution is not finite, or its relative
+    residual exceeds ``SHARP_RESIDUAL_TOL``.
     """
     _check_field(op.n_nodes, p)
-    try:
-        lu = splu(
-            op.block.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
+    maps = _index_maps(op.immersion.mesh)
+    n = op.n_nodes
+    ab = np.zeros((maps.kd + 1) * n)
+    ab[maps.band] = op.block.data[maps.lower]
+    chol, info = dpbtrf(ab.reshape((maps.kd + 1, n), order="F"), lower=1, overwrite_ab=1)
+    # info < 0 would flag a malformed argument, which the shapes above rule out
+    if info > 0:
+        raise SolverError(
+            f"metric block is not positive definite: its leading minor of order {info} "
+            "(in band order) is not positive"
         )
-    except RuntimeError as exc:
-        raise SolverError(f"metric block factorization failed: {exc}") from exc
-    x = lu.solve(p)
+    xb, _ = dpbtrs(chol, p[maps.perm], lower=1)
+    x = np.empty((n, 3))
+    x[maps.perm] = xb
     if not np.all(np.isfinite(x)):
         raise SolverError("sharp-solve produced a non-finite solution")
     res = np.linalg.norm(op.block @ x - p)

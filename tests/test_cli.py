@@ -1,6 +1,10 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,18 @@ def sheets(tmp_path_factory):
         paths[name] = str(root / f"{name}.mesh")
         save_mesh(q.mesh, q.coords, paths[name])
     return paths
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    """The command imports no sparse solver: sharp runs on LAPACK directly."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, innershape.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestMeshgen:

@@ -144,15 +144,31 @@ class TestFlatSharp:
         ones[:, 0] = 1.0
         assert float(np.vdot(cov, ones)) == pytest.approx(c, abs=1e-12)
 
+    # sharp reads the block through the pattern assemble builds, so the
+    # broken blocks below keep that pattern
     def test_sharp_of_singular_block_raises(self, cylinder_shape):
         op = assemble(cylinder_shape, ALPHA)
-        n = op.n_nodes
-        singular = dataclasses.replace(op, block=sp.csr_matrix((n, n)))
-        with pytest.raises(SolverError):
-            sharp(singular, np.ones((n, 3)))
+        singular = dataclasses.replace(op, block=0.0 * op.block)
+        with pytest.raises(SolverError, match="leading minor of order 1 "):
+            sharp(singular, np.ones((op.n_nodes, 3)))
 
-    def test_sharp_matches_dense_solve_at_16(self, rng):
-        q = cylinder_surface(build_grid(Topology.CYLINDER, 16, 16), bend_deg=40.0)
+    def test_sharp_of_indefinite_block_raises(self, cylinder_shape):
+        op = assemble(cylinder_shape, ALPHA)
+        indefinite = dataclasses.replace(op, block=-op.block)
+        with pytest.raises(SolverError, match="not positive definite"):
+            sharp(indefinite, np.ones((op.n_nodes, 3)))
+
+    @pytest.mark.parametrize("ny", [16, 17])
+    @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
+    def test_sharp_matches_dense_solve_at_16(self, rng, topology, ny):
+        mesh = build_grid(topology, 16, ny)
+        if topology is Topology.PLANE:
+            xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]
+            q = Immersion(mesh, np.column_stack([xs, ys, 0.3 * np.sin(3 * xs) * ys]))
+        elif topology is Topology.CYLINDER:
+            q = cylinder_surface(mesh, bend_deg=40.0)
+        else:
+            q = torus_surface(mesh, 0.35, 0.15)
         op = assemble(q, ALPHA)
         p = random_field(rng, q.mesh)
         want = np.linalg.solve(op.block.toarray(), p)
@@ -233,3 +249,26 @@ class TestIndexMaps:
 
     def test_cached_per_mesh(self, torus_mesh):
         assert _index_maps(torus_mesh) is _index_maps(torus_mesh)
+
+    @pytest.mark.parametrize("ny", [6, 7])
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.value)
+    def test_band_order_and_layout(self, topology, ny, rng):
+        mesh = build_grid(topology, 9, ny)
+        maps = _index_maps(mesh)
+        n = mesh.n_nodes
+        assert np.array_equal(np.sort(maps.perm), np.arange(n))
+        ncols = mesh.nx if topology.periodic_x else mesh.nx + 1
+        if topology is Topology.TORUS:
+            assert maps.kd <= (2 * ncols + 2 if ny % 2 == 0 else 3 * ncols)
+        else:
+            assert maps.kd == ncols + 1
+        # the band holds exactly the lower triangle of the reordered block
+        local = rng.standard_normal((mesh.n_triangles, 3, 3))
+        block = _assemble_scalar(mesh, local + local.transpose(0, 2, 1))
+        ab = np.zeros((maps.kd + 1) * n)
+        ab[maps.band] = block.data[maps.lower]
+        ab = ab.reshape((maps.kd + 1, n), order="F")
+        dense = block.toarray()[np.ix_(maps.perm, maps.perm)]
+        assert not np.any(np.tril(dense, -maps.kd - 1))
+        for d in range(maps.kd + 1):
+            assert np.array_equal(ab[d, : n - d], np.diagonal(dense, -d))
