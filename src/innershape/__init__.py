@@ -61,7 +61,6 @@ from .registration import (
     RegistrationResult,
     RegistrationStatus,
     energy,
-    initial_velocity,
     l2_matching,
     register,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "export_obj",
     "flat",
     "geodesic_angle",
-    "initial_velocity",
     "inner_product",
     "karcher_mean",
     "kinetic_adjoint_covectors",

@@ -177,13 +177,18 @@ def _registration_summary(result) -> dict:
 # commands
 
 
+def _flat_sheet(cfg: RunConfig) -> Immersion:
+    """The model domain itself, lying in the z = 0 plane."""
+    mesh = _domain_mesh(cfg)
+    return Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
+
+
 def cmd_meshgen(args) -> int:
     cfg, _ = _load_config(args)
-    mesh = _domain_mesh(cfg)
-    coords = np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)])
-    _write_shape(Immersion(mesh, coords), args.out, args.obj)
+    sheet = _flat_sheet(cfg)
+    _write_shape(sheet, args.out, args.obj)
     print(f"{args.out}: {cfg.topology} {cfg.nx}x{cfg.ny}, "
-          f"{mesh.n_nodes} nodes, {mesh.n_triangles} triangles")
+          f"{sheet.mesh.n_nodes} nodes, {sheet.mesh.n_triangles} triangles")
     return EXIT_OK
 
 
@@ -376,15 +381,11 @@ def cmd_mean(args) -> int:
 
 
 def _gradcheck_base(cfg: RunConfig) -> Immersion:
-    mesh = _domain_mesh(cfg)
+    """The flat sheet, or the cylinder or torus fixture of ``cfg.topology``."""
     topology = Topology.parse(cfg.topology)
-    if topology is Topology.CYLINDER:
-        return cylinder_surface(mesh, cfg.radius, cfg.height, cfg.bend_deg,
-                                cfg.ripples, cfg.ripple_amplitude)
-    if topology is Topology.TORUS:
-        return torus_surface(mesh, cfg.major_radius, cfg.minor_radius, cfg.asymmetry)
-    coords = np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)])
-    return Immersion(mesh, coords)
+    if topology is Topology.PLANE:
+        return _flat_sheet(cfg)
+    return _fixture_shapes(cfg, topology.value, 0)[0][1]
 
 
 def cmd_gradcheck(args) -> int:

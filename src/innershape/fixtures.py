@@ -131,12 +131,11 @@ def torus_triangle(
     major_radius: float = 0.35,
     minor_radius: float = 0.15,
     asymmetry: float = 0.3,
-    rotations=TORUS_TRIANGLE_ROTATIONS,
 ) -> list[Immersion]:
     """The three rotated copies of the asymmetric torus."""
     base = torus_surface(mesh, major_radius, minor_radius, asymmetry)
     out = []
-    for (ax1, deg1), (ax2, deg2) in rotations:
+    for (ax1, deg1), (ax2, deg2) in TORUS_TRIANGLE_ROTATIONS:
         rot = rotation_matrix(ax2, deg2) @ rotation_matrix(ax1, deg1)
         out.append(rotated(base, rot))
     return out

@@ -17,12 +17,10 @@ import numpy as np
 from .adjoint import backward_sweep, check_sigma
 from .errors import StepFailureError
 from .geometry import Immersion, check_same_mesh
-from .metric import MetricOperator, inner_product, parameter_mass_matrix, sharp
+from .metric import MetricOperator, inner_product, parameter_mass_matrix
 from .shooting import GeodesicPath, path_energy, shoot
 
 logger = logging.getLogger(__name__)
-
-INIT_MODES = ("zero", "l2diff")
 
 #: curvature pairs (s, y) kept by the L-BFGS memory
 LBFGS_MEMORY = 8
@@ -37,10 +35,9 @@ STEP_MIN = 1e-12
 class RegistrationConfig:
     """Parameters of a registration run.
 
-    ``init`` selects the initial velocity: "zero", or "l2diff" for the
-    metric-raised pointwise difference to the target.  ``tol_match`` is
-    optional; when set, reaching it also counts as convergence.  The metric's
-    ``alpha`` and ``eps_reg`` travel with the operator ``register`` starts from.
+    ``tol_match`` is optional; when set, reaching it also counts as
+    convergence.  The metric's ``alpha`` and ``eps_reg`` travel with the
+    operator ``register`` starts from.
     """
 
     sigma: float = 1.0
@@ -48,7 +45,6 @@ class RegistrationConfig:
     max_iters: int = 200
     tol_grad: float = 1e-6
     tol_match: float | None = None
-    init: str = "zero"
 
     def validate(self) -> None:
         check_sigma(self.sigma)
@@ -60,8 +56,6 @@ class RegistrationConfig:
             raise ValueError(f"tol_grad must be finite and >= 0, got {self.tol_grad}")
         if self.tol_match is not None and not (np.isfinite(self.tol_match) and self.tol_match >= 0):
             raise ValueError(f"tol_match must be None or finite and >= 0, got {self.tol_match}")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
 
 class RegistrationStatus(Enum):
@@ -114,17 +108,6 @@ def energy(path: GeodesicPath, q_target: Immersion, sigma: float) -> tuple[float
     return kin + match / (2.0 * sigma * sigma), kin, match
 
 
-def initial_velocity(
-    op0: MetricOperator, q_target: Immersion, cfg: RegistrationConfig
-) -> np.ndarray:
-    """Starting velocity at ``op0.immersion`` per ``cfg.init``."""
-    q0 = op0.immersion
-    if cfg.init == "zero":
-        return np.zeros((q0.mesh.n_nodes, 3))
-    mass = parameter_mass_matrix(q0.mesh)
-    return sharp(op0, mass @ (q_target.coords - q0.coords))
-
-
 def _two_loop(op0: MetricOperator, pairs: list, g: np.ndarray) -> np.ndarray:
     """L-BFGS inverse-Hessian approximation applied to ``g``, in the metric at op0.
 
@@ -174,8 +157,10 @@ def register(
 ) -> RegistrationResult:
     """Minimize the registration objective by metric L-BFGS from ``op0.immersion``.
 
-    ``alpha`` and ``eps_reg`` come from ``op0``.  The start and every trial
-    shoot from ``op0``, and it carries the L-BFGS inner product.  A step t
+    ``alpha`` and ``eps_reg`` come from ``op0``.  The descent starts from
+    rest, u_0 = 0, where the gradient is the raised mismatch
+    ``sharp(op0, M (q0 - q_target)) / sigma^2``.  Every trial shoots from
+    ``op0``, and it carries the L-BFGS inner product.  A step t
     along the direction d is accepted when the energy falls strictly and by
     at least ``ARMIJO_C * t * <g, d>``; otherwise t shrinks by
     ``ARMIJO_SHRINK``.
@@ -190,7 +175,7 @@ def register(
     cfg.validate()
     check_same_mesh(op0.immersion.mesh, q_target.mesh, "registration")
 
-    u = initial_velocity(op0, q_target, cfg)
+    u = np.zeros((op0.immersion.mesh.n_nodes, 3))
     path = shoot(op0, u, cfg.n_steps)
     e_total, e_kin, e_match = energy(path, q_target, cfg.sigma)
 

@@ -123,18 +123,18 @@ def path_length(path: GeodesicPath) -> float:
     return path.dt * float(np.sum(np.sqrt(2.0 * np.maximum(path.kinetic, 0.0))))
 
 
-def export_frames(path: GeodesicPath, out_dir, basename: str = "frame") -> list[str]:
+def export_frames(path: GeodesicPath, out_dir) -> list[str]:
     """Write every frame as OBJ + native mesh, plus per-node speed CSVs.
 
-    Frame i gets ``<basename>_<i>.obj`` and ``.mesh``; for i < N a
-    ``<basename>_<i>_speed.csv`` holds each node's velocity magnitude.
+    Frame i gets ``frame_<i>.obj`` and ``.mesh``; for i < N a
+    ``frame_<i>_speed.csv`` holds each node's velocity magnitude.
     Returns the list of written file names.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
     width = len(str(path.n_steps))
     for i, q in enumerate(path.immersions):
-        stem = os.path.join(out_dir, f"{basename}_{i:0{width}d}")
+        stem = os.path.join(out_dir, f"frame_{i:0{width}d}")
         meshio.export_obj(q.mesh, q.coords, stem + ".obj")
         meshio.save_mesh(q.mesh, q.coords, stem + ".mesh")
         written += [stem + ".obj", stem + ".mesh"]

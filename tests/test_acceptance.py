@@ -267,10 +267,7 @@ def test_criterion_6_bent_cylinder_registration(bend_registration, capsys):
 def test_criterion_7_torus_triangle(capsys):
     mesh = build_grid(Topology.TORUS, 10, 10)
     qa, qb, qc = torus_triangle(mesh)
-    cfg = RegistrationConfig(
-        sigma=0.25, n_steps=8, max_iters=400,
-        tol_grad=7e-4, init="l2diff",
-    )
+    cfg = RegistrationConfig(sigma=0.25, n_steps=8, max_iters=400, tol_grad=7e-4)
     report = triangle_experiment(assemble(qa, ALPHA), qb, qc, cfg)
 
     vertex_pairs = ((0, 1), (1, 2), (2, 0))  # endpoints of sides AB, BC, CA

@@ -14,8 +14,10 @@ from innershape import (
     cylinder_surface,
     energy,
     inner_product,
+    l2_matching,
     matching_covector,
     parameter_mass_matrix,
+    sharp,
     shoot,
     torus_surface,
 )
@@ -69,8 +71,6 @@ class TestMatchingCovector:
         assert np.max(np.abs(cov - want)) <= 1e-15
 
     def test_fd_of_matching_half(self, small_problem, rng):
-        from innershape import l2_matching
-
         q0, _, q_target = small_problem
         d = random_field(rng, q0.mesh)
         value = float(np.vdot(matching_covector(q0, q_target, SIGMA), d))
@@ -158,6 +158,19 @@ class TestBackwardSweep:
             errs[n] = np.linalg.norm(g - u0) / np.linalg.norm(u0)
         assert errs[8] <= 0.5 / 8
         assert 1.5 <= errs[8] / errs[16] <= 2.5
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name.lower())
+    def test_gradient_at_rest_is_the_raised_mismatch(self, topology):
+        # from u_0 = 0 the path stays at q_0, so only the matching seed is left
+        q0, _, q_target = problem(topology)
+        op0 = assemble(q0, ALPHA)
+        sigma = 0.25
+        mismatch = parameter_mass_matrix(q0.mesh) @ (q_target.coords - q0.coords)
+        want = -sharp(op0, mismatch) / sigma**2
+        got = backward_sweep(shoot(op0, np.zeros_like(q0.coords), 4), q_target, sigma)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # so steepest descent from rest moves toward the target
+        assert l2_matching(q0.displaced(-1e-3 * got), q_target) < l2_matching(q0, q_target)
 
     def test_stationary_problem_gives_exact_zero(self, small_problem):
         q0, _, _ = small_problem

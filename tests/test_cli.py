@@ -120,8 +120,7 @@ class TestRegister:
         assert summary["iterations"] == 0
         assert summary["energy"] == 0.0
         assert summary["matching_error"] == 0.0
-        assert (out / "registered.mesh").read_bytes() == \
-            open(sheets["base"], "rb").read()
+        assert (out / "registered.mesh").read_bytes() == Path(sheets["base"]).read_bytes()
 
     def test_translation_registration_converges(self, sheets, tmp_path):
         out = tmp_path / "run"
@@ -161,7 +160,7 @@ class TestRegister:
 
     def test_non_finite_template_is_io_error(self, sheets, tmp_path):
         bad = tmp_path / "nan.mesh"
-        lines = open(sheets["base"]).read().splitlines()
+        lines = Path(sheets["base"]).read_text().splitlines()
         lines[3] = "v nan 0.0 0.0"
         bad.write_text("\n".join(lines) + "\n")
         code = run("register", "--template", str(bad),
@@ -253,7 +252,7 @@ class TestMean:
         assert summary["status"] == "converged"
         assert summary["outer_iterations"] == 1
         assert summary["velocity_norms"][0] <= 1e-2
-        assert (out / "mean.mesh").read_bytes() == open(sheets["base"], "rb").read()
+        assert (out / "mean.mesh").read_bytes() == Path(sheets["base"]).read_bytes()
         norms_csv = (out / "norms.csv").read_text().strip().splitlines()
         assert len(norms_csv) == 2  # header + one outer iteration
 

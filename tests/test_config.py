@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import innershape
+from innershape.cli import EXIT_USAGE, main
 from innershape.config import ConfigError, RunConfig, as_dict, build_config, parse_file
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type in (float, float | None)]
@@ -112,9 +113,12 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="sigma"):
             build_config({"sigma": "-1"})
 
-    def test_init_mode_validated(self):
-        with pytest.raises(ConfigError, match="init"):
-            build_config({"init": "bogus"})
+    def test_init_mode_validated(self, tmp_path):
+        # every registration starts from rest: `init` is no key and no flag
+        with pytest.raises(ConfigError, match="unknown config key 'init'"):
+            build_config(parse_file(write(tmp_path, "init = l2diff\n")))
+        assert main(["meshgen", "--out", str(tmp_path / "m.mesh"),
+                     "--init", "l2diff"]) == EXIT_USAGE
 
 
 class TestValidate:
@@ -144,7 +148,10 @@ def test_readme_configuration_table_lists_every_key():
     rows = [line.split("|")[2] for line in section.splitlines() if line.startswith("| ")]
     # drop the header row and the value lists in parentheses
     keys = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", " ".join(rows[1:])))
-    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+    names = {f.name for f in fields(RunConfig)}
+    assert sorted(set(keys) - names) == []  # a listed key that is no RunConfig field
+    assert sorted(names - set(keys)) == []  # a RunConfig field the table leaves out
+    assert len(keys) == len(names)  # and none listed twice
 
 
 def test_readme_and_gradient_note_cite_only_exported_names():

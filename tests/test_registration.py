@@ -16,7 +16,6 @@ from innershape import (
     build_grid,
     cylinder_surface,
     energy,
-    initial_velocity,
     l2_matching,
     path_energy,
     register,
@@ -120,8 +119,7 @@ class TestRegister:
 
     def test_rotation_equivariance(self, bend_problem):
         q0, qt = bend_problem
-        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=30,
-                                 tol_grad=1e-6, init="l2diff")
+        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=30, tol_grad=1e-6)
         res = register(assemble(q0, ALPHA), qt, cfg)
         rot = rotation_matrix("z", 33.0) @ rotation_matrix("x", -20.0)
         b = np.array([0.3, -0.1, 0.8])
@@ -267,42 +265,20 @@ class TestRegularityThreshold:
         assert len(assembles) == path.n_steps - 1
         assert len(seen) == len(assembles)
 
-    def test_l2diff_start_assembles_once_at_q0(self, bend_problem, checks):
+    def test_rest_start_assembles_once_at_q0(self, bend_problem, checks):
         q0, qt = bend_problem
         _, assembles = checks
-        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=0,
-                                 init="l2diff")
+        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=0)
         register(assemble(q0, ALPHA), qt, cfg)
         # the caller assembles at q0; register builds no operator there
         assert not hasattr(registration, "assemble")
         assert not any(q is q0 for q in assembles)
 
 
-class TestInitialVelocity:
-    def test_zero_mode(self, bend_problem):
-        q0, qt = bend_problem
-        cfg = RegistrationConfig(init="zero")
-        assert np.array_equal(initial_velocity(assemble(q0, ALPHA), qt, cfg),
-                              np.zeros((q0.mesh.n_nodes, 3)))
-
-    def test_l2diff_mode_points_toward_target(self, bend_problem):
-        q0, qt = bend_problem
-        cfg = RegistrationConfig(init="l2diff")
-        u = initial_velocity(assemble(q0, ALPHA), qt, cfg)
-        # moving along u must decrease the pointwise mismatch
-        before = l2_matching(q0, qt)
-        after = l2_matching(q0.displaced(0.1 * u), qt)
-        assert after < before
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            RegistrationConfig(init="bogus").validate()
-
-
 class TestConfigValidation:
-    def test_six_settings(self):
+    def test_five_settings(self):
         assert [f.name for f in fields(RegistrationConfig)] == [
-            "sigma", "n_steps", "max_iters", "tol_grad", "tol_match", "init"]
+            "sigma", "n_steps", "max_iters", "tol_grad", "tol_match"]
 
     @pytest.mark.parametrize("setting", [
         {"sigma": math.inf}, {"tol_grad": math.nan}, {"tol_match": -math.inf},
