@@ -64,7 +64,7 @@ from .registration import (
     l2_matching,
     register,
 )
-from .shooting import GeodesicPath, export_frames, path_energy, path_length, shoot
+from .shooting import GeodesicPath, path_energy, path_length, shoot
 from .statistics import (
     MeanResult,
     MeanStatus,
@@ -109,7 +109,6 @@ __all__ = [
     "compatible",
     "cylinder_surface",
     "energy",
-    "export_frames",
     "export_obj",
     "flat",
     "geodesic_angle",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .adjoint import backward_sweep
-from .config import ConfigError, RunConfig, _convert, _field_types, as_dict, build_config, parse_file
+from .config import ConfigError, RunConfig, _field_types, as_dict, build_config, parse_file
 from .errors import (
     DegenerateElementError,
     MeshError,
@@ -54,7 +54,7 @@ from .mesh import (
 )
 from .metric import assemble, inner_product
 from .registration import RegistrationStatus, energy, register
-from .shooting import export_frames, path_energy, path_length, shoot
+from .shooting import GeodesicPath, path_energy, path_length, shoot
 from .statistics import MeanStatus, karcher_mean, triangle_experiment
 
 logger = logging.getLogger(__name__)
@@ -81,25 +81,12 @@ _FIXTURE_TOPOLOGY = {
 _BENT_DEFAULTS = {"bend_deg": 90.0, "ripples": 5, "ripple_amplitude": 0.02}
 
 
-def _flag_type(name: str):
-    """Argparse type for config key ``name``: the config file's converter."""
-
-    def parse(text: str):
-        try:
-            return _convert(name, text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
     for name, (base, _) in _field_types().items():
         group.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,
-            type=_flag_type(name),
             default=argparse.SUPPRESS,
             metavar=base.__name__.upper(),
             help=f"override config key {name!r}",
@@ -107,14 +94,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> tuple[RunConfig, set]:
-    """Build the run config and report which keys were set explicitly."""
-    file_values = parse_file(args.config) if args.config else {}
-    overrides = {name: getattr(args, name) for name in _field_types() if hasattr(args, name)}
-    # a flag replaces the file's value; a `none` flag leaves the key at its
-    # default, which is None for every key that accepts none
-    file_values = {k: v for k, v in file_values.items() if k not in overrides}
-    cfg = build_config(file_values, overrides)
-    return cfg, set(file_values) | set(overrides)
+    """Build the run config and report which keys were set explicitly.
+
+    A flag's text replaces the config file's text before either is converted.
+    """
+    values = parse_file(args.config) if args.config else {}
+    values.update((name, getattr(args, name)) for name in _field_types() if hasattr(args, name))
+    return build_config(values), set(values)
 
 
 def _domain_mesh(cfg: RunConfig):
@@ -147,17 +133,32 @@ def _write_summary(out_dir: str, payload: dict) -> str:
     return path
 
 
-def _write_history_csv(out_dir: str, history) -> str:
-    path = os.path.join(out_dir, "history.csv")
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["iteration", "energy", "kinetic", "match", "grad_norm", "step"])
-        for rec in history:
-            writer.writerow(
-                [rec.iteration, repr(rec.energy), repr(rec.kinetic),
-                 repr(rec.match), repr(rec.grad_norm), repr(rec.step)]
-            )
-    return path
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_frames(path: GeodesicPath, out_dir: str) -> list[str]:
+    """Write every frame of a geodesic path as native mesh + OBJ, plus speed CSVs.
+
+    Frame i gets ``frame_<i>.mesh`` and ``.obj``; for i < N a
+    ``frame_<i>_speed.csv`` holds each node's velocity magnitude.
+    Returns the list of written file names.
+    """
+    written = []
+    width = len(str(path.n_steps))
+    for i, q in enumerate(path.immersions):
+        stem = os.path.join(out_dir, f"frame_{i:0{width}d}")
+        _write_shape(q, stem + ".mesh", obj=True)
+        written += [stem + ".mesh", stem + ".obj"]
+        if i < path.n_steps:
+            speed = np.linalg.norm(path.velocities[i], axis=1)
+            _write_csv(stem + "_speed.csv", ["node", "speed"],
+                       ([k, repr(float(s))] for k, s in enumerate(speed)))
+            written.append(stem + "_speed.csv")
+    return written
 
 
 def _registration_summary(result) -> dict:
@@ -212,14 +213,11 @@ def _fixture_shapes(cfg: RunConfig, shape: str, preset: int) -> list[tuple[str, 
     if shape == "vase-family":
         shapes = vase_family(mesh, cfg.radius, cfg.height)
         return [(f"vase_{k}", q) for k, q in enumerate(shapes)]
-    raise ConfigError(f"unknown fixture shape {shape!r}")
 
 
 def cmd_fixture(args) -> int:
     cfg, provided = _load_config(args)
-    needed = _FIXTURE_TOPOLOGY.get(args.shape)
-    if needed is None:
-        raise ConfigError(f"unknown fixture shape {args.shape!r}")
+    needed = _FIXTURE_TOPOLOGY[args.shape]
     if "topology" in provided and cfg.topology != needed:
         raise ConfigError(
             f"fixture {args.shape!r} needs topology {needed!r}, config says {cfg.topology!r}"
@@ -253,9 +251,12 @@ def cmd_register(args) -> int:
     os.makedirs(out, exist_ok=True)
     _write_shape(result.path.final, os.path.join(out, "registered.mesh"), obj=True)
     save_velocity(template.mesh, result.u0, os.path.join(out, "initial_velocity.vel"))
-    _write_history_csv(out, result.history)
+    _write_csv(os.path.join(out, "history.csv"),
+               ["iteration", "energy", "kinetic", "match", "grad_norm", "step"],
+               ([r.iteration, repr(r.energy), repr(r.kinetic), repr(r.match),
+                 repr(r.grad_norm), repr(r.step)] for r in result.history))
     if cfg.export_frames:
-        export_frames(result.path, os.path.join(out, "frames"))
+        _write_frames(result.path, os.path.join(out, "frames"))
     summary = {
         "command": "register",
         "template": args.template,
@@ -285,7 +286,7 @@ def cmd_shoot(args) -> int:
     path = shoot(assemble(q0, cfg.alpha, cfg.eps_reg), u0, cfg.n_steps)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    written = export_frames(path, os.path.join(out, "frames"))
+    written = _write_frames(path, os.path.join(out, "frames"))
     _write_shape(path.final, os.path.join(out, "final.mesh"), obj=True)
     summary = {
         "command": "shoot",
@@ -354,11 +355,8 @@ def cmd_mean(args) -> int:
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     _write_shape(result.mean, os.path.join(out, "mean.mesh"), obj=True)
-    with open(os.path.join(out, "norms.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["outer_iteration", "velocity_norm"])
-        for k, vn in enumerate(result.velocity_norms, start=1):
-            writer.writerow([k, repr(vn)])
+    _write_csv(os.path.join(out, "norms.csv"), ["outer_iteration", "velocity_norm"],
+               ([k, repr(vn)] for k, vn in enumerate(result.velocity_norms, start=1)))
     summary = {
         "command": "mean",
         "shapes": list(args.shapes),

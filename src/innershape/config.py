@@ -1,8 +1,10 @@
 """Key-value run configuration shared by all CLI commands.
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
-blank lines ignored.  Every key can be overridden by the matching CLI flag;
-unknown keys are rejected so typos fail loudly.
+blank lines ignored.  Settings are converted on one path: ``build_config``
+types a mapping of raw ``key -> text`` strings, so the CLI puts each flag's
+text in place of the file's text before anything is converted.  Unknown keys
+are rejected so typos fail loudly.
 """
 
 import math
@@ -134,24 +136,18 @@ def parse_file(path) -> dict:
     return raw
 
 
-def build_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
-    """Merge defaults, config-file values and CLI overrides into a RunConfig.
+def build_config(values: dict | None = None) -> RunConfig:
+    """Defaults overlaid with raw ``key -> text`` values, typed and validated.
 
-    ``overrides`` entries with value None are skipped: the key keeps its
-    file or default value.
+    Each text is converted to its key's type; ``none`` gives None, and only
+    for a key typed ``X | None``.
     """
-    types = _field_types()
+    known = _field_types()
     cfg = RunConfig()
-    for key, text in (file_values or {}).items():
-        if key not in types:
+    for key, text in (values or {}).items():
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _convert(key, text))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in types:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
     try:
         cfg.validate()
     except ValueError as exc:

@@ -11,8 +11,6 @@ to a velocity with the metric at the new immersion.  Time always spans
 [0, 1]; reaching the same endpoint with more steps only refines the path.
 """
 
-import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +25,6 @@ from .metric import (
     kinetic_surface_gradient,
     sharp,
 )
-from . import mesh as meshio
 
 
 @dataclass
@@ -122,28 +119,3 @@ def path_length(path: GeodesicPath) -> float:
     """Discrete length: dt times the summed per-step speeds."""
     return path.dt * float(np.sum(np.sqrt(2.0 * np.maximum(path.kinetic, 0.0))))
 
-
-def export_frames(path: GeodesicPath, out_dir) -> list[str]:
-    """Write every frame as OBJ + native mesh, plus per-node speed CSVs.
-
-    Frame i gets ``frame_<i>.obj`` and ``.mesh``; for i < N a
-    ``frame_<i>_speed.csv`` holds each node's velocity magnitude.
-    Returns the list of written file names.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    width = len(str(path.n_steps))
-    for i, q in enumerate(path.immersions):
-        stem = os.path.join(out_dir, f"frame_{i:0{width}d}")
-        meshio.export_obj(q.mesh, q.coords, stem + ".obj")
-        meshio.save_mesh(q.mesh, q.coords, stem + ".mesh")
-        written += [stem + ".obj", stem + ".mesh"]
-        if i < len(path.velocities):
-            speed = np.linalg.norm(path.velocities[i], axis=1)
-            with open(stem + "_speed.csv", "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["node", "speed"])
-                for k, s in enumerate(speed):
-                    writer.writerow([k, repr(float(s))])
-            written.append(stem + "_speed.csv")
-    return written

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,38 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from innershape import Immersion, Topology, build_grid, load_mesh, save_mesh, save_velocity
-from innershape.cli import (
-    EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _load_config, build_parser, main,
+from innershape import (
+    VASE_PRESETS,
+    Immersion,
+    RunConfig,
+    Topology,
+    build_grid,
+    cylinder_surface,
+    load_mesh,
+    save_mesh,
+    save_velocity,
+    torus_surface,
+    torus_triangle,
+    vase_family,
+    vase_surface,
 )
+from innershape.cli import (
+    _BENT_DEFAULTS, _FIXTURE_TOPOLOGY, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+    _gradcheck_base, _load_config, build_parser, main,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: the library surfaces each fixture shape writes, at the default config
+LIBRARY_FIXTURES = {
+    "cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height)],
+    "bent-cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height, **_BENT_DEFAULTS)],
+    "torus": lambda m, c: [torus_surface(m, c.major_radius, c.minor_radius, c.asymmetry)],
+    "torus-triangle": lambda m, c: torus_triangle(m, c.major_radius, c.minor_radius,
+                                                  c.asymmetry),
+    "vase": lambda m, c: [vase_surface(m, c.radius, c.height, VASE_PRESETS[0])],
+    "vase-family": lambda m, c: vase_family(m, c.radius, c.height),
+}
 
 
 def run(*argv):
@@ -42,14 +71,21 @@ def sheets(tmp_path_factory):
 
 def test_import_leaves_sparse_linalg_unloaded():
     """The command imports no sparse solver: sharp runs on LAPACK directly."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     code = "import sys, innershape.cli; print('scipy.sparse.linalg' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_only_the_io_modules_open_files():
+    """The numerical modules do no file I/O: meshes, configs and outputs do."""
+    openers = {p.stem for p in (SRC / "innershape").glob("*.py")
+               if re.search(r"\bopen\(", p.read_text())}
+    assert "cli" in openers
+    assert sorted(openers - {"mesh", "config", "cli"}) == []
 
 
 class TestMeshgen:
@@ -93,6 +129,20 @@ class TestFixture:
                    "--nx", "4", "--ny", "4") == EXIT_OK
         names = sorted(p.name for p in out.iterdir())
         assert names == [f"vase_{k}.mesh" for k in range(5)]
+
+    @pytest.mark.parametrize("shape", sorted(_FIXTURE_TOPOLOGY))
+    def test_every_shape_writes_the_library_fixture(self, tmp_path, shape):
+        out = tmp_path / "out"
+        assert run("fixture", "--shape", shape, "--out", str(out),
+                   "--nx", "6", "--ny", "6") == EXIT_OK
+        mesh = build_grid(Topology.parse(_FIXTURE_TOPOLOGY[shape]), 6, 6)
+        want = LIBRARY_FIXTURES[shape](mesh, RunConfig())
+        written = sorted(out.glob("*.mesh")) if out.is_dir() else [out]
+        assert len(written) == len(want)
+        for path, q in zip(written, want):
+            got_mesh, coords = load_mesh(str(path))
+            assert got_mesh.topology is mesh.topology
+            assert np.array_equal(coords, q.coords)
 
     def test_conflicting_topology_rejected(self, tmp_path):
         code = run("fixture", "--shape", "torus", "--topology", "cylinder",
@@ -207,6 +257,16 @@ class TestShoot:
                    "--out-dir", str(tmp_path / "o"))
         assert code == EXIT_IO
 
+    def test_collapsing_flow_is_step_failure(self, sheets, tmp_path, capsys):
+        # u = -4 q on the flat sheet carries every node to the origin by t = 1/4
+        mesh, coords = load_mesh(sheets["base"])
+        vel = tmp_path / "collapse.vel"
+        save_velocity(mesh, -4.0 * coords, str(vel))
+        code = run("shoot", "--initial", sheets["base"], "--velocity", str(vel),
+                   "--out-dir", str(tmp_path / "o"), "--n-steps", "4")
+        assert code == EXIT_NUMERICAL
+        assert "error: step failure" in capsys.readouterr().err
+
     def test_velocity_from_other_mesh_rejected(self, sheets, tmp_path):
         other = build_grid(Topology.PLANE, 4, 4)
         vel = tmp_path / "wrong.vel"
@@ -282,6 +342,19 @@ class TestGradcheck:
         assert len(summary["min_errors"]) == 3
         assert summary["worst_error"] <= 1e-5
 
+    @pytest.mark.parametrize("topology", ["cylinder", "torus"])
+    def test_fixture_base_passes(self, tmp_path, topology):
+        out = tmp_path / "gc"
+        code = run("gradcheck", "--topology", topology, "--nx", "4", "--ny", "4",
+                   "--n-steps", "3", "--directions", "2", "--out-dir", str(out))
+        assert code == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["passed"] is True
+        assert len(summary["min_errors"]) == 2
+        cfg = RunConfig(topology=topology, nx=4, ny=4)
+        want = LIBRARY_FIXTURES[topology](build_grid(Topology.parse(topology), 4, 4), cfg)
+        assert np.array_equal(_gradcheck_base(cfg).coords, want[0].coords)
+
     def test_zero_directions_is_usage_error(self, tmp_path):
         code = run("gradcheck", "--topology", "plane", "--nx", "4", "--ny", "4",
                    "--directions", "0", "--out-dir", str(tmp_path / "gc"))
@@ -322,7 +395,27 @@ class TestUsage:
         assert run("meshgen", "--out", out, "--export-frames", "maybe") == EXIT_USAGE
         assert run("meshgen", "--out", out, "--export-frames", "off") == EXIT_OK
         args = build_parser().parse_args(["meshgen", "--out", out, "--export-frames", "off"])
-        assert args.export_frames is False
+        assert _load_config(args)[0].export_frames is False
+
+    def test_flag_beats_config_file_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.9\nnx = 5\n")
+        args = build_parser().parse_args(
+            ["meshgen", "--out", str(tmp_path / "m.mesh"), "--config", str(cfg),
+             "--alpha", "0.3"])
+        config, provided = _load_config(args)
+        assert (config.alpha, config.nx) == (0.3, 5)
+        assert provided == {"alpha", "nx"}
+
+    def test_flag_replaces_malformed_file_value(self, tmp_path, capsys):
+        # the flag's text replaces the file's before either is converted
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = abc\n")
+        out = str(tmp_path / "m.mesh")
+        assert run("meshgen", "--out", out, "--config", str(cfg), "--alpha", "0.3") == EXIT_OK
+        assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
+        assert run("meshgen", "--out", out, "--alpha", "abc") == EXIT_USAGE
+        assert "error: config: alpha: expected a number, got 'abc'" in capsys.readouterr().err
 
     def test_none_words(self, tmp_path):
         out = str(tmp_path / "m.mesh")
@@ -375,6 +468,14 @@ class TestUsage:
         }[command]
         code = run(command, *inputs, "--out-dir", str(tmp_path / "run"))
         assert code == EXIT_USAGE
+
+    def test_out_dir_that_is_a_file_is_io_error(self, sheets, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run("register", "--template", sheets["base"], "--target", sheets["base"],
+                   "--out-dir", str(taken), "--sigma", "0.3", "--n-steps", "4")
+        assert code == EXIT_IO
+        assert "error: i/o" in capsys.readouterr().err
 
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -97,18 +97,6 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config({"alhpa": "0.5"})
 
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            build_config(None, {"alhpa": 0.5})
-
-    def test_override_beats_file_value(self):
-        cfg = build_config({"alpha": "0.9"}, {"alpha": 0.3})
-        assert cfg.alpha == 0.3
-
-    def test_none_override_skipped(self):
-        cfg = build_config({"alpha": "0.9"}, {"alpha": None})
-        assert cfg.alpha == 0.9
-
     def test_validation_failure_becomes_config_error(self):
         with pytest.raises(ConfigError, match="sigma"):
             build_config({"sigma": "-1"})

@@ -10,6 +10,7 @@ from innershape import (
     Immersion,
     RegistrationConfig,
     RegistrationStatus,
+    StepFailureError,
     Topology,
     assemble,
     backward_sweep,
@@ -144,6 +145,26 @@ class TestRegister:
         assert all(b < a for a, b in zip(energies, energies[1:]))
         assert res.status is RegistrationStatus.STEP_FAILURE
         assert res.history  # the failed iterate is still recorded
+
+    def test_trial_whose_shoot_fails_is_rejected(self, bend_problem, monkeypatch):
+        # a trial that raises StepFailureError shrinks the step like one whose
+        # energy does not fall, and the search goes on
+        q0, qt = bend_problem
+        shot = []
+
+        def shoot_failing_first_trial(op0, u0, n_steps):
+            shot.append(u0)
+            if len(shot) == 2:  # the first shoot is the rest start
+                raise StepFailureError(0, "injected")
+            return shooting.shoot(op0, u0, n_steps)
+
+        monkeypatch.setattr(registration, "shoot", shoot_failing_first_trial)
+        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=1, tol_grad=1e-12)
+        res = register(assemble(q0, ALPHA), qt, cfg)
+        assert not np.any(shot[0])
+        assert np.array_equal(shot[2], registration.ARMIJO_SHRINK * shot[1])
+        assert res.iterations == 1
+        assert res.history[1].energy < res.history[0].energy
 
 
 class TestLBFGS:
