@@ -46,6 +46,7 @@ from .mesh import (
 )
 from .metric import (
     MetricOperator,
+    SparseBlock,
     assemble,
     flat,
     inner_product,
@@ -96,6 +97,7 @@ __all__ = [
     "RegistrationStatus",
     "RunConfig",
     "SolverError",
+    "SparseBlock",
     "StepFailureError",
     "Topology",
     "TriangleReport",

@@ -115,7 +115,7 @@ def require_regular(q: Immersion, eps_reg: float | None = None) -> TriangleGeome
 
 def surface_area(q: Immersion) -> float:
     """Total induced area: sum of vol(g) times parameter area over triangles."""
-    return float(np.dot(triangle_geometry(q).vol, q.mesh.area))
+    return float(np.sum(triangle_geometry(q).vol * q.mesh.area))
 
 
 def check_same_mesh(a: DomainMesh, b: DomainMesh, what: str) -> None:

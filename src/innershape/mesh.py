@@ -21,7 +21,7 @@ from .errors import MeshFormatError, MeshResolutionError
 MESH_MAGIC = "IMESH 1"
 VELOCITY_MAGIC = "IVEC 1"
 
-# int32 is the widest index type the sparse assembly is guaranteed to handle
+# node counts stay within int32, so the metric's pattern keys row * n + col fit int64
 MAX_NODES = np.iinfo(np.int32).max
 
 

@@ -31,20 +31,21 @@ over node values.
 Every kernel works on per-triangle stacks with batched matrix products.  The
 index maps that move between triangles and nodes depend only on the mesh and
 are built once per ``DomainMesh`` (see ``_index_maps``): the transposed basis
-gradient, the block's fixed CSR pattern with the slot of every local entry
-(assembly is one ``bincount`` into that pattern), a sparse node-by-corner
-matrix that sums corner covectors onto nodes, and the band layout that
-``sharp`` factors the block in.  That layout comes from the grid itself (see
-``_band_order``): row-major node order is already a band of half-width
-ncols + 1 on the plane and the cylinder, and folding the rows of the torus
-keeps its wrapped rows near each other, so no fill-reducing ordering is run.
+gradient, the block's fixed sparsity pattern with the slot of every local
+entry (assembly is one ``bincount`` into that pattern, and so are products
+with the block and the sum of corner covectors onto nodes), and the fronts
+that ``sharp`` solves the block in.  Those come from the grid itself (see
+``_dissection``): every node couples only to the grid rows and columns next
+to its own, so grid lines cut the mesh into boxes whose unknowns are
+independent given the lines, and cutting the boxes again in turn gives a
+nested dissection.  ``sharp`` eliminates it depth by depth, deepest first,
+with a few batched ``numpy.linalg`` calls per depth (a multifrontal Cholesky
+factorization).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolverError
 from .geometry import Immersion, TriangleGeometry, require_regular
@@ -71,7 +72,7 @@ class MetricOperator:
 
     immersion: Immersion
     alpha: float
-    block: sp.csr_matrix = field(repr=False)
+    block: "SparseBlock" = field(repr=False)
     eps_reg: float | None
     geom: TriangleGeometry = field(repr=False)
 
@@ -84,46 +85,221 @@ class MetricOperator:
 class _IndexMaps:
     """Index maps of one mesh, shared by every immersion over it.
 
-    ``grad_t`` is ``basis_grad`` transposed to (ntri, 2, 3); ``indptr`` and
-    ``indices`` are the CSR pattern of the scalar block, and ``slot[k]`` is
-    the pattern position of the k-th entry of a raveled (ntri, 3, 3) local
-    stack; ``scatter`` maps raveled (3 * ntri, 3) corner values to nodes.
-    ``perm`` is the band order of the nodes (``perm[k]`` is the node at band
-    position k) and ``kd`` the block's half-bandwidth in that order; the
-    pattern entries ``lower`` (those on or below the diagonal in band order)
-    go to the positions ``band`` of a raveled Fortran-order (kd + 1, n) array
-    in LAPACK lower band storage.
+    ``grad_t`` is ``basis_grad`` transposed to (ntri, 2, 3).  The scalar
+    block's pattern holds the entries (``rows[k]``, ``cols[k]``), sorted by
+    row, and ``slot[k]`` is the pattern position of the k-th entry of a
+    raveled (ntri, 3, 3) local stack.  ``product_bins`` sends the raveled
+    (3, nnz) products of a block with a (n, 3) field to its raveled (n, 3)
+    result, and ``corner_bins`` sends raveled (3 * ntri, 3) corner values to
+    the raveled (n, 3) nodal sum.
+
+    ``fronts`` are the depths of the dissection tree, root first (see
+    ``_Fronts``), over a flat buffer of ``front_size`` values: the pattern
+    entries ``front_entry`` go to the buffer positions ``front_slot``, the
+    raveled (n, 3) right-hand side's values ``rhs_src`` go to ``rhs_slot``,
+    and ``front_pad`` are the positions of the padding's unit diagonal.
     """
 
+    n_nodes: int
     grad_t: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
     slot: np.ndarray
-    scatter: sp.csr_matrix
-    perm: np.ndarray
-    kd: int
-    lower: np.ndarray
-    band: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    product_bins: np.ndarray
+    corner_bins: np.ndarray
+    fronts: tuple["_Fronts", ...]
+    front_size: int
+    front_entry: np.ndarray
+    front_slot: np.ndarray
+    front_pad: np.ndarray
+    rhs_src: np.ndarray
+    rhs_slot: np.ndarray
 
 
-def _band_order(mesh: DomainMesh) -> np.ndarray:
-    """Node order in which the scalar block of a grid mesh is a narrow band.
+@dataclass(frozen=True)
+class SparseBlock:
+    """An n-by-n scalar block: its values on its mesh's fixed pattern.
 
-    Nodes are numbered row by row, and each couples only to its own row and
-    the two next to it, so row-major order is a band unless the rows wrap.
-    On the torus, level k holds rows k and nrows-1-k, interleaved column by
-    column with the second row's columns reversed, so every pair of coupled
-    nodes lies in one level or two consecutive ones: the half-bandwidth is
-    2 ncols + 2 for an even row count and 3 ncols - 2 for an odd one, whose
-    middle row forms the last level alone.
+    ``data[k]`` is the entry at (``maps.rows[k]``, ``maps.cols[k]``).  ``@``
+    multiplies a (n, 3) field, summing each row's terms in pattern order.
     """
+
+    data: np.ndarray
+    maps: _IndexMaps = field(repr=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.maps.n_nodes
+        return n, n
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        terms = x.T.take(self.maps.cols, axis=1) * self.data
+        return np.bincount(
+            self.maps.product_bins, weights=terms.ravel(), minlength=x.size
+        ).reshape(x.shape)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.maps.rows, self.maps.cols] = self.data
+        return dense
+
+
+#: largest grid box that the dissection does not cut: one front eliminates it
+#: whole.  Smaller leaves mean more fronts, each with numpy's fixed per-matrix
+#: LAPACK cost; larger ones mean larger dense inverses.
+_LEAF_NODES = 16
+
+
+@dataclass(frozen=True)
+class _Fronts:
+    """The fronts of one depth of the dissection tree, padded to one size.
+
+    Front k eliminates the nodes ``sep[k]``, its separator; ``bnd[k]`` are
+    their neighbours that are eliminated later, in separators of its
+    ancestors.  Both are padded with the index n, so every front is an
+    (s + b, s + b + 3) matrix, with s and b the two widths: its rows and
+    columns run over sep, then bnd, and its last 3 columns hold right-hand
+    sides.  The fronts lie in the flat front buffer from ``offset``.
+    ``update`` sends the raveled (count, b, b + 3) Schur complements that the
+    fronts pass on to their positions among the fronts of the depth above;
+    padding goes to the position just past those fronts.
+    """
+
+    sep: np.ndarray
+    bnd: np.ndarray
+    offset: int
+    update: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        count, s = self.sep.shape
+        f = s + self.bnd.shape[1]
+        return count, f, f + 3
+
+    @property
+    def size(self) -> int:
+        count, f, w = self.shape
+        return count * f * w
+
+
+def _dissection(mesh: DomainMesh) -> list[list[tuple[np.ndarray, np.ndarray, int]]]:
+    """Nested dissection of a grid mesh into boxes of grid nodes.
+
+    Returns, per depth of the tree (root first), each box's separator, all
+    the nodes of the box, and the index of the box it was cut from at the
+    depth above.  Nodes are numbered row by row, and each couples only to
+    the rows and columns next to its own, so one full grid line cuts a box
+    in two; a box that wraps round a periodic direction is cut across it by
+    two lines, at its start and its middle.  Each box is cut across the
+    direction whose lines hold the fewest of its nodes (the longer side on a
+    tie), and boxes of at most ``_LEAF_NODES`` nodes are not cut: their
+    separator is the whole box.
+    """
+    ncols = mesh.nx if mesh.topology.periodic_x else mesh.nx + 1
+    nrows = mesh.ny if mesh.topology.periodic_y else mesh.ny + 1
+    depths: list[list[tuple[np.ndarray, np.ndarray, int]]] = []
+
+    def halve(line, wrap):
+        mid = line.size // 2
+        if wrap:
+            return line[[0, mid]], (line[1:mid], line[mid + 1 :])
+        return line[[mid]], (line[:mid], line[mid + 1 :])
+
+    def cut(rows, cols, wrap_r, wrap_c, depth, parent):
+        if not (rows.size and cols.size):
+            return
+        if len(depths) == depth:
+            depths.append([])
+        index = len(depths[depth])
+        box = (rows[:, None] * ncols + cols).ravel()
+        if box.size <= _LEAF_NODES:
+            depths[depth].append((box, box, parent))
+        elif ((1 + wrap_r) * cols.size, -rows.size) <= ((1 + wrap_c) * rows.size, -cols.size):
+            lines, pieces = halve(rows, wrap_r)
+            depths[depth].append(((lines[:, None] * ncols + cols).ravel(), box, parent))
+            for piece in pieces:
+                cut(piece, cols, False, wrap_c, depth + 1, index)
+        else:
+            lines, pieces = halve(cols, wrap_c)
+            depths[depth].append(((rows[:, None] * ncols + lines).ravel(), box, parent))
+            for piece in pieces:
+                cut(rows, piece, wrap_r, False, depth + 1, index)
+
+    cut(np.arange(nrows), np.arange(ncols), mesh.topology.periodic_y,
+        mesh.topology.periodic_x, 0, -1)
+    return depths
+
+
+def _front_maps(mesh: DomainMesh, rows: np.ndarray, cols: np.ndarray) -> dict:
+    """The front fields of ``_IndexMaps`` for the block pattern (rows, cols)."""
     n = mesh.n_nodes
-    if not mesh.topology.periodic_y:
-        return np.arange(n)
-    grid = np.arange(n).reshape(mesh.ny, mesh.nx)
-    half = mesh.ny // 2
-    pairs = np.stack([grid[:half], grid[::-1, ::-1][:half]], axis=2)
-    return np.concatenate([pairs.ravel(), grid[half : mesh.ny - half].ravel()])
+    # the pattern entries of each row, padded with rows.size: one entry past
+    # the end, in column n
+    per_row = np.bincount(rows, minlength=n)
+    entries = np.full((n, per_row.max()), rows.size)
+    entries[rows, np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]] = np.arange(rows.size)
+    col = np.append(cols, n)
+    tree = _dissection(mesh)
+    near = np.zeros(n + 1, dtype=bool)
+
+    def boundary(box):
+        near[col[entries[box]]] = True
+        near[box] = near[n] = False
+        found = np.flatnonzero(near)
+        near[found] = False
+        return found
+
+    # where[v]: the position of node v in the front at hand, else -1
+    where = np.full(n + 1, -1)
+    fronts, offset = [], 0
+    entry, slot, pad, rhs_src, rhs_slot = [], [], [], [], []
+    for d, depth in enumerate(tree):
+        bnds = [boundary(box) for _, box, _ in depth]
+        count = len(depth)
+        s = max(sep.size for sep, _, _ in depth)
+        b = max(bnd.size for bnd in bnds)
+        f, w = s + b, s + b + 3
+        sep_pad, bnd_pad = np.full((count, s), n), np.full((count, b), n)
+        update = np.zeros((count, b, b + 3), dtype=np.int64)
+        for k, ((sep, _, parent), bnd) in enumerate(zip(depth, bnds)):
+            sep_pad[k, : sep.size] = sep
+            bnd_pad[k, : bnd.size] = bnd
+            base = offset + k * f * w
+            at = np.arange(sep.size)[:, None]
+            where[sep] = np.arange(sep.size)
+            where[bnd] = s + np.arange(bnd.size)
+            row_entries = entries[sep]
+            position = where[col[row_entries]]
+            keep = position >= 0
+            entry.append(row_entries[keep])
+            slot.append(base + (at * w + position)[keep])
+            pad.append(base + np.arange(sep.size, s) * (w + 1))
+            rhs_src.append((3 * sep[:, None] + np.arange(3)).ravel())
+            rhs_slot.append((base + at * w + f + np.arange(3)).ravel())
+            where[sep] = where[bnd] = -1
+            if d:
+                up = fronts[-1]
+                _, pf, pw = up.shape
+                where[up.sep[parent]] = np.arange(pf - up.bnd.shape[1])
+                where[up.bnd[parent]] = pf - up.bnd.shape[1] + np.arange(up.bnd.shape[1])
+                where[n] = -1
+                to = where[bnd]
+                row_at = (parent * pf + to[:, None]) * pw
+                update[k] = up.size
+                update[k, : bnd.size, : bnd.size] = row_at + to
+                update[k, : bnd.size, b:] = row_at + pf + np.arange(3)
+                where[up.sep[parent]] = where[up.bnd[parent]] = -1
+        fronts.append(_Fronts(sep_pad, bnd_pad, offset, update.ravel()))
+        offset += count * f * w
+    return dict(
+        fronts=tuple(fronts),
+        front_size=offset,
+        front_entry=np.concatenate(entry),
+        front_slot=np.concatenate(slot),
+        front_pad=np.concatenate(pad),
+        rhs_src=np.concatenate(rhs_src),
+        rhs_slot=np.concatenate(rhs_slot),
+    )
 
 
 def _index_maps(mesh: DomainMesh) -> _IndexMaps:
@@ -135,26 +311,17 @@ def _index_maps(mesh: DomainMesh) -> _IndexMaps:
         rows = np.repeat(tris, 3, axis=1).ravel()
         cols = np.tile(tris, (1, 3)).ravel()
         keys, slot = np.unique(rows * n + cols, return_inverse=True)
-        counts = np.bincount(keys // n, minlength=n)
-        corners = tris.size
-        perm = _band_order(mesh)
-        position = np.argsort(perm)
-        r, c = position[keys // n], position[keys % n]
-        kd = int(np.max(r - c))
-        lower = np.flatnonzero(r >= c)
+        rows, cols = keys // n, keys % n
+        xyz = np.arange(3)
         cached = _IndexMaps(
+            n_nodes=n,
             grad_t=np.ascontiguousarray(mesh.basis_grad.transpose(0, 2, 1)),
-            indptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
-            indices=(keys % n).astype(np.int32),
             slot=slot,
-            scatter=sp.csr_matrix(
-                (np.ones(corners), (tris.ravel(), np.arange(corners))), shape=(n, corners)
-            ),
-            perm=perm,
-            kd=kd,
-            lower=lower,
-            # entry (r, c) of the band-ordered block sits at band row r - c, column c
-            band=c[lower] * (kd + 1) + (r - c)[lower],
+            rows=rows,
+            cols=cols,
+            product_bins=(3 * rows + xyz[:, None]).ravel(),
+            corner_bins=(3 * tris.reshape(-1, 1) + xyz).ravel(),
+            **_front_maps(mesh, rows, cols),
         )
         object.__setattr__(mesh, "_index_maps", cached)
     return cached
@@ -168,16 +335,15 @@ def _element_matrices(q: Immersion, alpha: float, geom: TriangleGeometry) -> np.
     return 0.5 * (local + local.transpose(0, 2, 1))
 
 
-def _assemble_scalar(mesh: DomainMesh, local: np.ndarray) -> sp.csr_matrix:
+def _assemble_scalar(mesh: DomainMesh, local: np.ndarray) -> SparseBlock:
     """Sum a (ntri, 3, 3) stack of element matrices into the scalar block.
 
     Entries of one slot are added in triangle order, so mirrored slots of
     symmetric element matrices receive bitwise equal sums.
     """
     maps = _index_maps(mesh)
-    data = np.bincount(maps.slot, weights=local.ravel(), minlength=maps.indices.size)
-    n = mesh.n_nodes
-    return sp.csr_matrix((data, maps.indices, maps.indptr), shape=(n, n))
+    data = np.bincount(maps.slot, weights=local.ravel(), minlength=maps.rows.size)
+    return SparseBlock(data, maps)
 
 
 def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> MetricOperator:
@@ -206,7 +372,7 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
     return MetricOperator(immersion=q, alpha=alpha, block=block, eps_reg=eps_reg, geom=geom)
 
 
-def parameter_mass_matrix(mesh: DomainMesh) -> sp.csr_matrix:
+def parameter_mass_matrix(mesh: DomainMesh) -> SparseBlock:
     """Mass matrix of the flat parameter domain (volume density 1), cached."""
     cached = getattr(mesh, "_flat_mass", None)
     if cached is None:
@@ -220,9 +386,9 @@ def inner_product(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> float:
     _check_field(op.n_nodes, u)
     _check_field(op.n_nodes, v)
     if u is v:
-        return float(np.vdot(u, op.block @ u))
+        return float(np.sum(u * (op.block @ u)))
     # evaluating both orders and averaging makes the swap a bitwise no-op
-    return float(0.5 * (np.vdot(u, op.block @ v) + np.vdot(v, op.block @ u)))
+    return float(0.5 * (np.sum(u * (op.block @ v)) + np.sum(v * (op.block @ u))))
 
 
 def norm(op: MetricOperator, u: np.ndarray) -> float:
@@ -239,38 +405,70 @@ def flat(op: MetricOperator, u: np.ndarray) -> np.ndarray:
 def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
     """Raise the index: solve A x = p for all three components at once.
 
-    One banded Cholesky factorization (LAPACK ``dpbtrf``) of the SPD block
-    per call, in the mesh's band order (see ``_band_order``), then one
-    banded solve of the three columns.  Reads the block's values through the
-    CSR pattern that ``assemble`` builds.  Raises SolverError when the block
-    is not positive definite, the solution is not finite, or its relative
-    residual exceeds ``SHARP_RESIDUAL_TOL``.
+    The SPD block is factored over the fronts of the mesh's nested
+    dissection (see ``_dissection`` and ``_multifrontal``), with the block's
+    values read through the pattern ``assemble`` builds.  Raises SolverError
+    when the block is not positive definite, the solution is not finite, or
+    its relative residual exceeds ``SHARP_RESIDUAL_TOL``.
     """
     _check_field(op.n_nodes, p)
-    maps = _index_maps(op.immersion.mesh)
-    n = op.n_nodes
-    ab = np.zeros((maps.kd + 1) * n)
-    ab[maps.band] = op.block.data[maps.lower]
-    chol, info = dpbtrf(ab.reshape((maps.kd + 1, n), order="F"), lower=1, overwrite_ab=1)
-    # info < 0 would flag a malformed argument, which the shapes above rule out
-    if info > 0:
-        raise SolverError(
-            f"metric block is not positive definite: its leading minor of order {info} "
-            "(in band order) is not positive"
-        )
-    xb, _ = dpbtrs(chol, p[maps.perm], lower=1)
-    x = np.empty((n, 3))
-    x[maps.perm] = xb
+    maps = op.block.maps
+    buf = np.zeros(maps.front_size)
+    buf[maps.front_slot] = op.block.data[maps.front_entry]
+    buf[maps.front_pad] = 1.0
+    buf[maps.rhs_slot] = p.take(maps.rhs_src)
+    x = _multifrontal(maps.fronts, buf, op.n_nodes)
     if not np.all(np.isfinite(x)):
         raise SolverError("sharp-solve produced a non-finite solution")
-    res = np.linalg.norm(op.block @ x - p)
-    rhs = np.linalg.norm(p)
+    r = op.block @ x - p
+    res = np.sqrt(np.sum(r * r))
+    rhs = np.sqrt(np.sum(p * p))
     if res > SHARP_RESIDUAL_TOL * rhs:
         raise SolverError(
             f"sharp-solve residual {res:.3e} exceeds {SHARP_RESIDUAL_TOL:g} "
             f"times |rhs|={rhs:.3e}"
         )
     return x
+
+
+def _multifrontal(fronts: tuple[_Fronts, ...], buf: np.ndarray, n: int) -> np.ndarray:
+    """Solve an SPD system assembled into its fronts; ``buf`` is overwritten.
+
+    Deepest depth first, every front [[F, B, r], [B^T, C, t]] (separator
+    rows, then boundary rows) is eliminated at once: with G the inverse of
+    F's Cholesky factor and [Z | z] = G [B | r], the front passes the Schur
+    complement [C - Z^T Z | t - Z^T z] on to its parent.  Root first, the
+    separator's values then follow as G^T (z - Z x_bnd).  The block is
+    positive definite iff every front's F is, which the batched Cholesky
+    factorization checks.
+    """
+    factors = []
+    for depth in reversed(range(len(fronts))):
+        fr = fronts[depth]
+        count, f, w = fr.shape
+        s = fr.sep.shape[1]
+        front = buf[fr.offset : fr.offset + fr.size].reshape(count, f, w)
+        try:
+            chol = np.linalg.cholesky(front[:, :s, :s])
+        except np.linalg.LinAlgError:
+            raise SolverError(
+                f"metric block is not positive definite: a front at dissection depth "
+                f"{depth} is not"
+            ) from None
+        g = np.linalg.inv(chol)
+        z = g @ front[:, :s, s:]
+        if depth:
+            up = fronts[depth - 1]
+            schur = front[:, s:, s:] - z[:, :, : f - s].transpose(0, 2, 1) @ z
+            buf[up.offset : up.offset + up.size] += np.bincount(
+                fr.update, weights=schur.ravel(), minlength=up.size + 1
+            )[: up.size]
+        factors.append((g, z))
+    x = np.zeros((n + 1, 3))
+    for fr, (g, z) in zip(fronts, reversed(factors)):
+        b = fr.bnd.shape[1]
+        x[fr.sep] = g.transpose(0, 2, 1) @ (z[:, :, b:] - z[:, :, :b] @ x[fr.bnd])
+    return x[:n]
 
 
 def _check_field(n_nodes: int, u: np.ndarray) -> None:
@@ -310,7 +508,9 @@ def _variation_prep(op: MetricOperator, *fields: np.ndarray):
 
 def _scatter(mesh: DomainMesh, local: np.ndarray) -> np.ndarray:
     """Sum (ntri, 3, 3) per-corner covectors onto the nodes."""
-    return _index_maps(mesh).scatter @ local.reshape(-1, 3)
+    maps = _index_maps(mesh)
+    return np.bincount(maps.corner_bins, weights=local.ravel(), minlength=3 * mesh.n_nodes
+                       ).reshape(-1, 3)
 
 
 def kinetic_surface_gradient(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> np.ndarray:

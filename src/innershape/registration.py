@@ -97,7 +97,7 @@ def l2_matching(q: Immersion, q_target: Immersion) -> float:
     check_same_mesh(q.mesh, q_target.mesh, "matching")
     mass = parameter_mass_matrix(q.mesh)
     d = q.coords - q_target.coords
-    return float(np.vdot(d, mass @ d))
+    return float(np.sum(d * (mass @ d)))
 
 
 def energy(path: GeodesicPath, q_target: Immersion, sigma: float) -> tuple[float, float, float]:

@@ -69,15 +69,16 @@ def sheets(tmp_path_factory):
     return paths
 
 
-def test_import_leaves_sparse_linalg_unloaded():
-    """The command imports no sparse solver: sharp runs on LAPACK directly."""
+def test_import_loads_no_scipy():
+    """The command imports no scipy module: numpy alone raises the index."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, innershape.cli; print('scipy.sparse.linalg' in sys.modules)"
+    code = ("import sys, innershape.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_the_io_modules_open_files():
@@ -86,6 +87,14 @@ def test_only_the_io_modules_open_files():
                if re.search(r"\bopen\(", p.read_text())}
     assert "cli" in openers
     assert sorted(openers - {"mesh", "config", "cli"}) == []
+
+
+def test_step_path_modules_use_no_blas_reductions():
+    """The per-step modules reduce with ufunc sums, not numpy's threaded BLAS
+    reductions (vdot, dot, linalg.norm)."""
+    blas = {p.stem for p in (SRC / "innershape").glob("*.py")
+            if re.search(r"vdot|linalg\.norm|\.dot\(", p.read_text())}
+    assert sorted(blas & {"metric", "geometry", "registration", "adjoint", "shooting"}) == []
 
 
 class TestMeshgen:

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from innershape import (
     Immersion,
@@ -30,6 +29,11 @@ from .test_geometry import flat_immersion
 ALPHA = 0.6
 
 
+def with_block_data(op, data):
+    """The operator with other block values on the same pattern."""
+    return dataclasses.replace(op, block=dataclasses.replace(op.block, data=data))
+
+
 def perturbed_torus(rng, nx=4, ny=4, scale=0.02):
     mesh = build_grid(Topology.TORUS, nx, ny)
     base = torus_surface(mesh, 0.35, 0.15)
@@ -52,9 +56,8 @@ class TestAssembly:
 
     def test_matrix_bitwise_symmetric(self, rng):
         q = perturbed_torus(rng)
-        mat = assemble(q, ALPHA).block
-        diff = (mat - mat.T).tocoo()
-        assert diff.nnz == 0 or np.all(diff.data == 0.0)
+        mat = assemble(q, ALPHA).block.toarray()
+        assert np.all(mat - mat.T == 0.0)
 
     def test_quadrature_oracle_random_instances(self, rng):
         worst = 0.0
@@ -148,15 +151,13 @@ class TestFlatSharp:
     # broken blocks below keep that pattern
     def test_sharp_of_singular_block_raises(self, cylinder_shape):
         op = assemble(cylinder_shape, ALPHA)
-        singular = dataclasses.replace(op, block=0.0 * op.block)
-        with pytest.raises(SolverError, match="leading minor of order 1 "):
-            sharp(singular, np.ones((op.n_nodes, 3)))
+        with pytest.raises(SolverError, match="not positive definite: a front at dissection"):
+            sharp(with_block_data(op, 0.0 * op.block.data), np.ones((op.n_nodes, 3)))
 
     def test_sharp_of_indefinite_block_raises(self, cylinder_shape):
         op = assemble(cylinder_shape, ALPHA)
-        indefinite = dataclasses.replace(op, block=-op.block)
         with pytest.raises(SolverError, match="not positive definite"):
-            sharp(indefinite, np.ones((op.n_nodes, 3)))
+            sharp(with_block_data(op, -op.block.data), np.ones((op.n_nodes, 3)))
 
     @pytest.mark.parametrize("ny", [16, 17])
     @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
@@ -171,6 +172,30 @@ class TestFlatSharp:
             q = torus_surface(mesh, 0.35, 0.15)
         op = assemble(q, ALPHA)
         p = random_field(rng, q.mesh)
+        want = np.linalg.solve(op.block.toarray(), p)
+        rel = np.linalg.norm(sharp(op, p) - want) / np.linalg.norm(want)
+        assert rel <= 1e-12
+
+    # one front for the whole mesh, then three or four depths of padded fronts,
+    # among them thin strips and a torus cut across both periodic directions
+    @pytest.mark.parametrize("topology, nx, ny", [
+        (Topology.PLANE, 1, 1), (Topology.PLANE, 2, 2), (Topology.PLANE, 1, 3),
+        (Topology.CYLINDER, 3, 1), (Topology.CYLINDER, 3, 2), (Topology.CYLINDER, 4, 3),
+        (Topology.TORUS, 3, 3), (Topology.TORUS, 3, 4),
+        (Topology.PLANE, 9, 7), (Topology.PLANE, 40, 2), (Topology.CYLINDER, 9, 6),
+        (Topology.TORUS, 9, 7), (Topology.TORUS, 3, 40),
+    ], ids=lambda v: v.value if isinstance(v, Topology) else str(v))
+    def test_sharp_matches_dense_solve_on_smallest_meshes(self, rng, topology, nx, ny):
+        mesh = build_grid(topology, nx, ny)
+        if topology is Topology.PLANE:
+            base = flat_immersion(mesh)
+        elif topology is Topology.CYLINDER:
+            base = cylinder_surface(mesh)
+        else:
+            base = torus_surface(mesh, 0.35, 0.15)
+        q = Immersion(mesh, base.coords + 0.01 * rng.standard_normal((mesh.n_nodes, 3)))
+        op = assemble(q, ALPHA)
+        p = random_field(rng, mesh)
         want = np.linalg.solve(op.block.toarray(), p)
         rel = np.linalg.norm(sharp(op, p) - want) / np.linalg.norm(want)
         assert rel <= 1e-12
@@ -213,14 +238,14 @@ class TestParameterMassMatrix:
 
     def test_row_sums_give_unit_area(self, torus_mesh):
         mass = parameter_mass_matrix(torus_mesh)
-        assert float(mass.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert float(mass.data.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_cached_per_mesh(self, torus_mesh):
         assert parameter_mass_matrix(torus_mesh) is parameter_mass_matrix(torus_mesh)
 
 
 class TestIndexMaps:
-    """The cached per-mesh index maps against COO and np.add.at references."""
+    """The cached per-mesh index maps against dense np.add.at references."""
 
     TOPOLOGIES = [Topology.PLANE, Topology.CYLINDER, Topology.TORUS]
 
@@ -232,11 +257,12 @@ class TestIndexMaps:
         local = rng.standard_normal((mesh.n_triangles, 3, 3))
         rows = np.repeat(tris, 3, axis=1).ravel()
         cols = np.tile(tris, (1, 3)).ravel()
-        want = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        want = np.zeros((n, n))
+        np.add.at(want, (rows, cols), local.ravel())
         got = _assemble_scalar(mesh, local)
-        assert got.nnz == want.nnz
-        err = np.max(np.abs(got.toarray() - want.toarray()))
-        assert err <= 1e-14 * np.max(np.abs(want.toarray()))
+        assert got.data.size == np.count_nonzero(want)
+        err = np.max(np.abs(got.toarray() - want))
+        assert err <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_scatter_matches_add_at(self, topology, rng):
@@ -253,22 +279,47 @@ class TestIndexMaps:
     @pytest.mark.parametrize("ny", [6, 7])
     @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.value)
     def test_band_order_and_layout(self, topology, ny, rng):
+        """The dissection's elimination order and the layout of its fronts."""
         mesh = build_grid(topology, 9, ny)
         maps = _index_maps(mesh)
         n = mesh.n_nodes
-        assert np.array_equal(np.sort(maps.perm), np.arange(n))
-        ncols = mesh.nx if topology.periodic_x else mesh.nx + 1
-        if topology is Topology.TORUS:
-            assert maps.kd <= (2 * ncols + 2 if ny % 2 == 0 else 3 * ncols)
-        else:
-            assert maps.kd == ncols + 1
-        # the band holds exactly the lower triangle of the reordered block
+        # every node is eliminated once, at the depth of its front
+        depth = np.full(n, -1)
+        for d, fr in enumerate(maps.fronts):
+            sep = fr.sep[fr.sep < n]
+            assert np.all(depth[sep] == -1)
+            depth[sep] = d
+        assert np.all(depth >= 0)
+        # a front's boundary is eliminated later, within its parent's front,
+        # so every coupling of the block lies in the front of whichever end
+        # is eliminated first
+        front_of = {}
+        for d, fr in enumerate(maps.fronts):
+            for k in range(fr.sep.shape[0]):
+                nodes = np.concatenate([fr.sep[k], fr.bnd[k]])
+                for v in fr.sep[k][fr.sep[k] < n]:
+                    front_of[v] = set(nodes[nodes < n])
+                assert np.all(depth[fr.bnd[k][fr.bnd[k] < n]] < d)
+        for i, j in zip(maps.rows, maps.cols):
+            first, other = (i, j) if depth[i] >= depth[j] else (j, i)
+            assert other in front_of[first]
+        # the fronts hold exactly the block's values in their separator rows
+        # and the padding's unit diagonal, nothing else
         local = rng.standard_normal((mesh.n_triangles, 3, 3))
         block = _assemble_scalar(mesh, local + local.transpose(0, 2, 1))
-        ab = np.zeros((maps.kd + 1) * n)
-        ab[maps.band] = block.data[maps.lower]
-        ab = ab.reshape((maps.kd + 1, n), order="F")
-        dense = block.toarray()[np.ix_(maps.perm, maps.perm)]
-        assert not np.any(np.tril(dense, -maps.kd - 1))
-        for d in range(maps.kd + 1):
-            assert np.array_equal(ab[d, : n - d], np.diagonal(dense, -d))
+        dense = np.zeros((n + 1, n + 1))
+        dense[:n, :n] = block.toarray()
+        want = np.zeros(maps.front_size)
+        for fr in maps.fronts:
+            count, f, w = fr.shape
+            fronts = want[fr.offset : fr.offset + fr.size].reshape(count, f, w)
+            s = fr.sep.shape[1]
+            for k in range(count):
+                nodes = np.concatenate([fr.sep[k], fr.bnd[k]])
+                fronts[k, :s, :f] = dense[np.ix_(fr.sep[k], nodes)]
+                pad = np.flatnonzero(fr.sep[k] == n)
+                fronts[k, pad, pad] = 1.0
+        got = np.zeros(maps.front_size)
+        got[maps.front_slot] = block.data[maps.front_entry]
+        got[maps.front_pad] = 1.0
+        assert np.array_equal(got, want)
