@@ -1,8 +1,9 @@
 """Command-line interface for surface registration experiments.
 
 Every command is a thin driver over the library: it reads a key-value
-config file (all keys overridable by flags), runs one operation and writes
-its results as native meshes, OBJ exports, CSV tables and a summary JSON.
+config file (each key the command reads overridable by a flag), runs one
+operation and writes its results as native meshes, OBJ exports, CSV tables
+and a summary JSON.
 Outputs are a pure function of (config, input files, seed): rerunning a
 command with the same inputs reproduces the files byte for byte.
 
@@ -80,15 +81,34 @@ _FIXTURE_TOPOLOGY = {
 #: bent-cylinder parameters used when the config does not set them
 _BENT_DEFAULTS = {"bend_deg": 90.0, "ripples": 5, "ripple_amplitude": 0.02}
 
+_METRIC_KEYS = ("alpha", "eps_reg")
+_DESCENT_KEYS = ("sigma", "n_steps", "max_iters", "tol_grad", "tol_match")
+_GEOMETRY_KEYS = ("radius", "height", "bend_deg", "ripples", "ripple_amplitude",
+                  "major_radius", "minor_radius", "asymmetry")
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+#: the config keys each command reads, and so the only ones it takes as flags;
+#: a config file may hold any valid key, and a command ignores those it does not read
+COMMAND_KEYS = {
+    "meshgen": ("topology", "nx", "ny"),
+    "fixture": ("nx", "ny", *_GEOMETRY_KEYS),
+    "register": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir", "export_frames"),
+    "shoot": (*_METRIC_KEYS, "n_steps", "out_dir"),
+    "triangle": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir"),
+    "mean": (*_METRIC_KEYS, *_DESCENT_KEYS, "mean_tol", "max_outer", "out_dir"),
+    "gradcheck": ("topology", "nx", "ny", *_GEOMETRY_KEYS, *_METRIC_KEYS, "sigma", "n_steps",
+                  "directions", "fd_tol", "seed", "out_dir"),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     group = parser.add_argument_group("config overrides")
-    for name, (base, _) in _field_types().items():
+    types = _field_types()
+    for name in COMMAND_KEYS[command]:
         group.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,
             default=argparse.SUPPRESS,
-            metavar=base.__name__.upper(),
+            metavar=types[name][0].__name__.upper(),
             help=f"override config key {name!r}",
         )
 
@@ -217,18 +237,15 @@ def _fixture_shapes(cfg: RunConfig, shape: str, preset: int) -> list[tuple[str, 
 
 def cmd_fixture(args) -> int:
     cfg, provided = _load_config(args)
-    needed = _FIXTURE_TOPOLOGY[args.shape]
-    if "topology" in provided and cfg.topology != needed:
-        raise ConfigError(
-            f"fixture {args.shape!r} needs topology {needed!r}, config says {cfg.topology!r}"
-        )
-    cfg.topology = needed
+    if args.preset is not None and args.shape != "vase":
+        raise ConfigError(f"--preset applies to shape 'vase' only, got shape {args.shape!r}")
+    cfg.topology = _FIXTURE_TOPOLOGY[args.shape]
     if args.shape == "bent-cylinder":
         for key, value in _BENT_DEFAULTS.items():
             if key not in provided:
                 setattr(cfg, key, value)
 
-    shapes = _fixture_shapes(cfg, args.shape, args.preset)
+    shapes = _fixture_shapes(cfg, args.shape, args.preset or 0)
     if len(shapes) == 1:
         paths = [args.out]
     else:
@@ -456,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the flat model-domain mesh as a surface file")
     p.add_argument("--out", required=True, metavar="FILE", help="output mesh file")
     p.add_argument("--obj", action="store_true", help="also write an OBJ next to it")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_meshgen)
 
     p = sub.add_parser("fixture", parents=[common], help="generate a named test surface")
@@ -464,24 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which surface family to generate")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="output file (single shape) or directory (shape families)")
-    p.add_argument("--preset", type=int, default=0, metavar="K",
-                   help="vase preset index (shape 'vase' only)")
+    p.add_argument("--preset", type=int, default=None, metavar="K",
+                   help="vase preset index (shape 'vase' only; default 0)")
     p.add_argument("--obj", action="store_true", help="also write OBJ exports")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_fixture)
 
     p = sub.add_parser("register", parents=[common],
                        help="register a template surface onto a target")
     p.add_argument("--template", required=True, metavar="FILE", help="template mesh")
     p.add_argument("--target", required=True, metavar="FILE", help="target mesh")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("shoot", parents=[common],
                        help="integrate the geodesic flow from a velocity file")
     p.add_argument("--initial", required=True, metavar="FILE", help="initial mesh")
     p.add_argument("--velocity", required=True, metavar="FILE", help="velocity file")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_shoot)
 
     p = sub.add_parser("triangle", parents=[common],
@@ -489,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, metavar="FILE", help="vertex surface A")
     p.add_argument("--b", required=True, metavar="FILE", help="vertex surface B")
     p.add_argument("--c", required=True, metavar="FILE", help="vertex surface C")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("mean", parents=[common],
@@ -498,14 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input surfaces")
     p.add_argument("--start", default=None, metavar="FILE",
                    help="starting guess mesh (default: first shape)")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_mean)
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference check of the energy gradient")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_gradcheck)
 
+    for command, p in sub.choices.items():
+        _add_config_flags(p, command)
     return parser
 
 

@@ -75,7 +75,7 @@ def triangle_geometry(q: Immersion) -> TriangleGeometry:
     immersion is ``op.geom``.
     """
     mesh = q.mesh
-    corner = q.coords[mesh.triangles]  # (ntri, 3 vertices, 3 components)
+    corner = q.coords.take(mesh.triangles, axis=0)  # (ntri, 3 vertices, 3 components)
     dq = np.einsum("tac,tap->tcp", corner, mesh.basis_grad)
     g00 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 0])
     g01 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 1])

@@ -502,7 +502,7 @@ def _variation_prep(op: MetricOperator, *fields: np.ndarray):
     for f in fields:
         _check_field(op.n_nodes, f)
     mesh = op.immersion.mesh
-    U = fields[0][mesh.triangles]
+    U = fields[0].take(mesh.triangles, axis=0)
     return op.geom, U, _index_maps(mesh).grad_t @ U
 
 
@@ -527,7 +527,7 @@ def kinetic_surface_gradient(op: MetricOperator, u: np.ndarray, v: np.ndarray) -
     if v is u:
         V, dV, Bv = U, dU, Au
     else:
-        V = v[mesh.triangles]
+        V = v.take(mesh.triangles, axis=0)
         dV = _index_maps(mesh).grad_t @ V
         Bv = geom.g_inv @ dV
     k2 = (op.alpha * op.alpha) * mesh.area
@@ -563,7 +563,7 @@ def kinetic_adjoint_covectors(
     Au = g_inv @ dU
     MU = _M3 @ U
     # delta(dq), delta(g) and tr(ginv delta(g)) for the direction field w
-    ddq = w[mesh.triangles].transpose(0, 2, 1) @ mesh.basis_grad
+    ddq = w.take(mesh.triangles, axis=0).transpose(0, 2, 1) @ mesh.basis_grad
     dg = ddq.transpose(0, 2, 1) @ geom.dq
     dg = dg + dg.transpose(0, 2, 1)
     trace = _frob(g_inv, dg)

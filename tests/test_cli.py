@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import innershape.shooting
 from innershape import (
     VASE_PRESETS,
     Immersion,
     RunConfig,
+    SolverError,
     Topology,
     build_grid,
     cylinder_surface,
@@ -26,8 +28,8 @@ from innershape import (
     vase_surface,
 )
 from innershape.cli import (
-    _BENT_DEFAULTS, _FIXTURE_TOPOLOGY, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-    _gradcheck_base, _load_config, build_parser, main,
+    _BENT_DEFAULTS, _FIXTURE_TOPOLOGY, COMMAND_KEYS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
+    EXIT_USAGE, _gradcheck_base, _load_config, build_parser, main,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,8 +46,26 @@ LIBRARY_FIXTURES = {
 }
 
 
+#: per command: arguments it needs, and a flag of a config key it does not read
+MISPLACED_FLAGS = {
+    "meshgen": (["--out", "m.mesh"], ["--alpha", "0.5"]),
+    "fixture": (["--shape", "cylinder", "--out", "c.mesh"], ["--sigma", "0.3"]),
+    "register": (["--template", "a.mesh", "--target", "b.mesh"], ["--nx", "8"]),
+    "shoot": (["--initial", "a.mesh", "--velocity", "u.vel"], ["--tol-grad", "1e-6"]),
+    "triangle": (["--a", "a.mesh", "--b", "b.mesh", "--c", "c.mesh"], ["--seed", "1"]),
+    "mean": (["--shapes", "a.mesh", "b.mesh"], ["--topology", "plane"]),
+    "gradcheck": ([], ["--export-frames", "on"]),
+}
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def identity_registration(sheets, tmp_path):
+    """Arguments of a registration of the base sheet onto itself (no descent step)."""
+    return ["register", "--template", sheets["base"], "--target", sheets["base"],
+            "--out-dir", str(tmp_path / "run")]
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +183,24 @@ class TestFixture:
                    "--out", str(tmp_path / "v.mesh"))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("shape", sorted(set(_FIXTURE_TOPOLOGY) - {"vase"}))
+    def test_preset_only_for_vase(self, tmp_path, shape, capsys):
+        out = tmp_path / "out"
+        assert run("fixture", "--shape", shape, "--preset", "0", "--out", str(out),
+                   "--nx", "4", "--ny", "4") == EXIT_USAGE
+        assert "--preset applies to shape 'vase' only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_keys_it_does_not_read_are_ignored(self, tmp_path):
+        # one config file may serve several commands; the fixture's topology
+        # comes from --shape, and it never reads the descent settings
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("topology = plane\nsigma = 0.3\nnx = 4\nny = 4\n")
+        a, b = tmp_path / "a.mesh", tmp_path / "b.mesh"
+        assert run("fixture", "--shape", "torus", "--out", str(a), "--config", str(cfg)) == EXIT_OK
+        assert run("fixture", "--shape", "torus", "--out", str(b), "--nx", "4", "--ny", "4") == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestRegister:
     def test_identity_registration(self, sheets, tmp_path):
@@ -275,6 +313,28 @@ class TestShoot:
                    "--out-dir", str(tmp_path / "o"), "--n-steps", "4")
         assert code == EXIT_NUMERICAL
         assert "error: step failure" in capsys.readouterr().err
+
+    def test_solver_failure_is_step_failure(self, sheets, tmp_path, capsys, monkeypatch):
+        # the second sharp solve of the shoot, which advances step 1, breaks down
+        mesh, coords = load_mesh(sheets["base"])
+        vel = tmp_path / "zero.vel"
+        save_velocity(mesh, np.zeros_like(coords), str(vel))
+        solves = []
+        real_sharp = innershape.shooting.sharp
+
+        def failing_sharp(op, momentum):
+            solves.append(op)
+            if len(solves) == 2:
+                raise SolverError("sharp: block is not positive definite")
+            return real_sharp(op, momentum)
+
+        monkeypatch.setattr(innershape.shooting, "sharp", failing_sharp)
+        code = run("shoot", "--initial", sheets["base"], "--velocity", str(vel),
+                   "--out-dir", str(tmp_path / "o"), "--n-steps", "4")
+        assert code == EXIT_NUMERICAL
+        assert len(solves) == 2
+        assert ("error: step failure: step 1: sharp: block is not positive definite"
+                in capsys.readouterr().err)
 
     def test_velocity_from_other_mesh_rejected(self, sheets, tmp_path):
         other = build_grid(Topology.PLANE, 4, 4)
@@ -399,45 +459,42 @@ class TestUsage:
             cfg.write_text(f"{key} = {value}\n")
             assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
 
-    def test_boolean_flag_words(self, tmp_path):
-        out = str(tmp_path / "m.mesh")
-        assert run("meshgen", "--out", out, "--export-frames", "maybe") == EXIT_USAGE
-        assert run("meshgen", "--out", out, "--export-frames", "off") == EXIT_OK
-        args = build_parser().parse_args(["meshgen", "--out", out, "--export-frames", "off"])
+    def test_boolean_flag_words(self, sheets, tmp_path):
+        identity = identity_registration(sheets, tmp_path)
+        assert run(*identity, "--export-frames", "maybe") == EXIT_USAGE
+        assert run(*identity, "--export-frames", "off") == EXIT_OK
+        args = build_parser().parse_args([*identity, "--export-frames", "off"])
         assert _load_config(args)[0].export_frames is False
 
     def test_flag_beats_config_file_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 0.9\nnx = 5\n")
-        args = build_parser().parse_args(
-            ["meshgen", "--out", str(tmp_path / "m.mesh"), "--config", str(cfg),
-             "--alpha", "0.3"])
+        args = build_parser().parse_args(["gradcheck", "--config", str(cfg), "--alpha", "0.3"])
         config, provided = _load_config(args)
         assert (config.alpha, config.nx) == (0.3, 5)
         assert provided == {"alpha", "nx"}
 
-    def test_flag_replaces_malformed_file_value(self, tmp_path, capsys):
+    def test_flag_replaces_malformed_file_value(self, sheets, tmp_path, capsys):
         # the flag's text replaces the file's before either is converted
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = abc\n")
-        out = str(tmp_path / "m.mesh")
-        assert run("meshgen", "--out", out, "--config", str(cfg), "--alpha", "0.3") == EXIT_OK
-        assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
-        assert run("meshgen", "--out", out, "--alpha", "abc") == EXIT_USAGE
+        identity = identity_registration(sheets, tmp_path)
+        assert run(*identity, "--config", str(cfg), "--alpha", "0.3") == EXIT_OK
+        assert run(*identity, "--config", str(cfg)) == EXIT_USAGE
+        assert run(*identity, "--alpha", "abc") == EXIT_USAGE
         assert "error: config: alpha: expected a number, got 'abc'" in capsys.readouterr().err
 
-    def test_none_words(self, tmp_path):
-        out = str(tmp_path / "m.mesh")
-        assert run("meshgen", "--out", out, "--alpha", "none") == EXIT_USAGE
+    def test_none_words(self, sheets, tmp_path):
+        identity = identity_registration(sheets, tmp_path)
+        assert run(*identity, "--alpha", "none") == EXIT_USAGE
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = none\n")
-        assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
+        assert run(*identity, "--config", str(cfg)) == EXIT_USAGE
         # a none flag unsets an optional key the config file set
         cfg.write_text("tol_match = 0.01\n")
-        args = build_parser().parse_args(
-            ["meshgen", "--out", out, "--config", str(cfg), "--tol-match", "none"])
+        args = build_parser().parse_args([*identity, "--config", str(cfg), "--tol-match", "none"])
         assert _load_config(args)[0].tol_match is None
-        assert run("meshgen", "--out", out, "--tol-match", "none") == EXIT_OK
+        assert run(*identity, "--tol-match", "none") == EXIT_OK
 
     @pytest.mark.parametrize("flags, config", [
         (["--sigma", "inf"], ""),
@@ -500,3 +557,56 @@ class TestUsage:
         assert run("meshgen", "--out", str(out), "--config", str(cfg)) == EXIT_OK
         mesh, _ = load_mesh(str(out))
         assert mesh.n_triangles == 18
+
+    @pytest.mark.parametrize("command", sorted(MISPLACED_FLAGS))
+    def test_flag_of_a_key_the_command_does_not_read(self, command, capsys):
+        needed, misplaced = MISPLACED_FLAGS[command]
+        key = misplaced[0][2:].replace("-", "_")
+        assert hasattr(RunConfig(), key) and key not in COMMAND_KEYS[command]
+        build_parser().parse_args([command, *needed])  # parses without it
+        assert run(command, *needed, *misplaced) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(misplaced)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    def test_help_lists_exactly_the_keys_the_command_reads(self, command, capsys):
+        assert run(command, "--help") == EXIT_OK
+        section = capsys.readouterr().out.split("\nconfig overrides:\n", 1)[1]
+        flags = re.findall(r"^  --([a-z-]+)", section, re.M)
+        assert flags == [key.replace("_", "-") for key in COMMAND_KEYS[command]]
+
+    def test_every_config_key_is_read_by_some_command(self):
+        read = [key for keys in COMMAND_KEYS.values() for key in keys]
+        assert sorted(set(read)) == sorted(vars(RunConfig()))
+        assert all(len(set(keys)) == len(keys) for keys in COMMAND_KEYS.values())
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("mean", ["--mean-tol", "-1"], ""),
+        ("gradcheck", ["--fd-tol", "-1"], ""),
+        ("register", [], "mean_tol = -1\n"),
+        ("register", [], "fd_tol = -1\n"),
+        ("meshgen", [], "sigma = nan\n"),
+    ], ids=["mean-tol-negative", "fd-tol-negative", "unread-mean-tol-negative-in-file",
+            "unread-fd-tol-negative-in-file", "unread-sigma-nan-in-file"])
+    def test_settings_validated_on_every_command(self, sheets, tmp_path, command, flags, config):
+        # a config file's keys are all checked, also those the command does not read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = str(tmp_path / "run")
+        needed = {
+            "mean": ["--shapes", sheets["plus"], sheets["minus"], "--out-dir", out],
+            "gradcheck": ["--topology", "plane", "--nx", "4", "--ny", "4", "--out-dir", out],
+            "register": identity_registration(sheets, tmp_path)[1:],
+            "meshgen": ["--out", out],
+        }[command]
+        assert run(command, *needed, "--config", str(cfg), *flags) == EXIT_USAGE
+        assert not os.path.exists(out)
+
+
+def test_readme_lists_each_commands_config_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("\n| Command | Config keys |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[1:]:
+        _, command, keys, _ = row.split("|")
+        listed[command.strip(" `")] = sorted(re.findall(r"`(\w+)`", keys))
+    assert listed == {command: sorted(keys) for command, keys in COMMAND_KEYS.items()}
