@@ -521,6 +521,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: a failing command's stderr label and exit code, from the first entry whose
+#: types match (a subclass before its base); anything else propagates
+_FAILURES = (
+    (ConfigError, "config", EXIT_USAGE),
+    (MeshMismatchError, "mesh mismatch", EXIT_USAGE),
+    (ValueError, "invalid input", EXIT_USAGE),
+    (MeshFormatError, "bad input file", EXIT_IO),
+    (OSError, "i/o", EXIT_IO),
+    (StepFailureError, "step failure", EXIT_NUMERICAL),
+    (SolverError, "solver failure", EXIT_NUMERICAL),
+    ((DegenerateElementError, ZeroVelocityError), "numerical failure", EXIT_NUMERICAL),
+    (MeshError, "mesh", EXIT_USAGE),
+)
+
+
 def _setup_logging(verbosity: int) -> None:
     level = logging.WARNING
     if verbosity == 1:
@@ -539,33 +554,12 @@ def main(argv=None) -> int:
     _setup_logging(args.verbose)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MeshMismatchError as exc:
-        print(f"error: mesh mismatch: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MeshFormatError as exc:
-        print(f"error: bad input file: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: i/o: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except StepFailureError as exc:
-        print(f"error: step failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SolverError as exc:
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (DegenerateElementError, ZeroVelocityError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MeshError as exc:
-        print(f"error: mesh: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for types, label, code in _FAILURES:
+            if isinstance(exc, types):
+                print(f"error: {label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -38,9 +38,10 @@ that ``sharp`` solves the block in.  Those come from the grid itself (see
 ``_dissection``): every node couples only to the grid rows and columns next
 to its own, so grid lines cut the mesh into boxes whose unknowns are
 independent given the lines, and cutting the boxes again in turn gives a
-nested dissection.  ``sharp`` eliminates it depth by depth, deepest first,
-with a few batched ``numpy.linalg`` calls per depth (a multifrontal Cholesky
-factorization).
+nested dissection.  ``sharp`` fills the fronts with one gather from the
+block's values and the right-hand side, then eliminates them depth by depth,
+deepest first, with a few batched ``numpy.linalg`` calls per depth (a
+multifrontal Cholesky factorization).
 """
 
 from dataclasses import dataclass, field
@@ -94,10 +95,10 @@ class _IndexMaps:
     the raveled (n, 3) nodal sum.
 
     ``fronts`` are the depths of the dissection tree, root first (see
-    ``_Fronts``), over a flat buffer of ``front_size`` values: the pattern
-    entries ``front_entry`` go to the buffer positions ``front_slot``, the
-    raveled (n, 3) right-hand side's values ``rhs_src`` go to ``rhs_slot``,
-    and ``front_pad`` are the positions of the padding's unit diagonal.
+    ``_Fronts``), over a flat buffer of ``front_size`` values.  Its nonzero
+    values before elimination are ``source[fill_src]`` at the positions
+    ``fill_slot``, where ``source`` is ``block.data``, then the raveled
+    (n, 3) right-hand side, then 1.0 (the padding's unit diagonal).
     """
 
     n_nodes: int
@@ -109,11 +110,8 @@ class _IndexMaps:
     corner_bins: np.ndarray
     fronts: tuple["_Fronts", ...]
     front_size: int
-    front_entry: np.ndarray
-    front_slot: np.ndarray
-    front_pad: np.ndarray
-    rhs_src: np.ndarray
-    rhs_slot: np.ndarray
+    fill_src: np.ndarray
+    fill_slot: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -230,75 +228,77 @@ def _dissection(mesh: DomainMesh) -> list[list[tuple[np.ndarray, np.ndarray, int
     return depths
 
 
+def _padded(group: np.ndarray, values: np.ndarray, count: int, fill: int) -> np.ndarray:
+    """A (count, m) table whose row k holds, in order, the values of group k
+    (``group`` is sorted), padded with ``fill`` to the largest group's size."""
+    size = np.bincount(group, minlength=count)
+    table = np.full((count, size.max()), fill)
+    table[group, np.arange(group.size) - (np.cumsum(size) - size)[group]] = values
+    return table
+
+
 def _front_maps(mesh: DomainMesh, rows: np.ndarray, cols: np.ndarray) -> dict:
-    """The front fields of ``_IndexMaps`` for the block pattern (rows, cols)."""
-    n = mesh.n_nodes
-    # the pattern entries of each row, padded with rows.size: one entry past
-    # the end, in column n
-    per_row = np.bincount(rows, minlength=n)
-    entries = np.full((n, per_row.max()), rows.size)
-    entries[rows, np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]] = np.arange(rows.size)
-    col = np.append(cols, n)
-    tree = _dissection(mesh)
-    near = np.zeros(n + 1, dtype=bool)
+    """The front fields of ``_IndexMaps`` for the block pattern (rows, cols).
 
-    def boundary(box):
-        near[col[entries[box]]] = True
-        near[box] = near[n] = False
-        found = np.flatnonzero(near)
-        near[found] = False
-        return found
-
-    # where[v]: the position of node v in the front at hand, else -1
-    where = np.full(n + 1, -1)
-    fronts, offset = [], 0
-    entry, slot, pad, rhs_src, rhs_slot = [], [], [], [], []
-    for d, depth in enumerate(tree):
-        bnds = [boundary(box) for _, box, _ in depth]
+    Works one depth of the dissection tree at a time, all its fronts at
+    once: one pass over the pattern finds their boundaries, one search among
+    the sorted pattern keys finds their separator rows' entries, and one
+    comparison finds their boundary nodes in their parents' fronts.
+    """
+    n, nnz = mesh.n_nodes, rows.size
+    # sorted like the pattern; no key has the padding's column n
+    keys = rows * (n + 1) + cols
+    fronts, offset, src, slot = [], 0, [], []
+    for depth in _dissection(mesh):
         count = len(depth)
-        s = max(sep.size for sep, _, _ in depth)
-        b = max(bnd.size for bnd in bnds)
+        seps, boxes, parents = zip(*depth)
+        front = np.arange(count)
+        sep = _padded(front.repeat([a.size for a in seps]), np.concatenate(seps), count, n)
+        # a box's boundary: its nodes' neighbours outside it
+        box_of = np.full(n, -1)
+        box_of[np.concatenate(boxes)] = front.repeat([a.size for a in boxes])
+        owner = box_of[rows]
+        out = (owner >= 0) & (box_of[cols] != owner)
+        # deduplicated by hand: np.unique imports numpy.ma (1 MB) on numpy 2
+        pairs = np.sort(owner[out] * (n + 1) + cols[out])
+        pairs = pairs[np.diff(pairs, prepend=-1) > 0]
+        bnd = _padded(pairs // (n + 1), pairs % (n + 1), count, n)
+        s, b = sep.shape[1], bnd.shape[1]
         f, w = s + b, s + b + 3
-        sep_pad, bnd_pad = np.full((count, s), n), np.full((count, b), n)
+        # the source of each value in the separator rows: a pattern entry, a
+        # right-hand side value, the padding's unit diagonal, or none (-1)
+        query = sep[:, :, None] * (n + 1) + np.hstack([sep, bnd])[:, None, :]
+        entry = np.minimum(np.searchsorted(keys, query), nnz - 1)
+        fill = np.full((count, f, w), -1)
+        fill[:, :s, :f] = np.where(keys[entry] == query, entry, -1)
+        rhs = nnz + 3 * sep[:, :, None] + np.arange(3)
+        fill[:, :s, f:] = np.where(sep[:, :, None] < n, rhs, -1)
+        k, i = np.nonzero(sep == n)
+        fill[k, i, i] = nnz + 3 * n
+        fill = fill.ravel()
+        kept = np.flatnonzero(fill >= 0)
+        src.append(fill[kept])
+        slot.append(offset + kept)
         update = np.zeros((count, b, b + 3), dtype=np.int64)
-        for k, ((sep, _, parent), bnd) in enumerate(zip(depth, bnds)):
-            sep_pad[k, : sep.size] = sep
-            bnd_pad[k, : bnd.size] = bnd
-            base = offset + k * f * w
-            at = np.arange(sep.size)[:, None]
-            where[sep] = np.arange(sep.size)
-            where[bnd] = s + np.arange(bnd.size)
-            row_entries = entries[sep]
-            position = where[col[row_entries]]
-            keep = position >= 0
-            entry.append(row_entries[keep])
-            slot.append(base + (at * w + position)[keep])
-            pad.append(base + np.arange(sep.size, s) * (w + 1))
-            rhs_src.append((3 * sep[:, None] + np.arange(3)).ravel())
-            rhs_slot.append((base + at * w + f + np.arange(3)).ravel())
-            where[sep] = where[bnd] = -1
-            if d:
-                up = fronts[-1]
-                _, pf, pw = up.shape
-                where[up.sep[parent]] = np.arange(pf - up.bnd.shape[1])
-                where[up.bnd[parent]] = pf - up.bnd.shape[1] + np.arange(up.bnd.shape[1])
-                where[n] = -1
-                to = where[bnd]
-                row_at = (parent * pf + to[:, None]) * pw
-                update[k] = up.size
-                update[k, : bnd.size, : bnd.size] = row_at + to
-                update[k, : bnd.size, b:] = row_at + pf + np.arange(3)
-                where[up.sep[parent]] = where[up.bnd[parent]] = -1
-        fronts.append(_Fronts(sep_pad, bnd_pad, offset, update.ravel()))
+        if fronts:
+            up = fronts[-1]
+            _, pf, pw = up.shape
+            parents = np.array(parents)
+            # each boundary node's position in its parent's front
+            up_nodes = np.hstack([up.sep, up.bnd])[parents]
+            to = np.argmax(bnd[:, :, None] == up_nodes[:, None, :], axis=2)
+            at = ((parents[:, None] * pf + to) * pw)[:, :, None]
+            real = (bnd < n)[:, :, None]
+            both = real & real.transpose(0, 2, 1)
+            update[:, :, :b] = np.where(both, at + to[:, None, :], up.size)
+            update[:, :, b:] = np.where(real, at + pf + np.arange(3), up.size)
+        fronts.append(_Fronts(sep, bnd, offset, update.ravel()))
         offset += count * f * w
     return dict(
         fronts=tuple(fronts),
         front_size=offset,
-        front_entry=np.concatenate(entry),
-        front_slot=np.concatenate(slot),
-        front_pad=np.concatenate(pad),
-        rhs_src=np.concatenate(rhs_src),
-        rhs_slot=np.concatenate(rhs_slot),
+        fill_src=np.concatenate(src),
+        fill_slot=np.concatenate(slot),
     )
 
 
@@ -406,17 +406,15 @@ def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
     """Raise the index: solve A x = p for all three components at once.
 
     The SPD block is factored over the fronts of the mesh's nested
-    dissection (see ``_dissection`` and ``_multifrontal``), with the block's
-    values read through the pattern ``assemble`` builds.  Raises SolverError
-    when the block is not positive definite, the solution is not finite, or
-    its relative residual exceeds ``SHARP_RESIDUAL_TOL``.
+    dissection (see ``_dissection`` and ``_multifrontal``), which one gather
+    fills with the block's values and p (see ``_IndexMaps``).  Raises
+    SolverError when the block is not positive definite, the solution is not
+    finite, or its relative residual exceeds ``SHARP_RESIDUAL_TOL``.
     """
     _check_field(op.n_nodes, p)
     maps = op.block.maps
     buf = np.zeros(maps.front_size)
-    buf[maps.front_slot] = op.block.data[maps.front_entry]
-    buf[maps.front_pad] = 1.0
-    buf[maps.rhs_slot] = p.take(maps.rhs_src)
+    buf[maps.fill_slot] = np.concatenate((op.block.data, p.ravel(), [1.0])).take(maps.fill_src)
     x = _multifrontal(maps.fronts, buf, op.n_nodes)
     if not np.all(np.isfinite(x)):
         raise SolverError("sharp-solve produced a non-finite solution")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import innershape.cli
 import innershape.shooting
 from innershape import (
     VASE_PRESETS,
@@ -30,6 +31,11 @@ from innershape import (
 from innershape.cli import (
     _BENT_DEFAULTS, _FIXTURE_TOPOLOGY, COMMAND_KEYS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
     EXIT_USAGE, _gradcheck_base, _load_config, build_parser, main,
+)
+from innershape.config import ConfigError
+from innershape.errors import (
+    DegenerateElementError, MeshError, MeshFormatError, MeshMismatchError, StepFailureError,
+    ZeroVelocityError,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -172,11 +178,6 @@ class TestFixture:
             got_mesh, coords = load_mesh(str(path))
             assert got_mesh.topology is mesh.topology
             assert np.array_equal(coords, q.coords)
-
-    def test_conflicting_topology_rejected(self, tmp_path):
-        code = run("fixture", "--shape", "torus", "--topology", "cylinder",
-                   "--out", str(tmp_path / "t.mesh"))
-        assert code == EXIT_USAGE
 
     def test_bad_vase_preset_rejected(self, tmp_path):
         code = run("fixture", "--shape", "vase", "--preset", "9",
@@ -503,11 +504,8 @@ class TestUsage:
         ([], "alpha = nan\n"),
         (["--tol-grad", "-1"], ""),
         ([], "tol_match = -1\n"),
-        (["--mean-tol", "-1"], ""),
-        (["--fd-tol", "-1"], ""),
     ], ids=["sigma-inf", "eps-reg-nan", "eps-reg-negative", "alpha-nan-in-file",
-            "tol-grad-negative", "tol-match-negative-in-file", "mean-tol-negative",
-            "fd-tol-negative"])
+            "tol-grad-negative", "tol-match-negative-in-file"])
     def test_non_finite_or_negative_setting(self, sheets, tmp_path, flags, config):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -600,6 +598,41 @@ class TestUsage:
         }[command]
         assert run(command, *needed, "--config", str(cfg), *flags) == EXIT_USAGE
         assert not os.path.exists(out)
+
+
+#: an error a command raises, and the exit code and stderr label it gets
+FAILURES = [
+    (ConfigError("bad key"), EXIT_USAGE, "config"),
+    (MeshMismatchError("other mesh"), EXIT_USAGE, "mesh mismatch"),
+    (ValueError("bad value"), EXIT_USAGE, "invalid input"),
+    (MeshFormatError("bad line", line=3), EXIT_IO, "bad input file"),
+    (OSError("no disk"), EXIT_IO, "i/o"),
+    (StepFailureError(2, "collapsed"), EXIT_NUMERICAL, "step failure"),
+    (SolverError("not positive definite"), EXIT_NUMERICAL, "solver failure"),
+    (DegenerateElementError("flat triangle"), EXIT_NUMERICAL, "numerical failure"),
+    (ZeroVelocityError("no direction"), EXIT_NUMERICAL, "numerical failure"),
+    (MeshError("no such grid"), EXIT_USAGE, "mesh"),
+]
+
+
+@pytest.mark.parametrize("error, code, label", FAILURES,
+                         ids=[type(error).__name__ for error, _, _ in FAILURES])
+def test_failure_exit_code_and_label(monkeypatch, capsys, error, code, label):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(innershape.cli, "cmd_meshgen", fail)
+    assert run("meshgen", "--out", "unused.mesh") == code
+    assert capsys.readouterr().err == f"error: {label}: {error}\n"
+
+
+def test_unexpected_error_propagates(monkeypatch):
+    def fail(args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(innershape.cli, "cmd_meshgen", fail)
+    with pytest.raises(RuntimeError, match="bug"):
+        run("meshgen", "--out", "unused.mesh")
 
 
 def test_readme_lists_each_commands_config_keys():

@@ -20,7 +20,7 @@ from innershape import (
     torus_surface,
 )
 from innershape.fixtures import rotation_matrix
-from innershape.metric import _assemble_scalar, _index_maps, _scatter
+from innershape.metric import _assemble_scalar, _dissection, _index_maps, _scatter
 
 from .conftest import random_field
 from .oracles import flat_mass_matrix, flat_stiffness_matrix, metric_inner_quadrature
@@ -303,12 +303,14 @@ class TestIndexMaps:
         for i, j in zip(maps.rows, maps.cols):
             first, other = (i, j) if depth[i] >= depth[j] else (j, i)
             assert other in front_of[first]
-        # the fronts hold exactly the block's values in their separator rows
-        # and the padding's unit diagonal, nothing else
+        # the fronts hold exactly the block's values and the right-hand side
+        # in their separator rows and the padding's unit diagonal, nothing else
         local = rng.standard_normal((mesh.n_triangles, 3, 3))
         block = _assemble_scalar(mesh, local + local.transpose(0, 2, 1))
+        p = rng.standard_normal((n, 3))
         dense = np.zeros((n + 1, n + 1))
         dense[:n, :n] = block.toarray()
+        rhs = np.vstack([p, np.zeros(3)])
         want = np.zeros(maps.front_size)
         for fr in maps.fronts:
             count, f, w = fr.shape
@@ -317,9 +319,39 @@ class TestIndexMaps:
             for k in range(count):
                 nodes = np.concatenate([fr.sep[k], fr.bnd[k]])
                 fronts[k, :s, :f] = dense[np.ix_(fr.sep[k], nodes)]
+                fronts[k, :s, f:] = rhs[fr.sep[k]]
                 pad = np.flatnonzero(fr.sep[k] == n)
                 fronts[k, pad, pad] = 1.0
         got = np.zeros(maps.front_size)
-        got[maps.front_slot] = block.data[maps.front_entry]
-        got[maps.front_pad] = 1.0
+        got[maps.fill_slot] = np.concatenate((block.data, p.ravel(), [1.0]))[maps.fill_src]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ny", [6, 7])
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.value)
+    def test_update_maps(self, topology, ny):
+        """Each front's Schur complement goes to its parent's rows and columns
+        of the same nodes, its right-hand sides to the parent's; padding goes
+        just past the fronts of the depth above."""
+        mesh = build_grid(topology, 9, ny)
+        maps = _index_maps(mesh)
+        n = mesh.n_nodes
+        tree = _dissection(mesh)
+        for d in range(1, len(maps.fronts)):
+            fr, up = maps.fronts[d], maps.fronts[d - 1]
+            count, b = fr.bnd.shape
+            _, pf, pw = up.shape
+            want = np.full((count, b, b + 3), up.size)
+            for k in range(count):
+                parent = tree[d][k][2]
+                up_nodes = list(np.concatenate([up.sep[parent], up.bnd[parent]]))
+                for i, u in enumerate(fr.bnd[k]):
+                    if u == n:
+                        continue
+                    assert up_nodes.count(u) == 1
+                    row = (parent * pf + up_nodes.index(u)) * pw
+                    for j, v in enumerate(fr.bnd[k]):
+                        if v < n:
+                            want[k, i, j] = row + up_nodes.index(v)
+                    for c in range(3):
+                        want[k, i, b + c] = row + pf + c
+            assert np.array_equal(fr.update, want.ravel())
