@@ -55,6 +55,7 @@ from .metric import (
     norm,
     parameter_mass_matrix,
     sharp,
+    solve,
 )
 from .registration import (
     IterationRecord,
@@ -134,6 +135,7 @@ __all__ = [
     "save_velocity",
     "sharp",
     "shoot",
+    "solve",
     "surface_area",
     "torus_surface",
     "torus_triangle",

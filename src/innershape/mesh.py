@@ -257,32 +257,38 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
             line=3,
         )
 
-    values = np.empty((n_nodes, 3))
+    values = []
     for k in range(n_nodes):
         lineno = 4 + k
         parts = need(3 + k).split()
         if len(parts) != 4 or parts[0] != "v":
             raise MeshFormatError("expected 'v x y z'", line=lineno)
         try:
-            values[k] = [float(p) for p in parts[1:]]
+            values.append([float(p) for p in parts[1:]])
         except ValueError:
             raise MeshFormatError("bad coordinate", line=lineno) from None
-        if not np.all(np.isfinite(values[k])):
-            raise MeshFormatError("non-finite coordinate", line=lineno)
+    values = np.array(values, dtype=float).reshape(n_nodes, 3)
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if bad.size:
+        raise MeshFormatError("non-finite coordinate", line=4 + int(bad[0]))
+    tris = []
     for k in range(n_tris):
         lineno = 4 + n_nodes + k
         parts = need(3 + n_nodes + k).split()
         if len(parts) != 4 or parts[0] != "f":
             raise MeshFormatError("expected 'f i j k'", line=lineno)
         try:
-            tri = [int(p) for p in parts[1:]]
+            tris.append([int(p) for p in parts[1:]])
         except ValueError:
             raise MeshFormatError("bad node index", line=lineno) from None
-        if not np.array_equal(mesh.triangles[k], tri):
-            raise MeshFormatError(
-                f"triangle {tri} does not match the {topology.value} {nx}x{ny} connectivity",
-                line=lineno,
-            )
+    # an index beyond int64 makes an object array, which still compares
+    bad = np.flatnonzero(np.any(np.array(tris).reshape(n_tris, 3) != mesh.triangles, axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise MeshFormatError(
+            f"triangle {tris[k]} does not match the {topology.value} {nx}x{ny} connectivity",
+            line=4 + n_nodes + k,
+        )
     extra = 3 + n_nodes + n_tris
     if any(line.strip() for line in lines[extra:]):
         raise MeshFormatError("trailing content after triangle records", line=extra + 1)

@@ -34,14 +34,15 @@ are built once per ``DomainMesh`` (see ``_index_maps``): the transposed basis
 gradient, the block's fixed sparsity pattern with the slot of every local
 entry (assembly is one ``bincount`` into that pattern, and so are products
 with the block and the sum of corner covectors onto nodes), and the fronts
-that ``sharp`` solves the block in.  Those come from the grid itself (see
-``_dissection``): every node couples only to the grid rows and columns next
-to its own, so grid lines cut the mesh into boxes whose unknowns are
-independent given the lines, and cutting the boxes again in turn gives a
-nested dissection.  ``sharp`` fills the fronts with one gather from the
-block's values and the right-hand side, then eliminates them depth by depth,
-deepest first, with a few batched ``numpy.linalg`` calls per depth (a
-multifrontal Cholesky factorization).
+that ``solve`` solves any block on that pattern in (``sharp`` solves the
+metric block).  Those come from the grid itself (see ``_dissection``): every
+node couples only to the grid rows and columns next to its own, so grid
+lines cut the mesh into boxes whose unknowns are independent given the
+lines, and cutting the boxes again in turn gives a nested dissection.
+``solve`` fills the fronts with one gather from the block's values and the
+right-hand side, then eliminates them depth by depth, deepest first, with a
+few batched ``numpy.linalg`` calls per depth (a multifrontal Cholesky
+factorization).
 """
 
 from dataclasses import dataclass, field
@@ -403,22 +404,29 @@ def flat(op: MetricOperator, u: np.ndarray) -> np.ndarray:
 
 
 def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
-    """Raise the index: solve A x = p for all three components at once.
+    """Raise the index: solve A x = p for all three components at once
+    (see ``solve``)."""
+    return solve(op.block, p)
 
-    The SPD block is factored over the fronts of the mesh's nested
-    dissection (see ``_dissection`` and ``_multifrontal``), which one gather
-    fills with the block's values and p (see ``_IndexMaps``).  Raises
-    SolverError when the block is not positive definite, the solution is not
-    finite, or its relative residual exceeds ``SHARP_RESIDUAL_TOL``.
+
+def solve(block: SparseBlock, p: np.ndarray) -> np.ndarray:
+    """Solve ``block @ x = p`` for an SPD block on its mesh's pattern.
+
+    The block is factored over the fronts of the mesh's nested dissection
+    (see ``_dissection`` and ``_multifrontal``), which one gather fills with
+    the block's values and the (n, 3) right-hand side p (see
+    ``_IndexMaps``).  Raises SolverError when the block is not positive
+    definite, the solution is not finite, or its relative residual exceeds
+    ``SHARP_RESIDUAL_TOL``.
     """
-    _check_field(op.n_nodes, p)
-    maps = op.block.maps
+    maps = block.maps
+    _check_field(maps.n_nodes, p)
     buf = np.zeros(maps.front_size)
-    buf[maps.fill_slot] = np.concatenate((op.block.data, p.ravel(), [1.0])).take(maps.fill_src)
-    x = _multifrontal(maps.fronts, buf, op.n_nodes)
+    buf[maps.fill_slot] = np.concatenate((block.data, p.ravel(), [1.0])).take(maps.fill_src)
+    x = _multifrontal(maps.fronts, buf, maps.n_nodes)
     if not np.all(np.isfinite(x)):
         raise SolverError("sharp-solve produced a non-finite solution")
-    r = op.block @ x - p
+    r = block @ x - p
     res = np.sqrt(np.sum(r * r))
     rhs = np.sqrt(np.sum(p * p))
     if res > SHARP_RESIDUAL_TOL * rhs:

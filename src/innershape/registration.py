@@ -4,8 +4,12 @@ Minimizes  E(u_0) = path energy + 1/(2 sigma^2) * |q_N - q_target|^2_flat
 over the initial velocity of a shot geodesic.  The exact adjoint gradient
 is the Riesz gradient in (R^{n x 3}, <.,.>_{op0}), the metric at q0, so
 limited-memory BFGS (Liu & Nocedal 1989) runs its two-loop recursion in that
-inner product, and the metric acts as the preconditioner.  Each direction is
-searched by Armijo backtracking from a unit step.
+inner product.  Its initial inverse Hessian is the inverse Gauss-Newton
+Hessian of the objective linearised at rest, P = (A0 + M/sigma^2)^{-1} A0
+on Riesz gradients (A0 the metric block at q0, M the flat mass matrix of
+the matching term), scaled by the newest curvature pair.  So the first
+direction, -P g, is the minimiser of the linearised objective, and every
+direction is searched by Armijo backtracking from a unit step.
 """
 
 import logging
@@ -17,7 +21,7 @@ import numpy as np
 from .adjoint import backward_sweep, check_sigma
 from .errors import StepFailureError
 from .geometry import Immersion, check_same_mesh
-from .metric import MetricOperator, inner_product, parameter_mass_matrix
+from .metric import MetricOperator, SparseBlock, inner_product, parameter_mass_matrix, solve
 from .shooting import GeodesicPath, path_energy, shoot
 
 logger = logging.getLogger(__name__)
@@ -108,11 +112,25 @@ def energy(path: GeodesicPath, q_target: Immersion, sigma: float) -> tuple[float
     return kin + match / (2.0 * sigma * sigma), kin, match
 
 
-def _two_loop(op0: MetricOperator, pairs: list, g: np.ndarray) -> np.ndarray:
+def _rest_preconditioner(op0: MetricOperator, sigma: float):
+    """P r = (A0 + M / sigma^2)^{-1} A0 r, the inverse Gauss-Newton Hessian of
+    the objective at rest acting on Riesz gradients in the metric at op0.
+
+    A0 + M / sigma^2 is the Euclidean Hessian at u_0 = 0 of the objective
+    with the path linearised (q_N = q0 + u_0), so P is self-adjoint and
+    positive definite in <.,.>_{op0}.  Both blocks lie on the mesh's pattern.
+    """
+    mass = parameter_mass_matrix(op0.immersion.mesh)
+    gn = SparseBlock(op0.block.data + mass.data / (sigma * sigma), op0.block.maps)
+    return lambda r: solve(gn, op0.block @ r)
+
+
+def _two_loop(op0: MetricOperator, precond, pairs: list, g: np.ndarray) -> np.ndarray:
     """L-BFGS inverse-Hessian approximation applied to ``g``, in the metric at op0.
 
     ``pairs`` holds ``(s, y, 1 / <y, s>)``, oldest first; the initial
-    inverse Hessian is ``<s, y> / <y, y>`` times the identity of the newest pair.
+    inverse Hessian is ``precond`` scaled by ``<s, y> / <y, precond y>`` of
+    the newest pair, or unscaled with no pair.
     """
     r = g
     coefs = []
@@ -120,8 +138,10 @@ def _two_loop(op0: MetricOperator, pairs: list, g: np.ndarray) -> np.ndarray:
         a = rho * inner_product(op0, s, r)
         r = r - a * y
         coefs.append(a)
-    s, y, rho = pairs[-1]
-    r = r / (rho * inner_product(op0, y, y))
+    r = precond(r)
+    if pairs:
+        s, y, rho = pairs[-1]
+        r = r / (rho * inner_product(op0, y, precond(y)))
     for (s, y, rho), a in zip(pairs, reversed(coefs)):
         r = r + (a - rho * inner_product(op0, y, r)) * s
     return r
@@ -136,19 +156,18 @@ def _remember(op0: MetricOperator, pairs: list, s: np.ndarray, y: np.ndarray) ->
 
 
 def _search_direction(
-    op0: MetricOperator, pairs: list, g: np.ndarray, sq_norm: float
+    op0: MetricOperator, precond, pairs: list, g: np.ndarray, sq_norm: float
 ) -> tuple[np.ndarray, float, float]:
     """Direction d, its slope <g, d> and the first trial step along it.
 
-    The L-BFGS direction ``-H g`` is tried at step 1.  With no stored pair,
-    or when ``-H g`` is no descent direction, steepest descent ``-g`` is
-    tried at step ``min(1, 1/|g|)``.
+    The L-BFGS direction ``-H g`` is tried at step 1; with no stored pair it
+    is ``-precond g``.  When ``-H g`` is no descent direction, steepest
+    descent ``-g`` is tried at step ``min(1, 1/|g|)``.
     """
-    if pairs:
-        d = -_two_loop(op0, pairs, g)
-        slope = inner_product(op0, g, d)
-        if slope < 0:
-            return d, slope, 1.0
+    d = -_two_loop(op0, precond, pairs, g)
+    slope = inner_product(op0, g, d)
+    if slope < 0:
+        return d, slope, 1.0
     return -g, -sq_norm, min(1.0, sq_norm**-0.5)
 
 
@@ -159,11 +178,12 @@ def register(
 
     ``alpha`` and ``eps_reg`` come from ``op0``.  The descent starts from
     rest, u_0 = 0, where the gradient is the raised mismatch
-    ``sharp(op0, M (q0 - q_target)) / sigma^2``.  Every trial shoots from
-    ``op0``, and it carries the L-BFGS inner product.  A step t
-    along the direction d is accepted when the energy falls strictly and by
-    at least ``ARMIJO_C * t * <g, d>``; otherwise t shrinks by
-    ``ARMIJO_SHRINK``.
+    ``sharp(op0, M (q0 - q_target)) / sigma^2``, so the first direction
+    is ``-solve(A0 + M / sigma^2, M (q0 - q_target)) / sigma^2`` (see
+    ``_rest_preconditioner``).  Every trial shoots from ``op0``, and it
+    carries the L-BFGS inner product.  A step t along the direction d is
+    accepted when the energy falls strictly and by at least
+    ``ARMIJO_C * t * <g, d>``; otherwise t shrinks by ``ARMIJO_SHRINK``.
     Returns the last, lowest iterate; the history has one row per iterate
     (the initial one included) with the accepted step along the search
     direction that produced it.
@@ -175,6 +195,7 @@ def register(
     cfg.validate()
     check_same_mesh(op0.immersion.mesh, q_target.mesh, "registration")
 
+    precond = _rest_preconditioner(op0, cfg.sigma)
     u = np.zeros((op0.immersion.mesh.n_nodes, 3))
     path = shoot(op0, u, cfg.n_steps)
     e_total, e_kin, e_match = energy(path, q_target, cfg.sigma)
@@ -210,7 +231,7 @@ def register(
 
         if g_prev is not None:
             _remember(op0, pairs, s, g - g_prev)
-        d, slope, step = _search_direction(op0, pairs, g, sq_norm)
+        d, slope, step = _search_direction(op0, precond, pairs, g, sq_norm)
         accepted = False
         while step >= STEP_MIN:
             try:

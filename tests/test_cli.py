@@ -107,6 +107,21 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_assembly_loads_no_numpy_ma():
+    """Assembling an operator does not import ``numpy.ma``, which ``np.median``
+    loads on numpy 2 at about 15 ms of start-up."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, innershape.cli; "
+            "from innershape import Topology, assemble, build_grid, cylinder_surface; "
+            "assemble(cylinder_surface(build_grid(Topology.CYLINDER, 4, 4)), 0.6); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_only_the_io_modules_open_files():
     """The numerical modules do no file I/O: meshes, configs and outputs do."""
     openers = {p.stem for p in (SRC / "innershape").glob("*.py")

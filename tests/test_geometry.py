@@ -17,6 +17,7 @@ from innershape import (
 from innershape.fixtures import rotation_matrix
 from innershape.geometry import (
     DEFAULT_REGULARITY_FACTOR,
+    _median,
     check_same_mesh,
     triangle_geometry,
 )
@@ -121,6 +122,13 @@ class TestRegularity:
         eps = DEFAULT_REGULARITY_FACTOR * float(np.median(triangle_geometry(q).vol))
         with pytest.raises(DegenerateElementError, match=rf"<= threshold {eps:.3e}"):
             require_regular(q)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 17, 512, 2048])
+    def test_median_equals_numpys(self, rng, size):
+        vol = rng.random(size) * 10.0 ** rng.uniform(-6, 3)
+        assert _median(vol) == float(np.median(vol))
+        ties = np.round(vol, 1)
+        assert _median(ties) == float(np.median(ties))
 
     def test_assembled_immersion_holds_only_its_data(self, cylinder_shape):
         q = Immersion(cylinder_shape.mesh, cylinder_shape.coords)

@@ -166,6 +166,20 @@ class TestNativeFormat:
             load(path)
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("index", ["3", "99999999999999999999"], ids=["swapped", "huge"])
+    def test_foreign_connectivity_reports_line(self, tmp_path, index):
+        mesh = build_grid(Topology.PLANE, 2, 2)  # 9 nodes, 8 triangles
+        path = tmp_path / "tris.mesh"
+        save_mesh(mesh, np.zeros((9, 3)), path)
+        lines = path.read_text().splitlines()
+        a, b, _ = mesh.triangles[5]
+        lines[3 + 9 + 5] = f"f {a} {b} {index}"  # the sixth triangle row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError, match=rf"triangle \[{a}, {b}, {index}\] does not"
+                           ) as err:
+            load_mesh(path)
+        assert err.value.line == 4 + 9 + 5
+
     def test_header_count_mismatch_rejected(self, tmp_path):
         mesh = build_grid(Topology.PLANE, 1, 1)
         coords = np.zeros((4, 3))

@@ -17,6 +17,7 @@ from innershape import (
     inner_product,
     parameter_mass_matrix,
     sharp,
+    solve,
     torus_surface,
 )
 from innershape.fixtures import rotation_matrix
@@ -146,6 +147,14 @@ class TestFlatSharp:
         ones = np.zeros_like(u)
         ones[:, 0] = 1.0
         assert float(np.vdot(cov, ones)) == pytest.approx(c, abs=1e-12)
+
+    def test_solve_takes_any_block_on_the_pattern(self, rng, cylinder_shape):
+        mass = parameter_mass_matrix(cylinder_shape.mesh)
+        p = random_field(rng, cylinder_shape.mesh)
+        want = np.linalg.solve(mass.toarray(), p)
+        assert np.linalg.norm(solve(mass, p) - want) <= 1e-12 * np.linalg.norm(want)
+        with pytest.raises(ValueError, match="field"):
+            solve(mass, p[:-1])
 
     # sharp reads the block through the pattern assemble builds, so the
     # broken blocks below keep that pattern

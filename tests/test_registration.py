@@ -168,9 +168,15 @@ class TestRegister:
 
 
 class TestLBFGS:
+    SIGMA = 0.05
+
     @pytest.fixture
     def op0(self, bend_problem):
         return assemble(bend_problem[0], ALPHA)
+
+    @pytest.fixture
+    def precond(self, op0):
+        return registration._rest_preconditioner(op0, self.SIGMA)
 
     def stored_pairs(self, rng, op0, count):
         pairs = []
@@ -180,12 +186,12 @@ class TestLBFGS:
             registration._remember(op0, pairs, s, y)
         return pairs
 
-    def test_secant_equation_for_the_newest_pair(self, rng, op0):
+    def test_secant_equation_for_the_newest_pair(self, rng, op0, precond):
         for count in (1, 3, registration.LBFGS_MEMORY + 2):
             pairs = self.stored_pairs(rng, op0, count)
             assert len(pairs) == min(count, registration.LBFGS_MEMORY)
             s, y, _ = pairs[-1]
-            hy = registration._two_loop(op0, pairs, y)
+            hy = registration._two_loop(op0, precond, pairs, y)
             assert metric.norm(op0, hy - s) <= 1e-12 * metric.norm(op0, s)
 
     def test_pair_without_positive_curvature_is_not_stored(self, rng, op0):
@@ -197,7 +203,7 @@ class TestLBFGS:
         assert len(pairs) == len(kept)
         assert all(a is b for a, b in zip(pairs, kept))
 
-    def test_non_descent_direction_falls_back_to_steepest_descent(self, rng, op0):
+    def test_non_descent_direction_falls_back_to_steepest_descent(self, rng, op0, precond):
         # a pair of negative curvature (never stored by _remember) turns
         # -H g into +g for g orthogonal to y
         y = random_field(rng, op0.immersion.mesh, 0.1)
@@ -205,19 +211,48 @@ class TestLBFGS:
         g = random_field(rng, op0.immersion.mesh, 0.1)
         g = g - metric.inner_product(op0, g, y) / yy * y
         sq_norm = metric.inner_product(op0, g, g)
-        d, slope, step = registration._search_direction(op0, [(-y, y, -1.0 / yy)], g, sq_norm)
+        d, slope, step = registration._search_direction(
+            op0, precond, [(-y, y, -1.0 / yy)], g, sq_norm)
         assert np.array_equal(d, -g)
         assert slope == -sq_norm
         assert step == pytest.approx(min(1.0, 1.0 / np.sqrt(sq_norm)), rel=1e-15)
 
-    def test_quasi_newton_direction_starts_at_unit_step(self, rng, op0):
+    def test_quasi_newton_direction_starts_at_unit_step(self, rng, op0, precond):
         pairs = self.stored_pairs(rng, op0, 3)
         g = random_field(rng, op0.immersion.mesh, 0.1)
         d, slope, step = registration._search_direction(
-            op0, pairs, g, metric.inner_product(op0, g, g))
-        assert np.array_equal(d, -registration._two_loop(op0, pairs, g))
+            op0, precond, pairs, g, metric.inner_product(op0, g, g))
+        assert np.array_equal(d, -registration._two_loop(op0, precond, pairs, g))
         assert slope == metric.inner_product(op0, g, d) < 0
         assert step == 1.0
+
+    def test_preconditioner_is_self_adjoint_and_positive(self, rng, op0, precond):
+        mesh = op0.immersion.mesh
+        for _ in range(3):
+            u, v = random_field(rng, mesh, 0.1), random_field(rng, mesh, 0.1)
+            uv = metric.inner_product(op0, precond(u), v)
+            vu = metric.inner_product(op0, u, precond(v))
+            assert abs(uv - vu) <= 1e-12 * abs(uv)
+            assert metric.inner_product(op0, u, precond(u)) > 0
+
+    def test_first_trial_is_the_gauss_newton_step_at_rest(self, bend_problem, op0, monkeypatch):
+        # the Gauss-Newton minimiser of the objective linearised at rest,
+        # -(A0 + M / sigma^2)^{-1} M (q0 - qT) / sigma^2, tried at step 1
+        q0, qt = bend_problem
+        shot = []
+
+        def recording_shoot(op, u0, n_steps):
+            shot.append(u0)
+            return shooting.shoot(op, u0, n_steps)
+
+        monkeypatch.setattr(registration, "shoot", recording_shoot)
+        cfg = RegistrationConfig(sigma=self.SIGMA, n_steps=4, max_iters=1, tol_grad=1e-12)
+        register(op0, qt, cfg)
+        mass = metric.parameter_mass_matrix(q0.mesh).toarray()
+        gn = op0.block.toarray() + mass / self.SIGMA**2
+        want = -np.linalg.solve(gn, mass @ (q0.coords - qt.coords)) / self.SIGMA**2
+        assert not np.any(shot[0])
+        assert np.linalg.norm(shot[1] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestRegularityThreshold:
