@@ -9,7 +9,7 @@ offers simple shape statistics: geodesic distances, triangle angles and
 iterated means.
 """
 
-from .adjoint import backward_sweep, matching_covector
+from .adjoint import backward_sweep
 from .config import ConfigError, RunConfig, as_dict, build_config, parse_file
 from .errors import (
     DegenerateElementError,
@@ -48,7 +48,6 @@ from .metric import (
     MetricOperator,
     SparseBlock,
     assemble,
-    flat,
     inner_product,
     kinetic_adjoint_covectors,
     kinetic_surface_gradient,
@@ -64,6 +63,7 @@ from .registration import (
     RegistrationStatus,
     energy,
     l2_matching,
+    matching_covector,
     register,
 )
 from .shooting import GeodesicPath, path_energy, path_length, shoot
@@ -113,7 +113,6 @@ __all__ = [
     "cylinder_surface",
     "energy",
     "export_obj",
-    "flat",
     "geodesic_angle",
     "inner_product",
     "karcher_mean",

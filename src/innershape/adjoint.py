@@ -1,20 +1,18 @@
-"""Exact gradient of the shooting objective by a backward adjoint sweep.
+"""Exact gradient of a shot path's energy plus an endpoint cost c,
 
-The objective of a shot path with endpoint matching is
+    E(u_0) = dt * sum_i l(u_i, u_i; q_i) + c(q_N),
 
-    E(u_0) = dt * sum_i l(u_i, u_i; q_i)
-           + 1/(2 sigma^2) * |q_N - q_target|^2_flat
-
-where the matching term uses the flat parameter-domain mass matrix.  The
-sweep transposes the linearized forward scheme step by step, so the returned
-gradient differentiates the discrete objective exactly up to rounding; a
-central finite difference of E must agree to FD-limited accuracy, which the
-test suite enforces.
+by a backward adjoint sweep that takes qbar = dc/dq_N, the Euclidean
+derivative of c at the endpoint (``registration.matching_covector`` for the
+L2 matching term).  The sweep transposes the linearized forward scheme step by
+step, so the returned gradient differentiates the discrete objective exactly
+up to rounding; a central finite difference of E must agree to FD-limited
+accuracy, which the test suite enforces.
 
 The sweep carries the raised adjoint W_{i+1} = sharp_{q_{i+1}}(ubar_{i+1}),
 where ubar_i is the Euclidean derivative of E with respect to u_i, and the
 covector qbar' that continues upstream through q_{i+1}.  Seeded with
-W_N = 0 and qbar' = the matching-term derivative, step i = N-1 .. 0 runs
+W_N = 0 and qbar' = qbar, step i = N-1 .. 0 runs
 
     W_i   = W_{i+1} + dt * u_i
             + sharp_{q_i}(2 dt * Cross(q_i; u_i, W_{i+1}) + dt * qbar')
@@ -35,31 +33,11 @@ recursion.
 
 import numpy as np
 
-from .geometry import Immersion, check_same_mesh
-from .metric import (
-    kinetic_adjoint_covectors,
-    kinetic_surface_gradient,
-    parameter_mass_matrix,
-    sharp,
-)
+from .metric import kinetic_adjoint_covectors, kinetic_surface_gradient, sharp
 from .shooting import GeodesicPath
 
 
-def check_sigma(sigma: float) -> None:
-    """Raise ValueError unless the matching scale is finite and > 0."""
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-
-
-def matching_covector(q: Immersion, q_target: Immersion, sigma: float) -> np.ndarray:
-    """Euclidean derivative of the matching term at the path endpoint."""
-    check_sigma(sigma)
-    check_same_mesh(q.mesh, q_target.mesh, "matching covector")
-    mass = parameter_mass_matrix(q.mesh)
-    return (mass @ (q.coords - q_target.coords)) / (sigma * sigma)
-
-
-def backward_sweep(path: GeodesicPath, q_target: Immersion, sigma: float) -> np.ndarray:
+def backward_sweep(path: GeodesicPath, qbar: np.ndarray) -> np.ndarray:
     """Run the adjoint recursion down a shot path.
 
     Parameters
@@ -67,18 +45,18 @@ def backward_sweep(path: GeodesicPath, q_target: Immersion, sigma: float) -> np.
     path : GeodesicPath
         Forward path; its cached operators are reused for every solve and
         variation.
-    q_target : Immersion
-        Matching target for the endpoint.
-    sigma : float
-        Matching weight 1/(2 sigma^2); must be finite and > 0.
+    qbar : ndarray, shape (n, 3)
+        Euclidean derivative of the endpoint cost at ``path.final``.
 
     Returns
     -------
     ndarray, shape (n, 3)
-        Metric gradient of the objective at u_0.
+        Metric gradient at u_0 of the path energy plus the endpoint cost.
     """
     dt = path.dt
-    qbar = matching_covector(path.final, q_target, sigma)
+    n = path.final.mesh.n_nodes
+    if qbar.shape != (n, 3):
+        raise ValueError(f"expected ({n}, 3) endpoint covector, got {qbar.shape}")
     w = np.zeros_like(qbar)
     for i in range(path.n_steps - 1, -1, -1):
         op, u = path.operators[i], path.velocities[i]

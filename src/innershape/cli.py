@@ -54,7 +54,7 @@ from .mesh import (
     save_velocity,
 )
 from .metric import assemble, inner_product
-from .registration import RegistrationStatus, energy, register
+from .registration import RegistrationStatus, energy, matching_covector, register
 from .shooting import GeodesicPath, path_energy, path_length, shoot
 from .statistics import MeanStatus, karcher_mean, triangle_experiment
 
@@ -412,7 +412,8 @@ def cmd_gradcheck(args) -> int:
     u0 = 0.2 * rng.standard_normal(shape)
 
     op0 = assemble(q0, cfg.alpha, cfg.eps_reg)
-    grad = backward_sweep(shoot(op0, u0, cfg.n_steps), q_target, cfg.sigma)
+    path = shoot(op0, u0, cfg.n_steps)
+    grad = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
 
     header = ["dir"] + [f"h={h:g}" for h in GRADCHECK_STEPS] + ["min"]
     rows = []

@@ -66,10 +66,10 @@ class MetricOperator:
     """Assembled inner-metric operator at one immersion.
 
     The full operator on stacked (n, 3) fields is block-diagonal with three
-    copies of ``block``; ``flat``/``sharp`` apply it to all columns at once.
-    ``geom`` is the immersion's per-triangle geometry, which ``assemble``
-    checked for regularity with the threshold ``eps_reg`` (None: the
-    default); the kinetic variations read it from here.
+    copies of ``block``; ``block @ u`` and ``sharp`` apply it to all columns
+    at once.  ``geom`` is the immersion's per-triangle geometry, which
+    ``assemble`` checked for regularity with the threshold ``eps_reg``
+    (None: the default); the kinetic variations read it from here.
     """
 
     immersion: Immersion
@@ -397,12 +397,6 @@ def norm(op: MetricOperator, u: np.ndarray) -> float:
     return float(np.sqrt(max(inner_product(op, u, u), 0.0)))
 
 
-def flat(op: MetricOperator, u: np.ndarray) -> np.ndarray:
-    """Lower the index: the covector A u of a field u."""
-    _check_field(op.n_nodes, u)
-    return op.block @ u
-
-
 def sharp(op: MetricOperator, p: np.ndarray) -> np.ndarray:
     """Raise the index: solve A x = p for all three components at once
     (see ``solve``)."""
@@ -427,12 +421,16 @@ def solve(block: SparseBlock, p: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise SolverError("sharp-solve produced a non-finite solution")
     r = block @ x - p
-    res = np.sqrt(np.sum(r * r))
-    rhs = np.sqrt(np.sum(p * p))
+    # both norms in units of the largest entry of r and p, so that no square
+    # overflows or underflows to a false pass
+    scale = float(max(np.max(np.abs(r)), np.max(np.abs(p)))) or 1.0
+    r, p = r / scale, p / scale
+    res = float(np.sqrt(np.sum(r * r)))
+    rhs = float(np.sqrt(np.sum(p * p)))
     if res > SHARP_RESIDUAL_TOL * rhs:
         raise SolverError(
-            f"sharp-solve residual {res:.3e} exceeds {SHARP_RESIDUAL_TOL:g} "
-            f"times |rhs|={rhs:.3e}"
+            f"sharp-solve residual {res * scale:.3e} exceeds {SHARP_RESIDUAL_TOL:g} "
+            f"times |rhs|={rhs * scale:.3e}"
         )
     return x
 

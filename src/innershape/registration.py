@@ -9,7 +9,9 @@ Hessian of the objective linearised at rest, P = (A0 + M/sigma^2)^{-1} A0
 on Riesz gradients (A0 the metric block at q0, M the flat mass matrix of
 the matching term), scaled by the newest curvature pair.  So the first
 direction, -P g, is the minimiser of the linearised objective, and every
-direction is searched by Armijo backtracking from a unit step.
+direction is searched by Armijo backtracking from a unit step.  The
+matching term lives here alone: its sigma check, its value, its endpoint
+derivative (``matching_covector``, the sweep's seed) and its block M/sigma^2.
 """
 
 import logging
@@ -18,10 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .adjoint import backward_sweep, check_sigma
+from .adjoint import backward_sweep
 from .errors import StepFailureError
 from .geometry import Immersion, check_same_mesh
-from .metric import MetricOperator, SparseBlock, inner_product, parameter_mass_matrix, solve
+from .metric import MetricOperator, SparseBlock, inner_product, norm, parameter_mass_matrix, solve
 from .shooting import GeodesicPath, path_energy, shoot
 
 logger = logging.getLogger(__name__)
@@ -33,6 +35,15 @@ LBFGS_MEMORY = 8
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 STEP_MIN = 1e-12
+
+
+def check_sigma(sigma: float) -> None:
+    """Raise ValueError unless sigma > 0 and its matching weight 1/(2 sigma^2)
+    is a finite float > 0."""
+    # Python floats overflow to inf and underflow to 0 here without raising
+    two_sq = 2.0 * float(sigma) * float(sigma)
+    if not (sigma > 0 and two_sq > 0 and 0 < 1.0 / two_sq < np.inf):
+        raise ValueError(f"sigma must be > 0 with 1/(2 sigma^2) finite and > 0, got {sigma}")
 
 
 @dataclass
@@ -104,6 +115,14 @@ def l2_matching(q: Immersion, q_target: Immersion) -> float:
     return float(np.sum(d * (mass @ d)))
 
 
+def matching_covector(q: Immersion, q_target: Immersion, sigma: float) -> np.ndarray:
+    """Euclidean derivative of the matching term at the path endpoint."""
+    check_sigma(sigma)
+    check_same_mesh(q.mesh, q_target.mesh, "matching covector")
+    mass = parameter_mass_matrix(q.mesh)
+    return (mass @ (q.coords - q_target.coords)) / (sigma * sigma)
+
+
 def energy(path: GeodesicPath, q_target: Immersion, sigma: float) -> tuple[float, float, float]:
     """Objective value of a shot path: (total, kinetic, match)."""
     check_sigma(sigma)
@@ -156,19 +175,12 @@ def _remember(op0: MetricOperator, pairs: list, s: np.ndarray, y: np.ndarray) ->
 
 
 def _search_direction(
-    op0: MetricOperator, precond, pairs: list, g: np.ndarray, sq_norm: float
-) -> tuple[np.ndarray, float, float]:
-    """Direction d, its slope <g, d> and the first trial step along it.
-
-    The L-BFGS direction ``-H g`` is tried at step 1; with no stored pair it
-    is ``-precond g``.  When ``-H g`` is no descent direction, steepest
-    descent ``-g`` is tried at step ``min(1, 1/|g|)``.
-    """
+    op0: MetricOperator, precond, pairs: list, g: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The L-BFGS direction d = -H g and its slope <g, d>; with no stored
+    pair, d = -precond g."""
     d = -_two_loop(op0, precond, pairs, g)
-    slope = inner_product(op0, g, d)
-    if slope < 0:
-        return d, slope, 1.0
-    return -g, -sq_norm, min(1.0, sq_norm**-0.5)
+    return d, inner_product(op0, g, d)
 
 
 def register(
@@ -181,8 +193,8 @@ def register(
     ``sharp(op0, M (q0 - q_target)) / sigma^2``, so the first direction
     is ``-solve(A0 + M / sigma^2, M (q0 - q_target)) / sigma^2`` (see
     ``_rest_preconditioner``).  Every trial shoots from ``op0``, and it
-    carries the L-BFGS inner product.  A step t along the direction d is
-    accepted when the energy falls strictly and by at least
+    carries the L-BFGS inner product.  A step t along the direction d, from
+    t = 1, is accepted when the energy falls strictly and by at least
     ``ARMIJO_C * t * <g, d>``; otherwise t shrinks by ``ARMIJO_SHRINK``.
     Returns the last, lowest iterate; the history has one row per iterate
     (the initial one included) with the accepted step along the search
@@ -208,9 +220,8 @@ def register(
     g_prev = s = None
 
     while True:
-        g = backward_sweep(path, q_target, cfg.sigma)
-        sq_norm = max(inner_product(op0, g, g), 0.0)
-        g_norm = float(np.sqrt(sq_norm))
+        g = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
+        g_norm = norm(op0, g)
         history.append(
             IterationRecord(iteration, e_total, e_kin, e_match, g_norm, last_step)
         )
@@ -231,7 +242,8 @@ def register(
 
         if g_prev is not None:
             _remember(op0, pairs, s, g - g_prev)
-        d, slope, step = _search_direction(op0, precond, pairs, g, sq_norm)
+        d, slope = _search_direction(op0, precond, pairs, g)
+        step = 1.0
         accepted = False
         while step >= STEP_MIN:
             try:

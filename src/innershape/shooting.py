@@ -17,14 +17,7 @@ import numpy as np
 
 from .errors import DegenerateElementError, SolverError, StepFailureError
 from .geometry import Immersion
-from .metric import (
-    MetricOperator,
-    assemble,
-    flat,
-    inner_product,
-    kinetic_surface_gradient,
-    sharp,
-)
+from .metric import MetricOperator, assemble, kinetic_surface_gradient, sharp
 
 
 @dataclass
@@ -89,11 +82,13 @@ def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
         q_i = immersions[i]
         u_i = velocities[i]
         op_i = operators[i]
-        kinetic[i] = 0.5 * inner_product(op_i, u_i, u_i)
+        # the momentum A u_i, which also gives <u_i, u_i>
+        a_u = op_i.block @ u_i
+        kinetic[i] = 0.5 * float(np.sum(u_i * a_u))
         try:
             q_next = Immersion(q_i.mesh, q_i.coords + dt * u_i)
             if i < n_steps - 1:
-                momentum = flat(op_i, u_i) + dt * kinetic_surface_gradient(op_i, u_i, u_i)
+                momentum = a_u + dt * kinetic_surface_gradient(op_i, u_i, u_i)
                 op_next = assemble(q_next, op0.alpha, op0.eps_reg)
                 operators.append(op_next)
                 velocities.append(sharp(op_next, momentum))

@@ -10,13 +10,8 @@ the sweep on the package's own solves and variations.
 
 import numpy as np
 
-from innershape.adjoint import matching_covector
-from innershape.metric import (
-    flat,
-    kinetic_adjoint_covectors,
-    kinetic_surface_gradient,
-    sharp,
-)
+from innershape.metric import kinetic_adjoint_covectors, kinetic_surface_gradient, sharp
+from innershape.registration import matching_covector
 
 #: reference-triangle hat-function gradients on the unit triangle
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -167,7 +162,7 @@ def covector_sweep(path, q_target, sigma: float) -> np.ndarray:
             hess = 0.0
 
         qbar = qbar_adj + hess + kinetic_surface_gradient(op_i, u_i, 2.0 * w + dt * u_i)
-        ubar = flat(op_i, w + dt * u_i) + cross + dt * qbar_adj
+        ubar = op_i.block @ (w + dt * u_i) + cross + dt * qbar_adj
 
     u0 = path.velocities[0]
     u_hat0 = u0 - sharp(path.operators[0], ubar)

@@ -17,6 +17,7 @@ from innershape import (
     l2_matching,
     matching_covector,
     parameter_mass_matrix,
+    path_energy,
     sharp,
     shoot,
     torus_surface,
@@ -27,7 +28,7 @@ from innershape.metric import assemble
 from innershape.registration import RegistrationConfig
 
 from .conftest import random_field
-from .oracles import covector_sweep
+from .oracles import covector_sweep, min_fd_error
 from .test_shooting import smooth_field
 
 ALPHA = 0.6
@@ -83,7 +84,9 @@ class TestMatchingCovector:
 
 
 class TestBadSigma:
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    # 1e-200, 1e-160 and 1e200 are finite and > 0, but their weight
+    # 1/(2 sigma^2) is 1/0, inf and 0 in floats
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e-160, 1e200])
     def test_rejected_by_every_matching_term(self, small_problem, sigma):
         q0, u0, q_target = small_problem
         path = shoot(assemble(q0, ALPHA), u0, 3)
@@ -91,8 +94,6 @@ class TestBadSigma:
             matching_covector(path.final, q_target, sigma)
         with pytest.raises(ValueError, match="sigma"):
             energy(path, q_target, sigma)
-        with pytest.raises(ValueError, match="sigma"):
-            backward_sweep(path, q_target, sigma)
 
 
 class TestBackwardSweep:
@@ -101,7 +102,8 @@ class TestBackwardSweep:
         q0, u0, q_target = problem(topology)
         cfg = RegistrationConfig(sigma=SIGMA, n_steps=3)
         op0 = assemble(q0, ALPHA)
-        grad = backward_sweep(shoot(op0, u0, 3), q_target, SIGMA)
+        path = shoot(op0, u0, 3)
+        grad = backward_sweep(path, matching_covector(path.final, q_target, SIGMA))
 
         worst = 0.0
         for _ in range(5):
@@ -116,13 +118,46 @@ class TestBackwardSweep:
             worst = max(worst, best)
         assert worst <= 1e-5
 
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name.lower())
+    def test_fd_gate_for_any_endpoint_covector(self, topology, rng):
+        # the sweep is the gradient of path energy + <c, q_N>: it knows no
+        # matching term, only the derivative c of an endpoint cost
+        q0, u0, _ = problem(topology)
+        op0 = assemble(q0, ALPHA)
+        c = random_field(rng, q0.mesh, 0.1)
+        grad = backward_sweep(shoot(op0, u0, 3), c)
+
+        def objective(u):
+            path = shoot(op0, u, 3)
+            return path_energy(path) + float(np.sum(c * path.final.coords))
+
+        worst = 0.0
+        for _ in range(5):
+            d = random_field(rng, q0.mesh)
+            err = min_fd_error(inner_product(op0, grad, d),
+                               lambda h: (objective(u0 + h * d), objective(u0 - h * d)))
+            worst = max(worst, err)
+        assert worst <= 1e-5
+
+    def test_takes_only_an_endpoint_covector(self, small_problem):
+        q0, u0, _ = small_problem
+        path = shoot(assemble(q0, ALPHA), u0, 3)
+        n = q0.mesh.n_nodes
+        for bad in (np.zeros(3), np.zeros((n, 2)), np.zeros((n + 1, 3)), np.zeros((3, n))):
+            with pytest.raises(ValueError, match="covector"):
+                backward_sweep(path, bad)
+        # sigma and the matching mass matrix belong to registration
+        for name in ("matching_covector", "check_sigma", "parameter_mass_matrix",
+                     "check_same_mesh"):
+            assert not hasattr(adjoint, name)
+
     @pytest.mark.parametrize("n_steps", [1, 3, 5])
     @pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name.lower())
     def test_agrees_with_the_covector_recursion(self, topology, n_steps):
         q0, u0, q_target = problem(topology)
         path = shoot(assemble(q0, ALPHA), u0, n_steps)
         want = covector_sweep(path, q_target, SIGMA)
-        got = backward_sweep(path, q_target, SIGMA)
+        got = backward_sweep(path, matching_covector(path.final, q_target, SIGMA))
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n_steps", [1, 4])
@@ -139,7 +174,7 @@ class TestBackwardSweep:
                 return _real(*args)
 
             monkeypatch.setattr(adjoint, name, counted)
-        backward_sweep(path, q_target, SIGMA)
+        backward_sweep(path, matching_covector(path.final, q_target, SIGMA))
         # step i = 0 forms no qbar' update, so it needs no D
         assert calls == {"sharp": n_steps, "kinetic_adjoint_covectors": n_steps,
                          "kinetic_surface_gradient": n_steps - 1}
@@ -154,7 +189,7 @@ class TestBackwardSweep:
         errs = {}
         for n in (8, 16):
             path = shoot(assemble(q0, ALPHA), u0, n)
-            g = backward_sweep(path, path.final, SIGMA)
+            g = backward_sweep(path, matching_covector(path.final, path.final, SIGMA))
             errs[n] = np.linalg.norm(g - u0) / np.linalg.norm(u0)
         assert errs[8] <= 0.5 / 8
         assert 1.5 <= errs[8] / errs[16] <= 2.5
@@ -167,7 +202,8 @@ class TestBackwardSweep:
         sigma = 0.25
         mismatch = parameter_mass_matrix(q0.mesh) @ (q_target.coords - q0.coords)
         want = -sharp(op0, mismatch) / sigma**2
-        got = backward_sweep(shoot(op0, np.zeros_like(q0.coords), 4), q_target, sigma)
+        path = shoot(op0, np.zeros_like(q0.coords), 4)
+        got = backward_sweep(path, matching_covector(path.final, q_target, sigma))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # so steepest descent from rest moves toward the target
         assert l2_matching(q0.displaced(-1e-3 * got), q_target) < l2_matching(q0, q_target)
@@ -176,25 +212,27 @@ class TestBackwardSweep:
         q0, _, _ = small_problem
         zero = np.zeros((q0.mesh.n_nodes, 3))
         path = shoot(assemble(q0, ALPHA), zero, 4)
-        assert np.array_equal(backward_sweep(path, q0, SIGMA), zero)
+        assert np.array_equal(backward_sweep(path, matching_covector(path.final, q0, SIGMA)), zero)
 
     def test_rotation_equivariance(self, small_problem):
         q0, u0, q_target = small_problem
         rot = rotation_matrix("y", 25.0) @ rotation_matrix("z", 130.0)
         b = np.array([0.1, 0.7, -0.2])
 
-        g = backward_sweep(shoot(assemble(q0, ALPHA), u0, 3), q_target, SIGMA)
+        path = shoot(assemble(q0, ALPHA), u0, 3)
+        g = backward_sweep(path, matching_covector(path.final, q_target, SIGMA))
 
         q0_m = Immersion(q0.mesh, q0.coords @ rot.T + b)
         qt_m = Immersion(q0.mesh, q_target.coords @ rot.T + b)
-        g_m = backward_sweep(shoot(assemble(q0_m, ALPHA), u0 @ rot.T, 3), qt_m, SIGMA)
+        path_m = shoot(assemble(q0_m, ALPHA), u0 @ rot.T, 3)
+        g_m = backward_sweep(path_m, matching_covector(path_m.final, qt_m, SIGMA))
         assert np.max(np.abs(g_m - g @ rot.T)) <= 1e-10
 
     def test_variations_read_the_geometry_from_the_operators(self, small_problem, monkeypatch):
         q0, u0, q_target = small_problem
         op0 = assemble(q0, ALPHA)
         path = shoot(op0, u0, 3)
-        want = backward_sweep(path, q_target, SIGMA)
+        want = backward_sweep(path, matching_covector(path.final, q_target, SIGMA))
         assembled = {op.immersion.coords.tobytes(): op for op in path.operators}
 
         def recomputed(q):
@@ -209,4 +247,5 @@ class TestBackwardSweep:
                             lambda q, alpha, eps_reg: assembled[q.coords.tobytes()])
         replay = shoot(op0, u0, 3)
         assert all(np.array_equal(a, b) for a, b in zip(replay.velocities, path.velocities))
-        assert np.array_equal(backward_sweep(replay, q_target, SIGMA), want)
+        assert np.array_equal(
+            backward_sweep(replay, matching_covector(replay.final, q_target, SIGMA)), want)

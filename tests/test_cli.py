@@ -514,13 +514,17 @@ class TestUsage:
 
     @pytest.mark.parametrize("flags, config", [
         (["--sigma", "inf"], ""),
+        (["--sigma", "1e-200"], ""),
+        (["--sigma", "1e-160"], ""),
+        (["--sigma", "1e200"], ""),
         (["--eps-reg", "nan"], ""),
         (["--eps-reg", "-0.5"], ""),
         ([], "alpha = nan\n"),
         (["--tol-grad", "-1"], ""),
         ([], "tol_match = -1\n"),
-    ], ids=["sigma-inf", "eps-reg-nan", "eps-reg-negative", "alpha-nan-in-file",
-            "tol-grad-negative", "tol-match-negative-in-file"])
+    ], ids=["sigma-inf", "sigma-1e-200", "sigma-1e-160", "sigma-1e200", "eps-reg-nan",
+            "eps-reg-negative", "alpha-nan-in-file", "tol-grad-negative",
+            "tol-match-negative-in-file"])
     def test_non_finite_or_negative_setting(self, sheets, tmp_path, flags, config):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)

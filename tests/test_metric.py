@@ -13,13 +13,13 @@ from innershape import (
     assemble,
     build_grid,
     cylinder_surface,
-    flat,
     inner_product,
     parameter_mass_matrix,
     sharp,
     solve,
     torus_surface,
 )
+from innershape import metric
 from innershape.fixtures import rotation_matrix
 from innershape.metric import _assemble_scalar, _dissection, _index_maps, _scatter
 
@@ -126,21 +126,21 @@ class TestFlatSharp:
     def test_sharp_of_flat_is_identity(self, rng, cylinder_shape):
         op = assemble(cylinder_shape, ALPHA)
         u = random_field(rng, cylinder_shape.mesh)
-        back = sharp(op, flat(op, u))
+        back = sharp(op, op.block @ u)
         rel = np.linalg.norm(back - u) / np.linalg.norm(u)
         assert rel <= 1e-10
 
     def test_flat_of_zero_is_zero(self, cylinder_shape):
         op = assemble(cylinder_shape, ALPHA)
         zero = np.zeros((cylinder_shape.mesh.n_nodes, 3))
-        assert np.array_equal(flat(op, zero), zero)
+        assert np.array_equal(op.block @ zero, zero)
 
     def test_flat_constant_field_mass_rows(self, flat_square):
         c = 1.75
         op = assemble(flat_square, 0.0)
         u = np.zeros((flat_square.mesh.n_nodes, 3))
         u[:, 0] = c
-        cov = flat(op, u)
+        cov = op.block @ u
         rows = flat_mass_matrix(flat_square.mesh).sum(axis=1)
         assert np.max(np.abs(cov[:, 0] - c * rows)) <= 1e-12
         assert np.max(np.abs(cov[:, 1:])) == 0.0
@@ -167,6 +167,20 @@ class TestFlatSharp:
         op = assemble(cylinder_shape, ALPHA)
         with pytest.raises(SolverError, match="not positive definite"):
             sharp(with_block_data(op, -op.block.data), np.ones((op.n_nodes, 3)))
+
+    # at these scales |p|^2 overflows to inf or underflows to 0, and so does
+    # the squared residual of any finite answer
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_residual_check_rejects_a_wrong_solution_at_any_scale(
+        self, monkeypatch, rng, cylinder_shape, scale
+    ):
+        op = assemble(cylinder_shape, ALPHA)
+        p = scale * random_field(rng, cylinder_shape.mesh)
+        solve(op.block, p)
+        real = metric._multifrontal
+        monkeypatch.setattr(metric, "_multifrontal", lambda *args: 1.001 * real(*args))
+        with pytest.raises(SolverError, match="residual"):
+            solve(op.block, p)
 
     @pytest.mark.parametrize("ny", [16, 17])
     @pytest.mark.parametrize("topology", list(Topology), ids=lambda t: t.value)
