@@ -9,6 +9,13 @@ offers simple shape statistics: geodesic distances, triangle angles and
 iterated means.
 """
 
+import os
+
+# Every dense kernel here is small (batched solve fronts, (n, 3) fields), so
+# OpenBLAS's worker pool never speeds a call up and only costs start-up CPU;
+# set before numpy loads, and a user's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .adjoint import backward_sweep
 from .config import ConfigError, RunConfig, as_dict, build_config, parse_file
 from .errors import (

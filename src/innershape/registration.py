@@ -38,12 +38,14 @@ STEP_MIN = 1e-12
 
 
 def check_sigma(sigma: float) -> None:
-    """Raise ValueError unless sigma > 0 and its matching weight 1/(2 sigma^2)
-    is a finite float > 0."""
+    """Raise ValueError unless sigma > 0 and its matching weight w = 1/(2 sigma^2)
+    is a float > 0 with w^2 finite, as the squared gradient norm carries w^2."""
     # Python floats overflow to inf and underflow to 0 here without raising
+    # (``w ** 2`` would raise OverflowError, ``w * w`` gives inf)
     two_sq = 2.0 * float(sigma) * float(sigma)
-    if not (sigma > 0 and two_sq > 0 and 0 < 1.0 / two_sq < np.inf):
-        raise ValueError(f"sigma must be > 0 with 1/(2 sigma^2) finite and > 0, got {sigma}")
+    w = 1.0 / two_sq if sigma > 0 and two_sq > 0 else 0.0
+    if not (w > 0 and w * w < np.inf):
+        raise ValueError(f"sigma must be > 0 with w = 1/(2 sigma^2) > 0 and w^2 finite, got {sigma}")
 
 
 @dataclass

@@ -85,8 +85,10 @@ class TestMatchingCovector:
 
 class TestBadSigma:
     # 1e-200, 1e-160 and 1e200 are finite and > 0, but their weight
-    # 1/(2 sigma^2) is 1/0, inf and 0 in floats
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e-160, 1e200])
+    # w = 1/(2 sigma^2) is 1/0, inf and 0 in floats; at 1e-150 w is finite
+    # but w^2, which the squared gradient norm carries, is inf
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e-160, 1e200,
+                                       1e-150])
     def test_rejected_by_every_matching_term(self, small_problem, sigma):
         q0, u0, q_target = small_problem
         path = shoot(assemble(q0, ALPHA), u0, 3)

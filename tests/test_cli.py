@@ -107,6 +107,28 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_starts_no_blas_worker_threads(preset):
+    """Importing the command before numpy sets ``OPENBLAS_NUM_THREADS=1``, so
+    OpenBLAS starts no worker thread; a preset value wins."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, innershape.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    threads, variable = out.stdout.split()
+    if preset is None:
+        assert (threads, variable) == ("1", "1")
+    else:
+        assert variable == preset
+
+
 def test_assembly_loads_no_numpy_ma():
     """Assembling an operator does not import ``numpy.ma``, which ``np.median``
     loads on numpy 2 at about 15 ms of start-up."""
@@ -131,8 +153,10 @@ def test_only_the_io_modules_open_files():
 
 
 def test_step_path_modules_use_no_blas_reductions():
-    """The per-step modules reduce with ufunc sums, not numpy's threaded BLAS
-    reductions (vdot, dot, linalg.norm)."""
+    """The per-step modules reduce with ufunc sums, not BLAS reductions (vdot,
+    dot, linalg.norm): a caller that loads numpy before innershape keeps
+    OpenBLAS's worker pool, whose threaded sums would tie the library's bits
+    to the thread count."""
     blas = {p.stem for p in (SRC / "innershape").glob("*.py")
             if re.search(r"vdot|linalg\.norm|\.dot\(", p.read_text())}
     assert sorted(blas & {"metric", "geometry", "registration", "adjoint", "shooting"}) == []
@@ -517,13 +541,14 @@ class TestUsage:
         (["--sigma", "1e-200"], ""),
         (["--sigma", "1e-160"], ""),
         (["--sigma", "1e200"], ""),
+        (["--sigma", "1e-150"], ""),
         (["--eps-reg", "nan"], ""),
         (["--eps-reg", "-0.5"], ""),
         ([], "alpha = nan\n"),
         (["--tol-grad", "-1"], ""),
         ([], "tol_match = -1\n"),
-    ], ids=["sigma-inf", "sigma-1e-200", "sigma-1e-160", "sigma-1e200", "eps-reg-nan",
-            "eps-reg-negative", "alpha-nan-in-file", "tol-grad-negative",
+    ], ids=["sigma-inf", "sigma-1e-200", "sigma-1e-160", "sigma-1e200", "sigma-1e-150",
+            "eps-reg-nan", "eps-reg-negative", "alpha-nan-in-file", "tol-grad-negative",
             "tol-match-negative-in-file"])
     def test_non_finite_or_negative_setting(self, sheets, tmp_path, flags, config):
         cfg = tmp_path / "run.cfg"
