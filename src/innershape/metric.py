@@ -386,10 +386,8 @@ def inner_product(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> float:
     """<u, v> under the operator's metric; exactly symmetric in (u, v)."""
     _check_field(op.n_nodes, u)
     _check_field(op.n_nodes, v)
-    if u is v:
-        return float(np.sum(u * (op.block @ u)))
-    # evaluating both orders and averaging makes the swap a bitwise no-op
-    return float(0.5 * (np.sum(u * (op.block @ v)) + np.sum(v * (op.block @ u))))
+    # the mean of both orders (swap-exact), halved before adding so the sum cannot overflow
+    return float(0.5 * np.sum(u * (op.block @ v)) + 0.5 * np.sum(v * (op.block @ u)))
 
 
 def norm(op: MetricOperator, u: np.ndarray) -> float:
@@ -528,12 +526,9 @@ def kinetic_surface_gradient(op: MetricOperator, u: np.ndarray, v: np.ndarray) -
     geom, U, dU = _variation_prep(op, u, v)
     mesh = op.immersion.mesh
     Au = geom.g_inv @ dU
-    if v is u:
-        V, dV, Bv = U, dU, Au
-    else:
-        V = v.take(mesh.triangles, axis=0)
-        dV = _index_maps(mesh).grad_t @ V
-        Bv = geom.g_inv @ dV
+    V = v.take(mesh.triangles, axis=0)
+    dV = _index_maps(mesh).grad_t @ V
+    Bv = geom.g_inv @ dV
     k2 = (op.alpha * op.alpha) * mesh.area
     c = mesh.area * _frob(_M3 @ U, V) + k2 * _frob(Au, dV)
     BA = Bv @ _transposed(Au)

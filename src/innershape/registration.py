@@ -176,15 +176,6 @@ def _remember(op0: MetricOperator, pairs: list, s: np.ndarray, y: np.ndarray) ->
         del pairs[:-LBFGS_MEMORY]
 
 
-def _search_direction(
-    op0: MetricOperator, precond, pairs: list, g: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The L-BFGS direction d = -H g and its slope <g, d>; with no stored
-    pair, d = -precond g."""
-    d = -_two_loop(op0, precond, pairs, g)
-    return d, inner_product(op0, g, d)
-
-
 def register(
     op0: MetricOperator, q_target: Immersion, cfg: RegistrationConfig
 ) -> RegistrationResult:
@@ -194,10 +185,10 @@ def register(
     rest, u_0 = 0, where the gradient is the raised mismatch
     ``sharp(op0, M (q0 - q_target)) / sigma^2``, so the first direction
     is ``-solve(A0 + M / sigma^2, M (q0 - q_target)) / sigma^2`` (see
-    ``_rest_preconditioner``).  Every trial shoots from ``op0``, and it
-    carries the L-BFGS inner product.  A step t along the direction d, from
-    t = 1, is accepted when the energy falls strictly and by at least
-    ``ARMIJO_C * t * <g, d>``; otherwise t shrinks by ``ARMIJO_SHRINK``.
+    ``_rest_preconditioner``).  Every trial shoots from ``op0``, whose metric
+    is the L-BFGS inner product.  Each direction d = -H g is tried first at
+    t = 1; a step t is accepted when the energy falls strictly and by at least
+    ``ARMIJO_C * t * <g, d>``, otherwise t shrinks by ``ARMIJO_SHRINK``.
     Returns the last, lowest iterate; the history has one row per iterate
     (the initial one included) with the accepted step along the search
     direction that produced it.
@@ -217,52 +208,41 @@ def register(
     history: list[IterationRecord] = []
     pairs: list = []
     status = RegistrationStatus.MAX_ITERS
-    iteration = 0
-    last_step = 0.0
+    step = 0.0
     g_prev = s = None
 
-    while True:
+    for iteration in range(cfg.max_iters + 1):
         g = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
         g_norm = norm(op0, g)
-        history.append(
-            IterationRecord(iteration, e_total, e_kin, e_match, g_norm, last_step)
-        )
+        history.append(IterationRecord(iteration, e_total, e_kin, e_match, g_norm, step))
         logger.info(
             "iter %d: E=%.6e kinetic=%.6e match=%.6e |grad|=%.3e step=%.2e",
-            iteration, e_total, e_kin, e_match, g_norm, last_step,
+            iteration, e_total, e_kin, e_match, g_norm, step,
         )
-
-        if g_norm <= cfg.tol_grad:
+        if g_norm <= cfg.tol_grad or (cfg.tol_match is not None and e_match <= cfg.tol_match):
             status = RegistrationStatus.CONVERGED
             break
-        if cfg.tol_match is not None and e_match <= cfg.tol_match:
-            status = RegistrationStatus.CONVERGED
-            break
-        if iteration >= cfg.max_iters:
-            status = RegistrationStatus.MAX_ITERS
+        if iteration == cfg.max_iters:
             break
 
         if g_prev is not None:
             _remember(op0, pairs, s, g - g_prev)
-        d, slope = _search_direction(op0, precond, pairs, g)
+        d = -_two_loop(op0, precond, pairs, g)
+        slope = inner_product(op0, g, d)
         step = 1.0
-        accepted = False
         while step >= STEP_MIN:
             try:
                 trial_path = shoot(op0, u + step * d, cfg.n_steps)
                 trial = energy(trial_path, q_target, cfg.sigma)
             except StepFailureError as exc:
                 logger.debug("step %.2e rejected: %s", step, exc)
-                step *= ARMIJO_SHRINK
-                continue
-            # the strict decrease also rejects steps whose Armijo margin
-            # falls below one ulp of the energy
-            if trial[0] < e_total and trial[0] <= e_total + ARMIJO_C * step * slope:
-                accepted = True
-                break
+            else:
+                # the strict decrease also rejects steps whose Armijo margin
+                # falls below one ulp of the energy
+                if trial[0] < e_total and trial[0] <= e_total + ARMIJO_C * step * slope:
+                    break
             step *= ARMIJO_SHRINK
-
-        if not accepted:
+        else:
             status = RegistrationStatus.STEP_FAILURE
             break
 
@@ -271,7 +251,5 @@ def register(
         g_prev = g
         path = trial_path
         e_total, e_kin, e_match = trial
-        iteration += 1
-        last_step = step
 
     return RegistrationResult(u0=u, path=path, history=history, status=status)

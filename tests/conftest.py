@@ -62,5 +62,11 @@ def bumpy_torus(torus_mesh):
     return Immersion(torus_mesh, base.coords + bump)
 
 
+@pytest.fixture(params=["flat_square", "cylinder_shape", "bumpy_torus"])
+def any_shape(request):
+    """Each of the plane, cylinder and torus shapes in turn."""
+    return request.getfixturevalue(request.param)
+
+
 def random_field(rng, mesh, scale=1.0):
     return scale * rng.standard_normal((mesh.n_nodes, 3))

@@ -283,6 +283,24 @@ class TestRegister:
         assert code == EXIT_NUMERICAL
         assert (out / "summary.json").exists()  # artifacts written regardless
 
+    def test_smallest_accepted_sigma_runs_without_a_warning(self, tmp_path):
+        """``--sigma 1e-77`` passes the config check; the descent it runs
+        carries a matching weight near 5e153 and must not overflow anywhere."""
+        for shape, name in (("cylinder", "a.mesh"), ("bent-cylinder", "b.mesh")):
+            assert run("fixture", "--shape", shape, "--nx", "8", "--ny", "8",
+                       "--out", str(tmp_path / name)) == EXIT_OK
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "innershape.cli", "register",
+             "--template", str(tmp_path / "a.mesh"), "--target", str(tmp_path / "b.mesh"),
+             "--sigma", "1e-77", "--max-iters", "3", "--out-dir", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == EXIT_NUMERICAL, out.stderr
+        assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["status"] == "max_iters"
+
     def test_missing_template_is_io_error(self, sheets, tmp_path):
         code = run("register", "--template", str(tmp_path / "absent.mesh"),
                    "--target", sheets["base"], "--out-dir", str(tmp_path / "o"))

@@ -1,5 +1,8 @@
 """Model-domain grids, node identification and the native file formats."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,13 @@ class TestNativeFormat:
         assert (mesh2.nx, mesh2.ny) == (mesh.nx, mesh.ny)
         assert np.array_equal(mesh2.triangles, mesh.triangles)
         assert np.array_equal(coords2, coords)
+
+    def test_readme_example_header_counts_match_the_grid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        header = re.search(r"```\nIMESH 1 .*\n(\w+) (\d+) (\d+) .*\n(\d+) (\d+) ", readme)
+        topology, nx, ny, n_nodes, n_triangles = header.groups()
+        mesh = build_grid(Topology(topology), int(nx), int(ny))
+        assert (int(n_nodes), int(n_triangles)) == (mesh.n_nodes, mesh.n_triangles)
 
     def test_velocity_round_trip_bit_exact(self, tmp_path, rng):
         mesh = build_grid(Topology.CYLINDER, 4, 3)

@@ -115,6 +115,12 @@ class TestInnerProduct:
             v = random_field(rng, q.mesh)
             assert inner_product(op, u, v) - inner_product(op, v, u) == 0.0
 
+    def test_same_array_in_both_slots_equals_a_copy_bitwise(self, rng, any_shape):
+        op = assemble(any_shape, ALPHA)
+        for _ in range(5):
+            u = random_field(rng, any_shape.mesh)
+            assert inner_product(op, u, u) == inner_product(op, u, u.copy())
+
     def test_dimension_mismatch_rejected(self, flat_square, cylinder_shape):
         op = assemble(flat_square, ALPHA)
         u = np.zeros((cylinder_shape.mesh.n_nodes, 3))

@@ -207,9 +207,8 @@ class TestLBFGS:
     def test_quasi_newton_direction_starts_at_unit_step(self, rng, op0, precond):
         pairs = self.stored_pairs(rng, op0, 3)
         g = random_field(rng, op0.immersion.mesh, 0.1)
-        d, slope = registration._search_direction(op0, precond, pairs, g)
-        assert np.array_equal(d, -registration._two_loop(op0, precond, pairs, g))
-        assert slope == metric.inner_product(op0, g, d) < 0
+        d = -registration._two_loop(op0, precond, pairs, g)
+        assert metric.inner_product(op0, g, d) < 0
 
     def test_preconditioner_is_self_adjoint_and_positive(self, rng, op0, precond):
         mesh = op0.immersion.mesh

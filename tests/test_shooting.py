@@ -125,6 +125,12 @@ class TestPathFunctionals:
         assert np.max(np.abs(np.asarray(recomputed) - path.kinetic)) <= 1e-14
         assert path_energy(path) == pytest.approx(path.dt * sum(recomputed), rel=1e-14)
 
+    def test_recorded_kinetic_is_half_the_inner_product_bitwise(self, any_shape):
+        path = shoot(assemble(any_shape, ALPHA), smooth_field(any_shape.mesh, 0.05), 5)
+        for i in range(path.n_steps):
+            u = path.velocities[i]
+            assert path.kinetic[i] == 0.5 * inner_product(path.operators[i], u, u)
+
     def test_length_energy_inequality(self, cylinder_shape):
         u0 = smooth_field(cylinder_shape.mesh)
         path = shoot(assemble(cylinder_shape, ALPHA), u0, 6)

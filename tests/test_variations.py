@@ -77,6 +77,13 @@ class TestSurfaceGradient:
         b = kinetic_surface_gradient(op, v, u)
         assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(a)))
 
+    def test_same_array_in_both_slots_equals_a_copy_bitwise(self, rng, any_shape):
+        op = assemble(any_shape, ALPHA)
+        for _ in range(5):
+            u = random_field(rng, any_shape.mesh)
+            same = kinetic_surface_gradient(op, u, u)
+            assert np.array_equal(same, kinetic_surface_gradient(op, u, u.copy()))
+
 
 class TestSurfaceHessian:
     def test_fd_oracle_against_first_variation(self, rng):
