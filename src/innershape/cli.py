@@ -46,7 +46,6 @@ from .geometry import Immersion, check_same_mesh, surface_area
 from .mesh import (
     Topology,
     build_grid,
-    compatible,
     export_obj,
     load_mesh,
     load_velocity,
@@ -78,8 +77,8 @@ _FIXTURE_TOPOLOGY = {
     "torus-triangle": "torus",
 }
 
-#: bent-cylinder parameters used when the config does not set them
-_BENT_DEFAULTS = {"bend_deg": 90.0, "ripples": 5, "ripple_amplitude": 0.02}
+#: bent-cylinder parameters, as config text, used when neither file nor flag sets them
+_BENT_DEFAULTS = {"bend_deg": "90.0", "ripples": "5", "ripple_amplitude": "0.02"}
 
 _METRIC_KEYS = ("alpha", "eps_reg")
 _DESCENT_KEYS = ("sigma", "n_steps", "max_iters", "tol_grad", "tol_match")
@@ -113,18 +112,15 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
         )
 
 
-def _load_config(args) -> tuple[RunConfig, set]:
-    """Build the run config and report which keys were set explicitly.
-
-    A flag's text replaces the config file's text before either is converted.
+def _load_config(args, defaults: dict | None = None) -> RunConfig:
+    """Build the run config from raw texts: the config file's replace the
+    command's ``defaults``, and the flags' replace both, before any is converted.
     """
-    values = parse_file(args.config) if args.config else {}
+    values = dict(defaults or {})
+    if args.config:
+        values.update(parse_file(args.config))
     values.update((name, getattr(args, name)) for name in _field_types() if hasattr(args, name))
-    return build_config(values), set(values)
-
-
-def _domain_mesh(cfg: RunConfig):
-    return build_grid(Topology.parse(cfg.topology), cfg.nx, cfg.ny)
+    return build_config(values)
 
 
 def _load_immersion(path: str) -> Immersion:
@@ -181,31 +177,18 @@ def _write_frames(path: GeodesicPath, out_dir: str) -> list[str]:
     return written
 
 
-def _registration_summary(result) -> dict:
-    last = result.history[-1]
-    return {
-        "status": result.status.value,
-        "iterations": result.iterations,
-        "energy": last.energy,
-        "kinetic_energy": last.kinetic,
-        "matching_error": last.match,
-        "gradient_norm": last.grad_norm,
-        "path_length": path_length(result.path),
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def _flat_sheet(cfg: RunConfig) -> Immersion:
     """The model domain itself, lying in the z = 0 plane."""
-    mesh = _domain_mesh(cfg)
+    mesh = build_grid(Topology.parse(cfg.topology), cfg.nx, cfg.ny)
     return Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
 
 
 def cmd_meshgen(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     sheet = _flat_sheet(cfg)
     _write_shape(sheet, args.out, args.obj)
     print(f"{args.out}: {cfg.topology} {cfg.nx}x{cfg.ny}, "
@@ -214,7 +197,7 @@ def cmd_meshgen(args) -> int:
 
 
 def _fixture_shapes(cfg: RunConfig, shape: str, preset: int) -> list[tuple[str, Immersion]]:
-    mesh = _domain_mesh(cfg)
+    mesh = build_grid(Topology.parse(_FIXTURE_TOPOLOGY[shape]), cfg.nx, cfg.ny)
     if shape in ("cylinder", "bent-cylinder"):
         q = cylinder_surface(mesh, cfg.radius, cfg.height, cfg.bend_deg,
                              cfg.ripples, cfg.ripple_amplitude)
@@ -236,21 +219,13 @@ def _fixture_shapes(cfg: RunConfig, shape: str, preset: int) -> list[tuple[str, 
 
 
 def cmd_fixture(args) -> int:
-    cfg, provided = _load_config(args)
+    cfg = _load_config(args, _BENT_DEFAULTS if args.shape == "bent-cylinder" else None)
     if args.preset is not None and args.shape != "vase":
         raise ConfigError(f"--preset applies to shape 'vase' only, got shape {args.shape!r}")
-    cfg.topology = _FIXTURE_TOPOLOGY[args.shape]
-    if args.shape == "bent-cylinder":
-        for key, value in _BENT_DEFAULTS.items():
-            if key not in provided:
-                setattr(cfg, key, value)
 
     shapes = _fixture_shapes(cfg, args.shape, args.preset or 0)
-    if len(shapes) == 1:
-        paths = [args.out]
-    else:
-        os.makedirs(args.out, exist_ok=True)
-        paths = [os.path.join(args.out, f"{name}.mesh") for name, _ in shapes]
+    paths = ([args.out] if len(shapes) == 1 else
+             [os.path.join(args.out, f"{name}.mesh") for name, _ in shapes])
     for (name, q), path in zip(shapes, paths):
         _write_shape(q, path, args.obj)
         print(f"{path}: {name}, surface area {surface_area(q):.6f}")
@@ -258,14 +233,13 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_register(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     template = _load_immersion(args.template)
     target = _load_immersion(args.target)
     check_same_mesh(template.mesh, target.mesh, "registration")
     result = register(assemble(template, cfg.alpha, cfg.eps_reg), target, cfg)
 
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     _write_shape(result.path.final, os.path.join(out, "registered.mesh"), obj=True)
     save_velocity(template.mesh, result.u0, os.path.join(out, "initial_velocity.vel"))
     _write_csv(os.path.join(out, "history.csv"),
@@ -274,16 +248,22 @@ def cmd_register(args) -> int:
                  repr(r.grad_norm), repr(r.step)] for r in result.history))
     if cfg.export_frames:
         _write_frames(result.path, os.path.join(out, "frames"))
+    last = result.history[-1]
     summary = {
         "command": "register",
         "template": args.template,
         "target": args.target,
         "config": as_dict(cfg),
-        **_registration_summary(result),
+        "status": result.status.value,
+        "iterations": result.iterations,
+        "energy": last.energy,
+        "kinetic_energy": last.kinetic,
+        "matching_error": last.match,
+        "gradient_norm": last.grad_norm,
+        "path_length": path_length(result.path),
     }
     _write_summary(out, summary)
 
-    last = result.history[-1]
     print(f"register: {result.status.value} after {result.iterations} iterations, "
           f"energy {last.energy:.6e}, match {last.match:.6e}")
     if result.status is not RegistrationStatus.CONVERGED:
@@ -294,15 +274,13 @@ def cmd_register(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     q0 = _load_immersion(args.initial)
     vmesh, u0 = load_velocity(args.velocity)
-    if not compatible(q0.mesh, vmesh):
-        raise MeshMismatchError("shoot: velocity file does not match the initial mesh")
+    check_same_mesh(q0.mesh, vmesh, "shoot velocity")
 
     path = shoot(assemble(q0, cfg.alpha, cfg.eps_reg), u0, cfg.n_steps)
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     written = _write_frames(path, os.path.join(out, "frames"))
     _write_shape(path.final, os.path.join(out, "final.mesh"), obj=True)
     summary = {
@@ -322,7 +300,7 @@ def cmd_shoot(args) -> int:
 
 
 def cmd_triangle(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     qa = _load_immersion(args.a)
     qb = _load_immersion(args.b)
     qc = _load_immersion(args.c)
@@ -333,7 +311,6 @@ def cmd_triangle(args) -> int:
     report = triangle_experiment(assemble(qa, cfg.alpha, cfg.eps_reg), qb, qc, cfg)
 
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     for name, mid in zip(("midpoint_ab", "midpoint_bc", "midpoint_ca"), report.midpoints):
         _write_shape(mid, os.path.join(out, f"{name}.mesh"), obj=True)
     summary = {
@@ -361,7 +338,7 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_mean(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     shapes = [_load_immersion(p) for p in args.shapes]
     start = _load_immersion(args.start) if args.start else shapes[0]
     for k, s in enumerate(shapes):
@@ -370,7 +347,6 @@ def cmd_mean(args) -> int:
                           mean_tol=cfg.mean_tol, max_outer=cfg.max_outer)
 
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     _write_shape(result.mean, os.path.join(out, "mean.mesh"), obj=True)
     _write_csv(os.path.join(out, "norms.csv"), ["outer_iteration", "velocity_norm"],
                ([k, repr(vn)] for k, vn in enumerate(result.velocity_norms, start=1)))
@@ -404,7 +380,7 @@ def _gradcheck_base(cfg: RunConfig) -> Immersion:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg, _ = _load_config(args)
+    cfg = _load_config(args)
     q0 = _gradcheck_base(cfg)
     rng = np.random.default_rng(cfg.seed)
     shape = (q0.mesh.n_nodes, 3)

@@ -2,14 +2,13 @@
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
 blank lines ignored.  Settings are converted on one path: ``build_config``
-types a mapping of raw ``key -> text`` strings, so the CLI puts each flag's
-text in place of the file's text before anything is converted.  Unknown keys
-are rejected so typos fail loudly.
+types a mapping of raw ``key -> text`` strings, so the CLI puts the file's
+text in place of a command's default text, and each flag's text in place of
+both, before anything is converted.  Unknown keys, and a key set twice in
+one file, are rejected so typos fail loudly.
 """
 
 import math
-import types
-import typing
 from dataclasses import dataclass, fields
 
 from .errors import InnerShapeError
@@ -68,6 +67,8 @@ class RunConfig(RegistrationConfig):
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.directions < 1:
             raise ValueError(f"directions must be >= 1, got {self.directions}")
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
@@ -103,36 +104,33 @@ def _convert(name: str, text: str) -> object:
     return text
 
 
-def _field_type(annotation) -> tuple[type, bool]:
-    """Primitive type of a field annotation and whether it is `X | None`."""
-    optional = False
-    if isinstance(annotation, types.UnionType):
-        args = [a for a in typing.get_args(annotation) if a is not type(None)]
-        optional = len(args) < len(typing.get_args(annotation))
-        annotation = args[0] if args else str
-    return (annotation if annotation in (float, int, bool, str) else str), optional
-
-
 def _field_types() -> dict:
-    return {f.name: _field_type(f.type) for f in fields(RunConfig)}
+    """Each key's value type and whether it is ``float | None``."""
+    return {f.name: (float, True) if f.type == float | None else (f.type, False)
+            for f in fields(RunConfig)}
 
 
 def parse_file(path) -> dict:
-    """Read a key-value config file into a raw string mapping."""
+    """Read a key-value config file into a raw string mapping; a key may appear once."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = {}
+    first_line = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line "
+                              f"{first_line[key]}")
+        raw[key] = value
+        first_line[key] = lineno
     return raw
 
 

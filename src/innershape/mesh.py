@@ -119,21 +119,7 @@ def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
     -------
     DomainMesh
     """
-    if nx < 1 or ny < 1:
-        raise MeshResolutionError(f"resolution must be at least 1x1, got {nx}x{ny}")
-    if topology.periodic_x and nx < 3:
-        raise MeshResolutionError(
-            f"{topology.value} is periodic in x and needs nx >= 3, got nx={nx}"
-        )
-    if topology.periodic_y and ny < 3:
-        raise MeshResolutionError(
-            f"{topology.value} is periodic in y and needs ny >= 3, got ny={ny}"
-        )
-    if (nx + 1) * (ny + 1) > MAX_NODES:
-        raise MeshResolutionError(f"node count for {nx}x{ny} exceeds the 32-bit index range")
-
-    ncols = nx if topology.periodic_x else nx + 1
-    nrows = ny if topology.periodic_y else ny + 1
+    ncols, nrows = _unique_grid(topology, nx, ny)
 
     # grid point (i, j) -> unique node id of its wrapped representative
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
@@ -182,6 +168,26 @@ def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
         basis_grad=basis_grad,
         area=area,
     )
+
+
+def _unique_grid(topology: Topology, nx: int, ny: int) -> tuple[int, int]:
+    """Columns and rows of unique nodes at a resolution that ``build_grid`` accepts.
+
+    Raises MeshResolutionError for any other resolution.
+    """
+    if nx < 1 or ny < 1:
+        raise MeshResolutionError(f"resolution must be at least 1x1, got {nx}x{ny}")
+    if topology.periodic_x and nx < 3:
+        raise MeshResolutionError(
+            f"{topology.value} is periodic in x and needs nx >= 3, got nx={nx}"
+        )
+    if topology.periodic_y and ny < 3:
+        raise MeshResolutionError(
+            f"{topology.value} is periodic in y and needs ny >= 3, got ny={ny}"
+        )
+    if (nx + 1) * (ny + 1) > MAX_NODES:
+        raise MeshResolutionError(f"node count for {nx}x{ny} exceeds the 32-bit index range")
+    return (nx if topology.periodic_x else nx + 1), (ny if topology.periodic_y else ny + 1)
 
 
 def _reference_gradients(tri_param: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +245,8 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
     try:
         topology = Topology.parse(head[0])
         nx, ny = int(head[1]), int(head[2])
-    except ValueError as exc:
+        ncols, nrows = _unique_grid(topology, nx, ny)
+    except (ValueError, MeshResolutionError) as exc:
         raise MeshFormatError(str(exc), line=2) from None
     counts = need(2).split()
     if len(counts) != 2:
@@ -249,11 +256,11 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
     except ValueError:
         raise MeshFormatError("counts must be integers", line=3) from None
 
-    mesh = build_grid(topology, nx, ny)
-    if mesh.n_nodes != n_nodes or mesh.n_triangles != n_tris:
+    grid_counts = (ncols * nrows, 2 * nx * ny)
+    if (n_nodes, n_tris) != grid_counts:
         raise MeshFormatError(
             f"header counts {n_nodes}/{n_tris} do not match "
-            f"{topology.value} {nx}x{ny} ({mesh.n_nodes}/{mesh.n_triangles})",
+            f"{topology.value} {nx}x{ny} ({grid_counts[0]}/{grid_counts[1]})",
             line=3,
         )
 
@@ -281,6 +288,8 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
             tris.append([int(p) for p in parts[1:]])
         except ValueError:
             raise MeshFormatError("bad node index", line=lineno) from None
+    # built only once every record is read, so the grid is no larger than the file
+    mesh = build_grid(topology, nx, ny)
     # an index beyond int64 makes an object array, which still compares
     bad = np.flatnonzero(np.any(np.array(tris).reshape(n_tris, 3) != mesh.triangles, axis=1))
     if bad.size:

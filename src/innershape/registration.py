@@ -102,7 +102,7 @@ class RegistrationResult:
 
     @property
     def iterations(self) -> int:
-        return self.history[-1].iteration if self.history else 0
+        return self.history[-1].iteration
 
     @property
     def energy(self) -> float:

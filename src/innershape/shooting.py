@@ -22,27 +22,31 @@ from .metric import MetricOperator, assemble, kinetic_surface_gradient, sharp
 
 @dataclass
 class GeodesicPath:
-    """A discrete geodesic: immersions q_0..q_N and velocities u_0..u_{N-1}.
+    """A discrete geodesic: q_0..q_N (``immersions``) and u_0..u_{N-1}.
 
-    ``kinetic[i]`` is 1/2 <u_i, u_i> at q_i; ``operators[i]`` is the
-    assembled metric operator at q_i for i < N (reused by the adjoint sweep):
-    ``operators[0]`` is the operator the path was shot from, and the later
-    ones carry its alpha and regularity threshold.
+    For i < N, ``operators[i]`` is the assembled metric operator at q_i, whose
+    ``immersion`` is q_i (reused by the adjoint sweep), and ``kinetic[i]`` is
+    1/2 <u_i, u_i> at q_i; ``final`` is q_N.  ``operators[0]`` is the operator
+    the path was shot from, and the later ones carry its alpha and regularity
+    threshold.
     """
 
-    dt: float
-    immersions: list[Immersion] = field(repr=False)
+    operators: list[MetricOperator] = field(repr=False)
     velocities: list[np.ndarray] = field(repr=False)
     kinetic: np.ndarray = field(repr=False)
-    operators: list[MetricOperator] = field(repr=False)
+    final: Immersion = field(repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.velocities)
 
     @property
-    def final(self) -> Immersion:
-        return self.immersions[-1]
+    def dt(self) -> float:
+        return 1.0 / self.n_steps
+
+    @property
+    def immersions(self) -> list[Immersion]:
+        return [op.immersion for op in self.operators] + [self.final]
 
 
 def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
@@ -73,20 +77,18 @@ def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dt = 1.0 / n_steps
 
-    immersions = [q0]
     velocities = [u0]
     kinetic = np.empty(n_steps)
     operators = [op0]
 
     for i in range(n_steps):
-        q_i = immersions[i]
-        u_i = velocities[i]
         op_i = operators[i]
+        u_i = velocities[i]
         # the momentum A u_i, which also gives <u_i, u_i>
         a_u = op_i.block @ u_i
         kinetic[i] = 0.5 * float(np.sum(u_i * a_u))
         try:
-            q_next = Immersion(q_i.mesh, q_i.coords + dt * u_i)
+            q_next = op_i.immersion.displaced(dt * u_i)
             if i < n_steps - 1:
                 momentum = a_u + dt * kinetic_surface_gradient(op_i, u_i, u_i)
                 op_next = assemble(q_next, op0.alpha, op0.eps_reg)
@@ -94,15 +96,8 @@ def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
                 velocities.append(sharp(op_next, momentum))
         except (DegenerateElementError, SolverError, ValueError) as exc:
             raise StepFailureError(i, str(exc)) from exc
-        immersions.append(q_next)
 
-    return GeodesicPath(
-        dt=dt,
-        immersions=immersions,
-        velocities=velocities,
-        kinetic=kinetic,
-        operators=operators,
-    )
+    return GeodesicPath(operators, velocities, kinetic, final=q_next)
 
 
 def path_energy(path: GeodesicPath) -> float:

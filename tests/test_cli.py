@@ -29,7 +29,7 @@ from innershape import (
     vase_surface,
 )
 from innershape.cli import (
-    _BENT_DEFAULTS, _FIXTURE_TOPOLOGY, COMMAND_KEYS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
+    _FIXTURE_TOPOLOGY, COMMAND_KEYS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
     EXIT_USAGE, _gradcheck_base, _load_config, build_parser, main,
 )
 from innershape.config import ConfigError
@@ -43,7 +43,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: the library surfaces each fixture shape writes, at the default config
 LIBRARY_FIXTURES = {
     "cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height)],
-    "bent-cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height, **_BENT_DEFAULTS)],
+    "bent-cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height, 90.0, 5, 0.02)],
     "torus": lambda m, c: [torus_surface(m, c.major_radius, c.minor_radius, c.asymmetry)],
     "torus-triangle": lambda m, c: torus_triangle(m, c.major_radius, c.minor_radius,
                                                   c.asymmetry),
@@ -182,13 +182,22 @@ class TestMeshgen:
 
 class TestFixture:
     def test_bent_cylinder_with_zero_knobs_equals_straight(self, tmp_path):
-        a, b = tmp_path / "a.mesh", tmp_path / "b.mesh"
-        assert run("fixture", "--shape", "cylinder", "--out", str(a),
+        straight = tmp_path / "straight.mesh"
+        assert run("fixture", "--shape", "cylinder", "--out", str(straight),
                    "--nx", "6", "--ny", "6") == EXIT_OK
-        assert run("fixture", "--shape", "bent-cylinder", "--out", str(b),
-                   "--nx", "6", "--ny", "6", "--bend-deg", "0",
-                   "--ripples", "0", "--ripple-amplitude", "0") == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+        cfg = tmp_path / "run.cfg"
+        # the zero knobs from flags, from a config file, and from both where a
+        # flag beats the file's value
+        for knobs, text in [
+            (["--bend-deg", "0", "--ripples", "0", "--ripple-amplitude", "0"], ""),
+            ([], "bend_deg = 0\nripples = 0\nripple_amplitude = 0\n"),
+            (["--bend-deg", "0", "--ripple-amplitude", "0"], "bend_deg = 45\nripples = 0\n"),
+        ]:
+            cfg.write_text(text)
+            bent = tmp_path / "bent.mesh"
+            assert run("fixture", "--shape", "bent-cylinder", "--out", str(bent), "--nx", "6",
+                       "--ny", "6", "--config", str(cfg), *knobs) == EXIT_OK
+            assert bent.read_bytes() == straight.read_bytes(), knobs
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.mesh", tmp_path / "b.mesh"
@@ -394,13 +403,15 @@ class TestShoot:
         assert ("error: step failure: step 1: sharp: block is not positive definite"
                 in capsys.readouterr().err)
 
-    def test_velocity_from_other_mesh_rejected(self, sheets, tmp_path):
+    def test_velocity_from_other_mesh_rejected(self, sheets, tmp_path, capsys):
         other = build_grid(Topology.PLANE, 4, 4)
         vel = tmp_path / "wrong.vel"
         save_velocity(other, np.zeros((other.n_nodes, 3)), str(vel))
         code = run("shoot", "--initial", sheets["base"], "--velocity", str(vel),
                    "--out-dir", str(tmp_path / "o"))
         assert code == EXIT_USAGE
+        assert ("error: mesh mismatch: shoot velocity: meshes differ"
+                in capsys.readouterr().err)
 
 
 class TestTriangle:
@@ -522,15 +533,14 @@ class TestUsage:
         assert run(*identity, "--export-frames", "maybe") == EXIT_USAGE
         assert run(*identity, "--export-frames", "off") == EXIT_OK
         args = build_parser().parse_args([*identity, "--export-frames", "off"])
-        assert _load_config(args)[0].export_frames is False
+        assert _load_config(args).export_frames is False
 
     def test_flag_beats_config_file_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 0.9\nnx = 5\n")
         args = build_parser().parse_args(["gradcheck", "--config", str(cfg), "--alpha", "0.3"])
-        config, provided = _load_config(args)
+        config = _load_config(args)
         assert (config.alpha, config.nx) == (0.3, 5)
-        assert provided == {"alpha", "nx"}
 
     def test_flag_replaces_malformed_file_value(self, sheets, tmp_path, capsys):
         # the flag's text replaces the file's before either is converted
@@ -551,7 +561,7 @@ class TestUsage:
         # a none flag unsets an optional key the config file set
         cfg.write_text("tol_match = 0.01\n")
         args = build_parser().parse_args([*identity, "--config", str(cfg), "--tol-match", "none"])
-        assert _load_config(args)[0].tol_match is None
+        assert _load_config(args).tol_match is None
         assert run(*identity, "--tol-match", "none") == EXIT_OK
 
     @pytest.mark.parametrize("flags, config", [
@@ -598,10 +608,18 @@ class TestUsage:
     def test_out_dir_that_is_a_file_is_io_error(self, sheets, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
-        code = run("register", "--template", sheets["base"], "--target", sheets["base"],
-                   "--out-dir", str(taken), "--sigma", "0.3", "--n-steps", "4")
-        assert code == EXIT_IO
-        assert "error: i/o" in capsys.readouterr().err
+        mesh, _ = load_mesh(sheets["base"])
+        vel = tmp_path / "zero.vel"
+        save_velocity(mesh, np.zeros((mesh.n_nodes, 3)), str(vel))
+        for inputs in [
+            ["register", "--template", sheets["base"], "--target", sheets["base"],
+             "--sigma", "0.3"],
+            ["shoot", "--initial", sheets["base"], "--velocity", str(vel)],
+            ["mean", "--shapes", sheets["base"], sheets["base"], "--sigma", "0.3"],
+        ]:
+            code = run(*inputs, "--out-dir", str(taken), "--n-steps", "4")
+            assert code == EXIT_IO, inputs[0]
+            assert "error: i/o" in capsys.readouterr().err
 
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -45,6 +45,14 @@ class TestParseFile:
         path = write(tmp_path, "out_dir = a=b\n")
         assert parse_file(path) == {"out_dir": "a=b"}
 
+    def test_key_set_twice_reports_both_lines(self, tmp_path):
+        path = write(tmp_path, "nx = 4\n# comment\nnx = 6\n")
+        with pytest.raises(ConfigError, match=r":3: key 'nx' already set on line 1"):
+            parse_file(path)
+        assert main(["meshgen", "--out", str(tmp_path / "m.mesh"),
+                     "--config", str(path)]) == EXIT_USAGE
+        assert not (tmp_path / "m.mesh").exists()
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -100,6 +108,16 @@ class TestBuildConfig:
     def test_validation_failure_becomes_config_error(self):
         with pytest.raises(ConfigError, match="sigma"):
             build_config({"sigma": "-1"})
+
+    def test_every_field_has_a_type_the_converter_reads(self):
+        # an `int | None` key would otherwise be read as text
+        for f in fields(RunConfig):
+            assert f.type in (float, int, bool, str, float | None), f.name
+
+    def test_empty_out_dir_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="out_dir must not be empty"):
+            build_config({"out_dir": ""})
+        assert main(["gradcheck", "--out-dir", ""]) == EXIT_USAGE
 
     def test_init_mode_validated(self, tmp_path):
         # every registration starts from rest: `init` is no key and no flag

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import innershape.mesh
 from innershape import (
     MeshFormatError,
     MeshResolutionError,
@@ -17,6 +18,7 @@ from innershape import (
     save_mesh,
     save_velocity,
 )
+from innershape.cli import EXIT_IO, main
 
 
 class TestBuildGrid:
@@ -200,6 +202,31 @@ class TestNativeFormat:
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("resolution", ["2 16", "0 16"])
+    def test_unbuildable_header_resolution_reports_line_2(self, tmp_path, resolution, capsys):
+        path = tmp_path / "res.mesh"
+        path.write_text(f"IMESH 1\ncylinder {resolution}\n1 1\nv 0 0 0\nf 0 0 0\n")
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert err.value.line == 2
+        assert main(["register", "--template", str(path), "--target", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_IO
+        assert "error: bad input file: line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts, line", [("1 1", 3), ("640800 1280000", 6)],
+                             ids=["counts-differ", "records-missing"])
+    def test_large_header_claim_rejected_without_building_the_grid(
+            self, tmp_path, monkeypatch, counts, line):
+        built = []
+        monkeypatch.setattr(innershape.mesh, "build_grid",
+                            lambda *args: built.append(args))
+        path = tmp_path / "claim.mesh"
+        path.write_text(f"IMESH 1\ncylinder 800 800\n{counts}\nv 0 0 0\nv 0 0 1\n")
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert err.value.line == line
+        assert built == []
 
     def test_trailing_content_rejected(self, tmp_path):
         mesh = build_grid(Topology.PLANE, 1, 1)

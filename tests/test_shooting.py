@@ -47,6 +47,15 @@ class TestShoot:
         assert path.dt == 1.0
         assert np.array_equal(path.final.coords, cylinder_shape.coords + u0)
 
+    def test_each_state_is_stored_once(self, cylinder_shape):
+        path = shoot(assemble(cylinder_shape, ALPHA), smooth_field(cylinder_shape.mesh, 0.05), 4)
+        immersions = path.immersions
+        assert len(immersions) == path.n_steps + 1 == 5
+        for i in range(path.n_steps):
+            assert immersions[i] is path.operators[i].immersion
+        assert immersions[-1] is path.final
+        assert path.dt == 1 / path.n_steps
+
     def test_endpoint_self_convergence_first_order(self, cylinder_shape):
         u0 = smooth_field(cylinder_shape.mesh)
         ends = {n: shoot(assemble(cylinder_shape, ALPHA), u0, n).final.coords
@@ -104,13 +113,10 @@ class TestPathFunctionals:
         n = 4
         dt = 1.0 / n
         u = np.tile(c, (flat_square.mesh.n_nodes, 1))
-        immersions = [flat_square.displaced(i * dt * u) for i in range(n + 1)]
-        kinetic = np.array([
-            0.5 * inner_product(assemble(immersions[i], ALPHA), u, u)
-            for i in range(n)
-        ])
-        path = GeodesicPath(dt=dt, immersions=immersions, velocities=[u] * n,
-                            kinetic=kinetic, operators=[])
+        operators = [assemble(flat_square.displaced(i * dt * u), ALPHA) for i in range(n)]
+        kinetic = np.array([0.5 * inner_product(op, u, u) for op in operators])
+        path = GeodesicPath(operators=operators, velocities=[u] * n, kinetic=kinetic,
+                            final=flat_square.displaced(n * dt * u))
         assert path_energy(path) == pytest.approx(0.5 * float(c @ c), abs=1e-13)
         # constant speed: the length-energy inequality is tight
         assert path_length(path) ** 2 == pytest.approx(2.0 * path_energy(path), abs=1e-12)
