@@ -11,7 +11,8 @@ one file, are rejected so typos fail loudly.
 import math
 from dataclasses import dataclass, fields
 
-from .errors import InnerShapeError
+from .errors import InnerShapeError, MeshResolutionError
+from .mesh import Topology, _unique_grid
 from .registration import RegistrationConfig
 
 
@@ -55,6 +56,10 @@ class RunConfig(RegistrationConfig):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         super().validate()
+        try:
+            _unique_grid(Topology.parse(self.topology), self.nx, self.ny)
+        except MeshResolutionError as exc:
+            raise ValueError(str(exc)) from None
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.eps_reg is not None and self.eps_reg < 0:

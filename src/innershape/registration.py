@@ -9,7 +9,9 @@ Hessian of the objective linearised at rest, P = (A0 + M/sigma^2)^{-1} A0
 on Riesz gradients (A0 the metric block at q0, M the flat mass matrix of
 the matching term), scaled by the newest curvature pair.  So the first
 direction, -P g, is the minimiser of the linearised objective, and every
-direction is searched by Armijo backtracking from a unit step.  The
+direction is searched by Armijo backtracking from a unit step.  A trial step
+is taken only with its gradient: one whose shoot or adjoint sweep fails is
+rejected like one whose energy does not fall enough.  The
 matching term lives here alone: its sigma check, its value, its endpoint
 derivative (``matching_covector``, the sweep's seed) and its block M/sigma^2.
 """
@@ -21,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .adjoint import backward_sweep
-from .errors import StepFailureError
+from .errors import SolverError, StepFailureError
 from .geometry import Immersion, check_same_mesh
 from .metric import MetricOperator, SparseBlock, inner_product, norm, parameter_mass_matrix, solve
 from .shooting import GeodesicPath, path_energy, shoot
@@ -188,14 +190,20 @@ def register(
     ``_rest_preconditioner``).  Every trial shoots from ``op0``, whose metric
     is the L-BFGS inner product.  Each direction d = -H g is tried first at
     t = 1; a step t is accepted when the energy falls strictly and by at least
-    ``ARMIJO_C * t * <g, d>``, otherwise t shrinks by ``ARMIJO_SHRINK``.
+    ``ARMIJO_C * t * <g, d>`` and the adjoint sweep then gives its gradient.
+    A trial is rejected, and t shrinks by ``ARMIJO_SHRINK``, when its energy
+    falls too little or its shoot (StepFailureError) or its sweep
+    (SolverError) fails.
     Returns the last, lowest iterate; the history has one row per iterate
     (the initial one included) with the accepted step along the search
     direction that produced it.
     Statuses: CONVERGED when the gradient norm falls to ``tol_grad`` (or the
     matching error to ``tol_match``), MAX_ITERS when the budget runs out,
-    STEP_FAILURE when no step of size >= ``STEP_MIN`` lowers the energy
-    enough.
+    STEP_FAILURE when no step of size >= ``STEP_MIN`` passed: none both
+    lowered the energy enough and had a gradient.
+    Raises SolverError when the sweep of the rest path, or the
+    preconditioner solve at ``op0``, fails: no earlier iterate exists to
+    fall back to.
     """
     cfg.validate()
     check_same_mesh(op0.immersion.mesh, q_target.mesh, "registration")
@@ -204,15 +212,14 @@ def register(
     u = np.zeros((op0.immersion.mesh.n_nodes, 3))
     path = shoot(op0, u, cfg.n_steps)
     e_total, e_kin, e_match = energy(path, q_target, cfg.sigma)
+    g = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
 
     history: list[IterationRecord] = []
     pairs: list = []
     status = RegistrationStatus.MAX_ITERS
     step = 0.0
-    g_prev = s = None
 
     for iteration in range(cfg.max_iters + 1):
-        g = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
         g_norm = norm(op0, g)
         history.append(IterationRecord(iteration, e_total, e_kin, e_match, g_norm, step))
         logger.info(
@@ -225,8 +232,6 @@ def register(
         if iteration == cfg.max_iters:
             break
 
-        if g_prev is not None:
-            _remember(op0, pairs, s, g - g_prev)
         d = -_two_loop(op0, precond, pairs, g)
         slope = inner_product(op0, g, d)
         step = 1.0
@@ -234,22 +239,23 @@ def register(
             try:
                 trial_path = shoot(op0, u + step * d, cfg.n_steps)
                 trial = energy(trial_path, q_target, cfg.sigma)
-            except StepFailureError as exc:
-                logger.debug("step %.2e rejected: %s", step, exc)
-            else:
                 # the strict decrease also rejects steps whose Armijo margin
                 # falls below one ulp of the energy
                 if trial[0] < e_total and trial[0] <= e_total + ARMIJO_C * step * slope:
+                    g_trial = backward_sweep(
+                        trial_path, matching_covector(trial_path.final, q_target, cfg.sigma))
                     break
+            except (StepFailureError, SolverError) as exc:
+                logger.debug("step %.2e rejected: %s", step, exc)
             step *= ARMIJO_SHRINK
         else:
             status = RegistrationStatus.STEP_FAILURE
             break
 
-        s = step * d
-        u = u + s
-        g_prev = g
+        _remember(op0, pairs, step * d, g_trial - g)
+        u = u + step * d
         path = trial_path
         e_total, e_kin, e_match = trial
+        g = g_trial
 
     return RegistrationResult(u0=u, path=path, history=history, status=status)

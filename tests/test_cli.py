@@ -175,9 +175,10 @@ class TestMeshgen:
         assert np.all(coords[:, 2] == 0.0)
         assert "25 nodes" in capsys.readouterr().out
 
-    def test_bad_resolution_is_usage_error(self, tmp_path):
+    def test_bad_resolution_is_usage_error(self, tmp_path, capsys):
         code = run("meshgen", "--out", str(tmp_path / "x.mesh"), "--nx", "0")
         assert code == EXIT_USAGE
+        assert "error: config: resolution must be at least 1x1" in capsys.readouterr().err
 
 
 class TestFixture:
@@ -663,9 +664,16 @@ class TestUsage:
         ("register", [], "mean_tol = -1\n"),
         ("register", [], "fd_tol = -1\n"),
         ("meshgen", [], "sigma = nan\n"),
+        ("register", [], "topology = foo\n"),
+        ("register", [], "nx = -5\n"),
+        ("register", [], "ny = 0\n"),
+        ("register", [], "topology = torus\nny = 2\n"),
     ], ids=["mean-tol-negative", "fd-tol-negative", "unread-mean-tol-negative-in-file",
-            "unread-fd-tol-negative-in-file", "unread-sigma-nan-in-file"])
-    def test_settings_validated_on_every_command(self, sheets, tmp_path, command, flags, config):
+            "unread-fd-tol-negative-in-file", "unread-sigma-nan-in-file",
+            "unread-topology-unknown-in-file", "unread-nx-negative-in-file",
+            "unread-ny-zero-in-file", "unread-torus-ny-2-in-file"])
+    def test_settings_validated_on_every_command(self, sheets, tmp_path, capsys, command, flags,
+                                                 config):
         # a config file's keys are all checked, also those the command does not read
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -677,6 +685,7 @@ class TestUsage:
             "meshgen": ["--out", out],
         }[command]
         assert run(command, *needed, "--config", str(cfg), *flags) == EXIT_USAGE
+        assert "error: config:" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

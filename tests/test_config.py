@@ -134,6 +134,15 @@ class TestValidate:
             with pytest.raises(ValueError, match=key):
                 RunConfig(**{key: value}).validate()
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"topology": "foo"}, "unknown topology 'foo'"),
+        ({"nx": -5}, "at least 1x1, got -5x16"),
+        ({"topology": "torus", "ny": 2}, "needs ny >= 3"),
+    ], ids=["topology-unknown", "nx-negative", "torus-ny-2"])
+    def test_grid_the_mesh_keys_cannot_build_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**setting).validate()
+
 
 class TestAsDict:
     def test_round_trip_keys(self):

@@ -10,6 +10,7 @@ from innershape import (
     Immersion,
     RegistrationConfig,
     RegistrationStatus,
+    SolverError,
     StepFailureError,
     Topology,
     assemble,
@@ -166,6 +167,70 @@ class TestRegister:
         assert np.array_equal(shot[2], registration.ARMIJO_SHRINK * shot[1])
         assert res.iterations == 1
         assert res.history[1].energy < res.history[0].energy
+
+    def test_trial_whose_sweep_fails_is_rejected(self, bend_problem, monkeypatch):
+        # a trial whose energy falls enough but whose adjoint sweep raises
+        # SolverError is rejected too: a step is taken only with its gradient
+        q0, qt = bend_problem
+        shot = []
+        swept = []
+
+        def recording_shoot(op0, u0, n_steps):
+            shot.append(u0)
+            return shooting.shoot(op0, u0, n_steps)
+
+        def sweep_failing_first_trial(path, qbar):
+            swept.append(path)
+            if len(swept) == 2:  # the first sweep is the rest start's
+                raise SolverError("injected")
+            return adjoint.backward_sweep(path, qbar)
+
+        monkeypatch.setattr(registration, "shoot", recording_shoot)
+        monkeypatch.setattr(registration, "backward_sweep", sweep_failing_first_trial)
+        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=1, tol_grad=1e-12)
+        res = register(assemble(q0, ALPHA), qt, cfg)
+        assert not np.any(shot[0])
+        assert np.array_equal(swept[1].velocities[0], shot[1])  # the unit step passed Armijo
+        assert np.array_equal(shot[2], registration.ARMIJO_SHRINK * shot[1])
+        assert res.iterations == 1
+        assert res.history[1].energy < res.history[0].energy
+
+    def test_one_sweep_per_iterate(self, bend_problem, monkeypatch):
+        # only an accepted trial is swept, so the rest start and each
+        # iterate have one sweep each
+        q0, qt = bend_problem
+        swept = []
+
+        def counting_sweep(path, qbar):
+            swept.append(path)
+            return adjoint.backward_sweep(path, qbar)
+
+        monkeypatch.setattr(registration, "backward_sweep", counting_sweep)
+        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=15, tol_grad=1e-12)
+        res = register(assemble(q0, ALPHA), qt, cfg)
+        assert res.iterations >= 2
+        assert len(swept) == res.iterations + 1
+
+    # Stiff bends on the 16x16 cylinder whose accepted paths grow needle
+    # triangles, so that a trial's sweep can fail its residual check; max_iters
+    # runs a few iterations past the first such failure, and each run must end
+    # in a status.  Whether a sweep fails here depends on rounding, so the
+    # sweep-failure test above is the deterministic pin.
+    @pytest.mark.parametrize("bend, sigma, n_steps, max_iters", [
+        (180.0, 0.05, 4, 162), (180.0, 0.05, 5, 140), (180.0, 0.05, 6, 153),
+        (150.0, 0.02, 5, 193),
+    ], ids=["180-N4", "180-N5", "180-N6", "150-N5"])
+    def test_stiff_bend_ends_in_a_status(self, bend, sigma, n_steps, max_iters):
+        mesh = build_grid(Topology.CYLINDER, 16, 16)
+        q0 = cylinder_surface(mesh)
+        qt = cylinder_surface(mesh, bend_deg=bend, ripples=5, ripple_amplitude=0.05)
+        cfg = RegistrationConfig(sigma=sigma, n_steps=n_steps, max_iters=max_iters,
+                                 tol_grad=1e-4)
+        res = register(assemble(q0, ALPHA), qt, cfg)
+        assert isinstance(res.status, RegistrationStatus)
+        energies = [h.energy for h in res.history]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+        assert all(math.isfinite(h.grad_norm) for h in res.history)
 
 
 class TestLBFGS:
