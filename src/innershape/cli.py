@@ -14,7 +14,9 @@ numerical failure of a degenerate input.
 """
 
 import argparse
+import atexit
 import csv
+import gc
 import json
 import logging
 import os
@@ -30,6 +32,7 @@ from .errors import (
     MeshError,
     MeshFormatError,
     MeshMismatchError,
+    MeshResolutionError,
     SolverError,
     StepFailureError,
     ZeroVelocityError,
@@ -58,6 +61,10 @@ from .shooting import GeodesicPath, path_energy, path_length, shoot
 from .statistics import MeanStatus, karcher_mean, triangle_experiment
 
 logger = logging.getLogger(__name__)
+
+# frozen at exit, the heap is skipped by the interpreter's final collection:
+# numpy's and this package's import-time objects are not traversed again
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -509,6 +516,8 @@ _FAILURES = (
     (StepFailureError, "step failure", EXIT_NUMERICAL),
     (SolverError, "solver failure", EXIT_NUMERICAL),
     ((DegenerateElementError, ZeroVelocityError), "numerical failure", EXIT_NUMERICAL),
+    # a grid the settings describe; a file header's becomes MeshFormatError
+    (MeshResolutionError, "config", EXIT_USAGE),
     (MeshError, "mesh", EXIT_USAGE),
 )
 

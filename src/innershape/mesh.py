@@ -211,18 +211,25 @@ def _reference_gradients(tri_param: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _write_native(mesh: DomainMesh, values: np.ndarray, path, magic: str) -> None:
+def _write_records(mesh: DomainMesh, values: np.ndarray, path, header: str, base: int,
+                   what: str) -> None:
+    """Write ``header``, one ``v`` record per node and one ``f`` record per
+    triangle, its node indices counted from ``base``."""
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_nodes, 3):
-        raise ValueError(f"expected ({mesh.n_nodes}, 3) values, got {values.shape}")
+        raise ValueError(f"expected ({mesh.n_nodes}, 3) {what}, got {values.shape}")
     with open(path, "w") as f:
-        f.write(f"{magic}\n")
-        f.write(f"{mesh.topology.value} {mesh.nx} {mesh.ny}\n")
-        f.write(f"{mesh.n_nodes} {mesh.n_triangles}\n")
+        f.write(header)
         for x, y, z in values:
             f.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.triangles:
+        for a, b, c in mesh.triangles + base:
             f.write(f"f {a} {b} {c}\n")
+
+
+def _write_native(mesh: DomainMesh, values: np.ndarray, path, magic: str) -> None:
+    header = (f"{magic}\n{mesh.topology.value} {mesh.nx} {mesh.ny}\n"
+              f"{mesh.n_nodes} {mesh.n_triangles}\n")
+    _write_records(mesh, values, path, header, 0, "values")
 
 
 def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
@@ -264,30 +271,24 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
             line=3,
         )
 
-    values = []
-    for k in range(n_nodes):
-        lineno = 4 + k
-        parts = need(3 + k).split()
-        if len(parts) != 4 or parts[0] != "v":
-            raise MeshFormatError("expected 'v x y z'", line=lineno)
-        try:
-            values.append([float(p) for p in parts[1:]])
-        except ValueError:
-            raise MeshFormatError("bad coordinate", line=lineno) from None
-    values = np.array(values, dtype=float).reshape(n_nodes, 3)
+    def records(first: int, count: int, form: str, convert, problem: str) -> list:
+        """The converted fields of ``count`` records of ``form`` from 0-based line ``first``."""
+        rows = []
+        for k in range(first, first + count):
+            parts = need(k).split()
+            if len(parts) != 4 or parts[0] != form[0]:
+                raise MeshFormatError(f"expected '{form}'", line=k + 1)
+            try:
+                rows.append([convert(p) for p in parts[1:]])
+            except ValueError:
+                raise MeshFormatError(problem, line=k + 1) from None
+        return rows
+
+    values = np.array(records(3, n_nodes, "v x y z", float, "bad coordinate")).reshape(n_nodes, 3)
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if bad.size:
         raise MeshFormatError("non-finite coordinate", line=4 + int(bad[0]))
-    tris = []
-    for k in range(n_tris):
-        lineno = 4 + n_nodes + k
-        parts = need(3 + n_nodes + k).split()
-        if len(parts) != 4 or parts[0] != "f":
-            raise MeshFormatError("expected 'f i j k'", line=lineno)
-        try:
-            tris.append([int(p) for p in parts[1:]])
-        except ValueError:
-            raise MeshFormatError("bad node index", line=lineno) from None
+    tris = records(3 + n_nodes, n_tris, "f i j k", int, "bad node index")
     # built only once every record is read, so the grid is no larger than the file
     mesh = build_grid(topology, nx, ny)
     # an index beyond int64 makes an object array, which still compares
@@ -330,11 +331,4 @@ def export_obj(mesh: DomainMesh, coords: np.ndarray, path) -> None:
     Node identification is not representable in OBJ, so seam triangles on
     periodic meshes reference the wrapped nodes; the export is lossy there.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (mesh.n_nodes, 3):
-        raise ValueError(f"expected ({mesh.n_nodes}, 3) coordinates, got {coords.shape}")
-    with open(path, "w") as f:
-        for x, y, z in coords:
-            f.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"f {a + 1} {b + 1} {c + 1}\n")
+    _write_records(mesh, coords, path, "", 1, "coordinates")

@@ -5,12 +5,19 @@ textbook formulas, sharing no code with the package's vectorized assembly:
 disagreement between the two routes is a bug in one of them.  The one
 exception is ``covector_sweep``, which checks the algebra of the adjoint
 recursion rather than the variations: it runs the lowered (covector) form of
-the sweep on the package's own solves and variations.
+the sweep on the package's own solves and variations.  ``tangent_shoot``
+likewise runs the forward-mode linearization of the shoot on the package's
+solves and variations, so pairing it with the sweep checks the transposition.
 """
 
 import numpy as np
 
-from innershape.metric import kinetic_adjoint_covectors, kinetic_surface_gradient, sharp
+from innershape.metric import (
+    inner_product,
+    kinetic_adjoint_covectors,
+    kinetic_surface_gradient,
+    sharp,
+)
 from innershape.registration import matching_covector
 
 #: reference-triangle hat-function gradients on the unit triangle
@@ -167,3 +174,35 @@ def covector_sweep(path, q_target, sigma: float) -> np.ndarray:
     u0 = path.velocities[0]
     u_hat0 = u0 - sharp(path.operators[0], ubar)
     return u0 - u_hat0
+
+
+def tangent_shoot(path, v: np.ndarray, qbar: np.ndarray) -> float:
+    """Directional derivative dE[v] at u_0 of the path energy plus an endpoint cost.
+
+    Linearizes the shoot forward in the direction du_0 = v, with dq_0 = 0,
+    (C, H) from ``kinetic_adjoint_covectors`` and D the kinetic surface
+    gradient:
+
+        dq_{i+1} = dq_i + dt du_i
+        A_{i+1} du_{i+1} = A_i du_i + 2 C(q_i; u_i, dq_i) - 2 C(q_{i+1}; u_{i+1}, dq_{i+1})
+                           + dt (2 D(q_i; u_i, du_i) + H(q_i; u_i, dq_i))
+        dE = sum_i dt (<u_i, du_i>_{q_i} + D(q_i; u_i, u_i) . dq_i) + qbar . dq_N
+
+    where qbar is the Euclidean derivative of the endpoint cost at
+    ``path.final``.  It carries m_i = A_i du_i + 2 C(q_i; u_i, dq_i).
+    """
+    dt = path.dt
+    du = v
+    dq = np.zeros_like(v)
+    m = path.operators[0].block @ v  # C vanishes at dq_0 = 0
+    d_energy = 0.0
+    for i in range(path.n_steps):
+        op, u = path.operators[i], path.velocities[i]
+        cross, hess = kinetic_adjoint_covectors(op, u, dq)
+        if i:
+            du = sharp(op, m - 2.0 * cross)
+        d_energy += dt * (inner_product(op, u, du)
+                          + float(np.sum(kinetic_surface_gradient(op, u, u) * dq)))
+        m = m + dt * (2.0 * kinetic_surface_gradient(op, u, du) + hess)
+        dq = dq + dt * du
+    return d_energy + float(np.sum(qbar * dq))

@@ -34,8 +34,8 @@ from innershape.cli import (
 )
 from innershape.config import ConfigError
 from innershape.errors import (
-    DegenerateElementError, MeshError, MeshFormatError, MeshMismatchError, StepFailureError,
-    ZeroVelocityError,
+    DegenerateElementError, MeshError, MeshFormatError, MeshMismatchError, MeshResolutionError,
+    StepFailureError, ZeroVelocityError,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -240,6 +240,28 @@ class TestFixture:
                    "--nx", "4", "--ny", "4") == EXIT_USAGE
         assert "--preset applies to shape 'vase' only" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--shape", "torus", "--ny", "2"], "",
+         "torus is periodic in y and needs ny >= 3, got ny=2"),
+        (["--shape", "cylinder"], "topology = plane\nnx = 2\n",
+         "cylinder is periodic in x and needs nx >= 3, got nx=2"),
+    ], ids=["torus-ny-2", "cylinder-nx-2-from-plane-file"])
+    def test_resolution_the_shape_cannot_build_is_config_error(self, tmp_path, capsys, flags,
+                                                              config, message):
+        # the config's topology allows the grid, but the shape's own does not
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out.mesh"
+        assert run("fixture", *flags, "--out", str(out), "--config", str(cfg)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+    def test_cylinder_two_cells_high_is_built(self, tmp_path):
+        # only x is periodic on a cylinder, so ny = 2 gives a grid
+        out = tmp_path / "out.mesh"
+        assert run("fixture", "--shape", "cylinder", "--ny", "2", "--out", str(out)) == EXIT_OK
+        assert load_mesh(str(out))[0].ny == 2
 
     def test_config_file_keys_it_does_not_read_are_ignored(self, tmp_path):
         # one config file may serve several commands; the fixture's topology
@@ -700,6 +722,7 @@ FAILURES = [
     (SolverError("not positive definite"), EXIT_NUMERICAL, "solver failure"),
     (DegenerateElementError("flat triangle"), EXIT_NUMERICAL, "numerical failure"),
     (ZeroVelocityError("no direction"), EXIT_NUMERICAL, "numerical failure"),
+    (MeshResolutionError("needs nx >= 3"), EXIT_USAGE, "config"),
     (MeshError("no such grid"), EXIT_USAGE, "mesh"),
 ]
 

@@ -228,6 +228,35 @@ class TestNativeFormat:
         assert err.value.line == line
         assert built == []
 
+    # a 1x1 plane file: header lines 1-3, node records 4-7, triangle records 8-9
+    @pytest.mark.parametrize("index, record, message", [
+        (4, "w 0.0 0.0 0.0", "expected 'v x y z'"),
+        (5, "v 0.0 0.0", "expected 'v x y z'"),
+        (7, "v 0.0 0.0 0.0 0.0", "expected 'v x y z'"),
+        (8, "v 0 1 3", "expected 'f i j k'"),
+        (9, "f 0 3 2 1", "expected 'f i j k'"),
+        (8, "f 0 1.0 3", "bad node index"),
+        (9, "f 0 3 two", "bad node index"),
+    ], ids=["v-tag", "v-short", "v-long", "f-tag", "f-long", "f-float", "f-word"])
+    def test_bad_record_reports_message_and_line(self, tmp_path, index, record, message):
+        path = tmp_path / "records.mesh"
+        save_mesh(build_grid(Topology.PLANE, 1, 1), np.zeros((4, 3)), path)
+        lines = path.read_text().splitlines()
+        lines[index - 1] = record
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert err.value.line == index
+        assert str(err.value) == f"line {index}: {message}"
+
+    @pytest.mark.parametrize("save", [save_mesh, save_velocity])
+    def test_wrongly_shaped_values_rejected(self, tmp_path, save):
+        path = tmp_path / "shape.mesh"
+        with pytest.raises(ValueError) as err:
+            save(build_grid(Topology.PLANE, 1, 1), np.zeros((3, 3)), path)
+        assert str(err.value) == "expected (4, 3) values, got (3, 3)"
+        assert not path.exists()
+
     def test_trailing_content_rejected(self, tmp_path):
         mesh = build_grid(Topology.PLANE, 1, 1)
         coords = np.zeros((4, 3))
@@ -259,3 +288,10 @@ class TestObjExport:
         indices = {int(i) for face in faces for i in face}
         assert min(indices) == 1
         assert max(indices) == 4
+
+    def test_wrongly_shaped_coordinates_rejected(self, tmp_path):
+        path = tmp_path / "shape.obj"
+        with pytest.raises(ValueError) as err:
+            export_obj(build_grid(Topology.PLANE, 1, 1), np.zeros((4, 2)), path)
+        assert str(err.value) == "expected (4, 3) coordinates, got (4, 2)"
+        assert not path.exists()
