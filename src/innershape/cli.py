@@ -4,6 +4,8 @@ Every command is a thin driver over the library: it reads a key-value
 config file (each key the command reads overridable by a flag), runs one
 operation and writes its results as native meshes, OBJ exports, CSV tables
 and a summary JSON.
+`register` writes the registered endpoint and the initial velocity; `shoot`
+replays that velocity to write the frames of its path.
 Outputs are a pure function of (config, input files, seed): rerunning a
 command with the same inputs reproduces the files byte for byte.
 
@@ -37,14 +39,7 @@ from .errors import (
     StepFailureError,
     ZeroVelocityError,
 )
-from .fixtures import (
-    VASE_PRESETS,
-    cylinder_surface,
-    torus_surface,
-    torus_triangle,
-    vase_family,
-    vase_surface,
-)
+from .fixtures import cylinder_surface, torus_surface, torus_triangle, vase_family
 from .geometry import Immersion, check_same_mesh, surface_area
 from .mesh import (
     Topology,
@@ -77,15 +72,10 @@ GRADCHECK_STEPS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 #: model-domain topology required by each fixture shape
 _FIXTURE_TOPOLOGY = {
     "cylinder": "cylinder",
-    "bent-cylinder": "cylinder",
-    "vase": "cylinder",
     "vase-family": "cylinder",
     "torus": "torus",
     "torus-triangle": "torus",
 }
-
-#: bent-cylinder parameters, as config text, used when neither file nor flag sets them
-_BENT_DEFAULTS = {"bend_deg": "90.0", "ripples": "5", "ripple_amplitude": "0.02"}
 
 _METRIC_KEYS = ("alpha", "eps_reg")
 _DESCENT_KEYS = ("sigma", "n_steps", "max_iters", "tol_grad", "tol_match")
@@ -97,7 +87,7 @@ _GEOMETRY_KEYS = ("radius", "height", "bend_deg", "ripples", "ripple_amplitude",
 COMMAND_KEYS = {
     "meshgen": ("topology", "nx", "ny"),
     "fixture": ("nx", "ny", *_GEOMETRY_KEYS),
-    "register": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir", "export_frames"),
+    "register": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir"),
     "shoot": (*_METRIC_KEYS, "n_steps", "out_dir"),
     "triangle": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir"),
     "mean": (*_METRIC_KEYS, *_DESCENT_KEYS, "mean_tol", "max_outer", "out_dir"),
@@ -119,13 +109,11 @@ def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
         )
 
 
-def _load_config(args, defaults: dict | None = None) -> RunConfig:
-    """Build the run config from raw texts: the config file's replace the
-    command's ``defaults``, and the flags' replace both, before any is converted.
+def _load_config(args) -> RunConfig:
+    """Build the run config from raw texts: the flags' replace the config
+    file's before any is converted.
     """
-    values = dict(defaults or {})
-    if args.config:
-        values.update(parse_file(args.config))
+    values = parse_file(args.config) if args.config else {}
     values.update((name, getattr(args, name)) for name in _field_types() if hasattr(args, name))
     return build_config(values)
 
@@ -203,20 +191,15 @@ def cmd_meshgen(args) -> int:
     return EXIT_OK
 
 
-def _fixture_shapes(cfg: RunConfig, shape: str, preset: int) -> list[tuple[str, Immersion]]:
+def _fixture_shapes(cfg: RunConfig, shape: str) -> list[tuple[str, Immersion]]:
     mesh = build_grid(Topology.parse(_FIXTURE_TOPOLOGY[shape]), cfg.nx, cfg.ny)
-    if shape in ("cylinder", "bent-cylinder"):
+    if shape == "cylinder":
         q = cylinder_surface(mesh, cfg.radius, cfg.height, cfg.bend_deg,
                              cfg.ripples, cfg.ripple_amplitude)
         return [(shape, q)]
     if shape == "torus":
         q = torus_surface(mesh, cfg.major_radius, cfg.minor_radius, cfg.asymmetry)
         return [(shape, q)]
-    if shape == "vase":
-        if not 0 <= preset < len(VASE_PRESETS):
-            raise ConfigError(f"vase preset must be in [0, {len(VASE_PRESETS)}), got {preset}")
-        q = vase_surface(mesh, cfg.radius, cfg.height, VASE_PRESETS[preset])
-        return [(f"vase_{preset}", q)]
     if shape == "torus-triangle":
         shapes = torus_triangle(mesh, cfg.major_radius, cfg.minor_radius, cfg.asymmetry)
         return list(zip(("triangle_a", "triangle_b", "triangle_c"), shapes))
@@ -226,11 +209,8 @@ def _fixture_shapes(cfg: RunConfig, shape: str, preset: int) -> list[tuple[str, 
 
 
 def cmd_fixture(args) -> int:
-    cfg = _load_config(args, _BENT_DEFAULTS if args.shape == "bent-cylinder" else None)
-    if args.preset is not None and args.shape != "vase":
-        raise ConfigError(f"--preset applies to shape 'vase' only, got shape {args.shape!r}")
-
-    shapes = _fixture_shapes(cfg, args.shape, args.preset or 0)
+    cfg = _load_config(args)
+    shapes = _fixture_shapes(cfg, args.shape)
     paths = ([args.out] if len(shapes) == 1 else
              [os.path.join(args.out, f"{name}.mesh") for name, _ in shapes])
     for (name, q), path in zip(shapes, paths):
@@ -253,8 +233,6 @@ def cmd_register(args) -> int:
                ["iteration", "energy", "kinetic", "match", "grad_norm", "step"],
                ([r.iteration, repr(r.energy), repr(r.kinetic), repr(r.match),
                  repr(r.grad_norm), repr(r.step)] for r in result.history))
-    if cfg.export_frames:
-        _write_frames(result.path, os.path.join(out, "frames"))
     last = result.history[-1]
     summary = {
         "command": "register",
@@ -374,8 +352,11 @@ def cmd_mean(args) -> int:
           f"final velocity norm {result.velocity_norms[-1]:.6e}")
     if result.status is not MeanStatus.CONVERGED:
         print("error: mean iteration did not converge", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    bad = [path for path, s in zip(args.shapes, result.statuses)
+           if s is not RegistrationStatus.CONVERGED]
+    if bad:
+        print(f"error: registrations did not converge: {', '.join(bad)}", file=sys.stderr)
+    return EXIT_OK if result.status is MeanStatus.CONVERGED and not bad else EXIT_NUMERICAL
 
 
 def _gradcheck_base(cfg: RunConfig) -> Immersion:
@@ -383,7 +364,7 @@ def _gradcheck_base(cfg: RunConfig) -> Immersion:
     topology = Topology.parse(cfg.topology)
     if topology is Topology.PLANE:
         return _flat_sheet(cfg)
-    return _fixture_shapes(cfg, topology.value, 0)[0][1]
+    return _fixture_shapes(cfg, topology.value)[0][1]
 
 
 def cmd_gradcheck(args) -> int:
@@ -464,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which surface family to generate")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="output file (single shape) or directory (shape families)")
-    p.add_argument("--preset", type=int, default=None, metavar="K",
-                   help="vase preset index (shape 'vase' only; default 0)")
     p.add_argument("--obj", action="store_true", help="also write OBJ exports")
     p.set_defaults(func=cmd_fixture)
 

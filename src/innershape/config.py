@@ -2,10 +2,11 @@
 
 Config files are plain text: one ``key = value`` per line, ``#`` comments,
 blank lines ignored.  Settings are converted on one path: ``build_config``
-types a mapping of raw ``key -> text`` strings, so the CLI puts the file's
-text in place of a command's default text, and each flag's text in place of
-both, before anything is converted.  Unknown keys, and a key set twice in
-one file, are rejected so typos fail loudly.
+types a mapping of raw ``key -> text`` strings, so the CLI puts each flag's
+text in place of the file's before anything is converted.  A value is an
+int, a float, a str or, for ``eps_reg`` and ``tol_match``, a float or None.
+Unknown keys, and a key set twice in one file, are rejected so typos fail
+loudly.
 """
 
 import math
@@ -48,7 +49,6 @@ class RunConfig(RegistrationConfig):
     seed: int = 0
     # output
     out_dir: str = "out"
-    export_frames: bool = False
 
     def validate(self) -> None:
         for f in fields(self):
@@ -72,12 +72,10 @@ class RunConfig(RegistrationConfig):
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.directions < 1:
             raise ValueError(f"directions must be >= 1, got {self.directions}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.out_dir:
             raise ValueError("out_dir must not be empty")
-
-
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-               "false": False, "no": False, "off": False, "0": False}
 
 
 def _convert(name: str, text: str) -> object:
@@ -88,11 +86,6 @@ def _convert(name: str, text: str) -> object:
         if optional:
             return None
         raise ConfigError(f"{name}: a value is required, got {text!r}")
-    if target_type is bool:
-        try:
-            return _BOOL_WORDS[text.lower()]
-        except KeyError:
-            raise ConfigError(f"{name}: expected a boolean, got {text!r}") from None
     if target_type is int:
         try:
             return int(text)

@@ -13,7 +13,6 @@ import pytest
 import innershape.cli
 import innershape.shooting
 from innershape import (
-    VASE_PRESETS,
     Immersion,
     RunConfig,
     SolverError,
@@ -26,7 +25,6 @@ from innershape import (
     torus_surface,
     torus_triangle,
     vase_family,
-    vase_surface,
 )
 from innershape.cli import (
     _FIXTURE_TOPOLOGY, COMMAND_KEYS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
@@ -43,11 +41,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: the library surfaces each fixture shape writes, at the default config
 LIBRARY_FIXTURES = {
     "cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height)],
-    "bent-cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height, 90.0, 5, 0.02)],
     "torus": lambda m, c: [torus_surface(m, c.major_radius, c.minor_radius, c.asymmetry)],
     "torus-triangle": lambda m, c: torus_triangle(m, c.major_radius, c.minor_radius,
                                                   c.asymmetry),
-    "vase": lambda m, c: [vase_surface(m, c.radius, c.height, VASE_PRESETS[0])],
     "vase-family": lambda m, c: vase_family(m, c.radius, c.height),
 }
 
@@ -60,7 +56,7 @@ MISPLACED_FLAGS = {
     "shoot": (["--initial", "a.mesh", "--velocity", "u.vel"], ["--tol-grad", "1e-6"]),
     "triangle": (["--a", "a.mesh", "--b", "b.mesh", "--c", "c.mesh"], ["--seed", "1"]),
     "mean": (["--shapes", "a.mesh", "b.mesh"], ["--topology", "plane"]),
-    "gradcheck": ([], ["--export-frames", "on"]),
+    "gradcheck": ([], ["--mean-tol", "1e-2"]),
 }
 
 
@@ -182,30 +178,26 @@ class TestMeshgen:
 
 
 class TestFixture:
-    def test_bent_cylinder_with_zero_knobs_equals_straight(self, tmp_path):
-        straight = tmp_path / "straight.mesh"
-        assert run("fixture", "--shape", "cylinder", "--out", str(straight),
-                   "--nx", "6", "--ny", "6") == EXIT_OK
-        cfg = tmp_path / "run.cfg"
-        # the zero knobs from flags, from a config file, and from both where a
-        # flag beats the file's value
-        for knobs, text in [
-            (["--bend-deg", "0", "--ripples", "0", "--ripple-amplitude", "0"], ""),
-            ([], "bend_deg = 0\nripples = 0\nripple_amplitude = 0\n"),
-            (["--bend-deg", "0", "--ripple-amplitude", "0"], "bend_deg = 45\nripples = 0\n"),
-        ]:
-            cfg.write_text(text)
-            bent = tmp_path / "bent.mesh"
-            assert run("fixture", "--shape", "bent-cylinder", "--out", str(bent), "--nx", "6",
-                       "--ny", "6", "--config", str(cfg), *knobs) == EXIT_OK
-            assert bent.read_bytes() == straight.read_bytes(), knobs
+    def test_bend_flags_write_the_library_bent_cylinder(self, tmp_path):
+        # the bent, rippled cylinder is the cylinder shape with three geometry keys
+        bent = tmp_path / "bent.mesh"
+        assert run("fixture", "--shape", "cylinder", "--bend-deg", "90", "--ripples", "5",
+                   "--ripple-amplitude", "0.02", "--nx", "6", "--ny", "6",
+                   "--out", str(bent)) == EXIT_OK
+        mesh = build_grid(Topology.CYLINDER, 6, 6)
+        want = tmp_path / "want.mesh"
+        save_mesh(mesh, cylinder_surface(mesh, bend_deg=90.0, ripples=5,
+                                         ripple_amplitude=0.02).coords, str(want))
+        assert bent.read_bytes() == want.read_bytes()
 
     def test_repeat_runs_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.mesh", tmp_path / "b.mesh"
+        a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run("fixture", "--shape", "vase", "--preset", "2",
+            assert run("fixture", "--shape", "vase-family",
                        "--out", str(out), "--nx", "6", "--ny", "6") == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert all((a / n).read_bytes() == (b / n).read_bytes() for n in names)
 
     def test_family_writes_directory(self, tmp_path):
         out = tmp_path / "vases"
@@ -227,19 +219,6 @@ class TestFixture:
             got_mesh, coords = load_mesh(str(path))
             assert got_mesh.topology is mesh.topology
             assert np.array_equal(coords, q.coords)
-
-    def test_bad_vase_preset_rejected(self, tmp_path):
-        code = run("fixture", "--shape", "vase", "--preset", "9",
-                   "--out", str(tmp_path / "v.mesh"))
-        assert code == EXIT_USAGE
-
-    @pytest.mark.parametrize("shape", sorted(set(_FIXTURE_TOPOLOGY) - {"vase"}))
-    def test_preset_only_for_vase(self, tmp_path, shape, capsys):
-        out = tmp_path / "out"
-        assert run("fixture", "--shape", shape, "--preset", "0", "--out", str(out),
-                   "--nx", "4", "--ny", "4") == EXIT_USAGE
-        assert "--preset applies to shape 'vase' only" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("flags, config, message", [
         (["--shape", "torus", "--ny", "2"], "",
@@ -296,15 +275,31 @@ class TestRegister:
         code = run("register", "--template", sheets["base"],
                    "--target", sheets["plus"], "--out-dir", str(out),
                    "--sigma", "0.3", "--n-steps", "4", "--max-iters", "60",
-                   "--tol-grad", "1e-12", "--tol-match", "5e-5",
-                   "--export-frames", "true")
+                   "--tol-grad", "1e-12", "--tol-match", "5e-5")
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "converged"
         assert summary["matching_error"] <= 5e-5
         assert summary["path_length"] > 0.0
-        frames = sorted((out / "frames").iterdir())
-        assert len(frames) >= 5  # mesh + obj per step endpoint
+        assert not (out / "frames").exists()
+
+    def test_shoot_replays_the_registration(self, sheets, tmp_path):
+        # shooting the saved velocity with the same alpha, eps_reg and n_steps
+        # retraces the registration's path: its frames are the registration's
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.4\neps_reg = 1e-8\nn_steps = 4\n")
+        reg, replay = tmp_path / "reg", tmp_path / "replay"
+        assert run("register", "--template", sheets["base"], "--target", sheets["plus"],
+                   "--config", str(cfg), "--out-dir", str(reg), "--sigma", "0.3",
+                   "--max-iters", "60", "--tol-grad", "1e-12",
+                   "--tol-match", "5e-5") == EXIT_OK
+        assert run("shoot", "--initial", sheets["base"], "--config", str(cfg),
+                   "--velocity", str(reg / "initial_velocity.vel"),
+                   "--out-dir", str(replay)) == EXIT_OK
+        assert (replay / "final.mesh").read_bytes() == (reg / "registered.mesh").read_bytes()
+        frames = sorted((replay / "frames").glob("*.mesh"))
+        assert len(frames) == 5
+        assert frames[0].read_bytes() == Path(sheets["base"]).read_bytes()
 
     def test_unconverged_registration_exits_nonzero(self, sheets, tmp_path):
         out = tmp_path / "run"
@@ -318,8 +313,10 @@ class TestRegister:
     def test_smallest_accepted_sigma_runs_without_a_warning(self, tmp_path):
         """``--sigma 1e-77`` passes the config check; the descent it runs
         carries a matching weight near 5e153 and must not overflow anywhere."""
-        for shape, name in (("cylinder", "a.mesh"), ("bent-cylinder", "b.mesh")):
-            assert run("fixture", "--shape", shape, "--nx", "8", "--ny", "8",
+        for bend, name in (([], "a.mesh"),
+                           (["--bend-deg", "90", "--ripples", "5", "--ripple-amplitude", "0.02"],
+                            "b.mesh")):
+            assert run("fixture", "--shape", "cylinder", *bend, "--nx", "8", "--ny", "8",
                        "--out", str(tmp_path / name)) == EXIT_OK
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
@@ -490,6 +487,20 @@ class TestMean:
                    "--mean-tol", "1e-9", "--max-outer", "1")
         assert code == EXIT_NUMERICAL
 
+    def test_unconverged_registration_exits_nonzero(self, sheets, tmp_path, capsys):
+        # the mean converges, but the registration onto "plus" stops at max_iters
+        out = tmp_path / "mean"
+        code = run("mean", "--shapes", sheets["base"], sheets["plus"],
+                   "--start", sheets["base"], "--out-dir", str(out),
+                   "--sigma", "0.3", "--n-steps", "4", "--max-iters", "1",
+                   "--tol-grad", "1e-12", "--mean-tol", "1")
+        assert code == EXIT_NUMERICAL
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "converged"
+        assert summary["registration_statuses"] == ["converged", "max_iters"]
+        assert capsys.readouterr().err == (
+            f"error: registrations did not converge: {sheets['plus']}\n")
+
 
 class TestGradcheck:
     def test_small_check_passes(self, tmp_path):
@@ -521,6 +532,14 @@ class TestGradcheck:
                    "--directions", "0", "--out-dir", str(tmp_path / "gc"))
         assert code == EXIT_USAGE
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        code = run("gradcheck", "--topology", "plane", "--nx", "4", "--ny", "4",
+                   "--seed", "-1", "--out-dir", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestUsage:
     def test_version_flag(self):
@@ -551,12 +570,26 @@ class TestUsage:
             cfg.write_text(f"{key} = {value}\n")
             assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
 
-    def test_boolean_flag_words(self, sheets, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        ["--shape", "bent-cylinder"],
+        ["--shape", "vase"],
+        ["--shape", "cylinder", "--preset", "0"],
+    ], ids=["bent-cylinder", "vase", "preset"])
+    def test_removed_fixture_spellings(self, tmp_path, flags):
+        # the bent cylinder is the cylinder with bend flags; the vases are vase-family's
+        out = tmp_path / "out"
+        assert run("fixture", *flags, "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_removed_export_frames_setting(self, sheets, tmp_path, capsys):
+        # a registration's frames come from shooting its initial velocity
         identity = identity_registration(sheets, tmp_path)
-        assert run(*identity, "--export-frames", "maybe") == EXIT_USAGE
-        assert run(*identity, "--export-frames", "off") == EXIT_OK
-        args = build_parser().parse_args([*identity, "--export-frames", "off"])
-        assert _load_config(args).export_frames is False
+        assert run(*identity, "--export-frames", "true") == EXIT_USAGE
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("export_frames = true\n")
+        capsys.readouterr()
+        assert run(*identity, "--config", str(cfg)) == EXIT_USAGE
+        assert "error: config: unknown config key 'export_frames'" in capsys.readouterr().err
 
     def test_flag_beats_config_file_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"

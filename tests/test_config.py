@@ -62,24 +62,14 @@ class TestBuildConfig:
     def test_file_values_typed(self, tmp_path):
         path = write(
             tmp_path,
-            "alpha = 0.9\nnx = 24\nexport_frames = yes\ntol_match = none\n"
+            "alpha = 0.9\nnx = 24\ntol_match = none\n"
             "topology = plane\n",
         )
         cfg = build_config(parse_file(path))
         assert cfg.alpha == 0.9
         assert cfg.nx == 24
-        assert cfg.export_frames is True
         assert cfg.tol_match is None
         assert cfg.topology == "plane"
-
-    def test_bool_words(self, tmp_path):
-        for word, want in [("true", True), ("ON", True), ("0", False), ("No", False)]:
-            cfg = build_config({"export_frames": word})
-            assert cfg.export_frames is want
-
-    def test_bad_bool_rejected(self):
-        with pytest.raises(ConfigError, match="boolean"):
-            build_config({"export_frames": "maybe"})
 
     def test_bad_int_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
@@ -92,7 +82,7 @@ class TestBuildConfig:
     def test_none_only_for_optional_keys(self):
         cfg = build_config({"tol_match": "none", "eps_reg": "None"})
         assert cfg.tol_match is None and cfg.eps_reg is None
-        for key in ("alpha", "nx", "export_frames", "topology"):
+        for key in ("alpha", "nx", "topology"):
             with pytest.raises(ConfigError, match=key):
                 build_config({key: "none"})
 
@@ -100,6 +90,11 @@ class TestBuildConfig:
         for key in ("max_outer", "directions"):
             with pytest.raises(ConfigError, match=key):
                 build_config({key: "0"})
+
+    def test_negative_seed_rejected(self):
+        assert build_config({"seed": "0"}).seed == 0
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            build_config({"seed": "-1"})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -112,7 +107,7 @@ class TestBuildConfig:
     def test_every_field_has_a_type_the_converter_reads(self):
         # an `int | None` key would otherwise be read as text
         for f in fields(RunConfig):
-            assert f.type in (float, int, bool, str, float | None), f.name
+            assert f.type in (float, int, str, float | None), f.name
 
     def test_empty_out_dir_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="out_dir must not be empty"):
