@@ -91,8 +91,7 @@ COMMAND_KEYS = {
     "shoot": (*_METRIC_KEYS, "n_steps", "out_dir"),
     "triangle": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir"),
     "mean": (*_METRIC_KEYS, *_DESCENT_KEYS, "mean_tol", "max_outer", "out_dir"),
-    "gradcheck": ("topology", "nx", "ny", *_GEOMETRY_KEYS, *_METRIC_KEYS, "sigma", "n_steps",
-                  "directions", "fd_tol", "seed", "out_dir"),
+    "gradcheck": (*_METRIC_KEYS, "sigma", "n_steps", "directions", "fd_tol", "seed", "out_dir"),
 }
 
 
@@ -176,15 +175,11 @@ def _write_frames(path: GeodesicPath, out_dir: str) -> list[str]:
 # commands
 
 
-def _flat_sheet(cfg: RunConfig) -> Immersion:
-    """The model domain itself, lying in the z = 0 plane."""
-    mesh = build_grid(Topology.parse(cfg.topology), cfg.nx, cfg.ny)
-    return Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
-
-
 def cmd_meshgen(args) -> int:
     cfg = _load_config(args)
-    sheet = _flat_sheet(cfg)
+    mesh = build_grid(Topology.parse(cfg.topology), cfg.nx, cfg.ny)
+    # the model domain itself, lying in the z = 0 plane
+    sheet = Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
     _write_shape(sheet, args.out, args.obj)
     print(f"{args.out}: {cfg.topology} {cfg.nx}x{cfg.ny}, "
           f"{sheet.mesh.n_nodes} nodes, {sheet.mesh.n_triangles} triangles")
@@ -359,17 +354,9 @@ def cmd_mean(args) -> int:
     return EXIT_OK if result.status is MeanStatus.CONVERGED and not bad else EXIT_NUMERICAL
 
 
-def _gradcheck_base(cfg: RunConfig) -> Immersion:
-    """The flat sheet, or the cylinder or torus fixture of ``cfg.topology``."""
-    topology = Topology.parse(cfg.topology)
-    if topology is Topology.PLANE:
-        return _flat_sheet(cfg)
-    return _fixture_shapes(cfg, topology.value)[0][1]
-
-
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
-    q0 = _gradcheck_base(cfg)
+    q0 = _load_immersion(args.initial)
     rng = np.random.default_rng(cfg.seed)
     shape = (q0.mesh.n_nodes, 3)
     q_target = q0.displaced(0.05 * rng.standard_normal(shape))
@@ -403,6 +390,7 @@ def cmd_gradcheck(args) -> int:
 
     summary = {
         "command": "gradcheck",
+        "initial": args.initial,
         "config": as_dict(cfg),
         "fd_steps": list(GRADCHECK_STEPS),
         "min_errors": mins,
@@ -477,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference check of the energy gradient")
+    p.add_argument("--initial", required=True, metavar="FILE", help="surface to check at")
     p.set_defaults(func=cmd_gradcheck)
 
     for command, p in sub.choices.items():

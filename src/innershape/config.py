@@ -113,7 +113,7 @@ def parse_file(path) -> dict:
     try:
         with open(path) as f:
             lines = f.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = {}
     first_line = {}

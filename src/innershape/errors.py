@@ -35,7 +35,7 @@ class DegenerateElementError(InnerShapeError):
 
 
 class SolverError(InnerShapeError):
-    """Sharp-solve failed: the block is not positive definite (the Cholesky
+    """A solve failed: the block is not positive definite (the Cholesky
     factorization of a front of its nested dissection broke down), the
     solution is not finite, or its relative residual exceeds
     ``SHARP_RESIDUAL_TOL``."""

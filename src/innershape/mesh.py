@@ -236,7 +236,7 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
     try:
         with open(path) as f:
             lines = f.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
 
     def need(idx: int) -> str:

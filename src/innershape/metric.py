@@ -57,7 +57,7 @@ from .mesh import DomainMesh
 #: triangle: area * M3 gives the element mass matrix
 _M3 = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
-#: largest accepted relative residual |A x - p| / |p| of a sharp-solve
+#: largest accepted relative residual |A x - p| / |p| of a solve
 SHARP_RESIDUAL_TOL = 1e-10
 
 
@@ -417,7 +417,7 @@ def solve(block: SparseBlock, p: np.ndarray) -> np.ndarray:
     buf[maps.fill_slot] = np.concatenate((block.data, p.ravel(), [1.0])).take(maps.fill_src)
     x = _multifrontal(maps.fronts, buf, maps.n_nodes)
     if not np.all(np.isfinite(x)):
-        raise SolverError("sharp-solve produced a non-finite solution")
+        raise SolverError("solve produced a non-finite solution")
     r = block @ x - p
     # both norms in units of the largest entry of r and p, so that no square
     # overflows or underflows to a false pass
@@ -427,7 +427,7 @@ def solve(block: SparseBlock, p: np.ndarray) -> np.ndarray:
     rhs = float(np.sqrt(np.sum(p * p)))
     if res > SHARP_RESIDUAL_TOL * rhs:
         raise SolverError(
-            f"sharp-solve residual {res * scale:.3e} exceeds {SHARP_RESIDUAL_TOL:g} "
+            f"solve residual {res * scale:.3e} exceeds {SHARP_RESIDUAL_TOL:g} "
             f"times |rhs|={rhs * scale:.3e}"
         )
     return x

@@ -1,5 +1,6 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -28,7 +29,7 @@ from innershape import (
 )
 from innershape.cli import (
     _FIXTURE_TOPOLOGY, COMMAND_KEYS, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
-    EXIT_USAGE, _gradcheck_base, _load_config, build_parser, main,
+    EXIT_USAGE, _load_config, build_parser, main,
 )
 from innershape.config import ConfigError
 from innershape.errors import (
@@ -56,7 +57,7 @@ MISPLACED_FLAGS = {
     "shoot": (["--initial", "a.mesh", "--velocity", "u.vel"], ["--tol-grad", "1e-6"]),
     "triangle": (["--a", "a.mesh", "--b", "b.mesh", "--c", "c.mesh"], ["--seed", "1"]),
     "mean": (["--shapes", "a.mesh", "b.mesh"], ["--topology", "plane"]),
-    "gradcheck": ([], ["--mean-tol", "1e-2"]),
+    "gradcheck": (["--initial", "a.mesh"], ["--mean-tol", "1e-2"]),
 }
 
 
@@ -502,40 +503,79 @@ class TestMean:
             f"error: registrations did not converge: {sheets['plus']}\n")
 
 
+def written_surface(tmp_path, command, *flags):
+    """Path of the surface file that ``meshgen`` or ``fixture`` writes with ``flags``."""
+    path = str(tmp_path / "base.mesh")
+    assert run(command, *flags, "--out", path) == EXIT_OK
+    return path
+
+
 class TestGradcheck:
     def test_small_check_passes(self, tmp_path):
+        base = written_surface(tmp_path, "meshgen", "--topology", "plane", "--nx", "4",
+                               "--ny", "4")
         out = tmp_path / "gc"
-        code = run("gradcheck", "--topology", "plane", "--nx", "4", "--ny", "4",
-                   "--n-steps", "3", "--directions", "3", "--seed", "1",
-                   "--fd-tol", "1e-5", "--out-dir", str(out))
+        code = run("gradcheck", "--initial", base, "--n-steps", "3", "--directions", "3",
+                   "--seed", "1", "--fd-tol", "1e-5", "--out-dir", str(out))
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["initial"] == base
         assert summary["passed"] is True
         assert len(summary["min_errors"]) == 3
         assert summary["worst_error"] <= 1e-5
 
-    @pytest.mark.parametrize("topology", ["cylinder", "torus"])
-    def test_fixture_base_passes(self, tmp_path, topology):
+    @pytest.mark.parametrize("shape", ["cylinder", "torus"])
+    def test_fixture_base_passes(self, tmp_path, shape):
+        base = written_surface(tmp_path, "fixture", "--shape", shape, "--nx", "4", "--ny", "4")
         out = tmp_path / "gc"
-        code = run("gradcheck", "--topology", topology, "--nx", "4", "--ny", "4",
-                   "--n-steps", "3", "--directions", "2", "--out-dir", str(out))
+        code = run("gradcheck", "--initial", base, "--n-steps", "3", "--directions", "2",
+                   "--out-dir", str(out))
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
         assert len(summary["min_errors"]) == 2
-        cfg = RunConfig(topology=topology, nx=4, ny=4)
-        want = LIBRARY_FIXTURES[topology](build_grid(Topology.parse(topology), 4, 4), cfg)
-        assert np.array_equal(_gradcheck_base(cfg).coords, want[0].coords)
 
-    def test_zero_directions_is_usage_error(self, tmp_path):
-        code = run("gradcheck", "--topology", "plane", "--nx", "4", "--ny", "4",
-                   "--directions", "0", "--out-dir", str(tmp_path / "gc"))
-        assert code == EXIT_USAGE
-
-    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+    def test_vase_base_passes(self, tmp_path):
+        # a surface that no topology names: one vase of the family
+        assert run("fixture", "--shape", "vase-family", "--nx", "8", "--ny", "8",
+                   "--out", str(tmp_path / "vases")) == EXIT_OK
         out = tmp_path / "gc"
-        code = run("gradcheck", "--topology", "plane", "--nx", "4", "--ny", "4",
-                   "--seed", "-1", "--out-dir", str(out))
+        code = run("gradcheck", "--initial", str(tmp_path / "vases" / "vase_2.mesh"),
+                   "--n-steps", "3", "--directions", "2", "--out-dir", str(out))
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["passed"] is True
+
+    def test_velocity_file_is_bad_input(self, sheets, tmp_path, capsys):
+        mesh, coords = load_mesh(sheets["base"])
+        vel = tmp_path / "u.vel"
+        save_velocity(mesh, np.zeros_like(coords), str(vel))
+        out = tmp_path / "gc"
+        assert run("gradcheck", "--initial", str(vel), "--out-dir", str(out)) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: bad input file: line 1: expected header 'IMESH 1'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--topology", "plane"], ["--nx", "4"], ["--bend-deg", "90"],
+    ], ids=["topology", "nx", "bend-deg"])
+    def test_surface_settings_are_no_flags(self, sheets, tmp_path, capsys, flags):
+        # the base surface comes from a file: meshgen or fixture takes these flags
+        out = tmp_path / "gc"
+        assert run("gradcheck", "--initial", sheets["base"], *flags,
+                   "--out-dir", str(out)) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_directions_is_usage_error(self, sheets, tmp_path, capsys):
+        code = run("gradcheck", "--initial", sheets["base"], "--directions", "0",
+                   "--out-dir", str(tmp_path / "gc"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: config: directions must be >= 1, got 0\n"
+
+    def test_negative_seed_is_config_error(self, sheets, tmp_path, capsys):
+        out = tmp_path / "gc"
+        code = run("gradcheck", "--initial", sheets["base"], "--seed", "-1",
+                   "--out-dir", str(out))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
         assert not out.exists()
@@ -594,7 +634,8 @@ class TestUsage:
     def test_flag_beats_config_file_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 0.9\nnx = 5\n")
-        args = build_parser().parse_args(["gradcheck", "--config", str(cfg), "--alpha", "0.3"])
+        args = build_parser().parse_args(["gradcheck", "--initial", "a.mesh", "--config", str(cfg),
+                                          "--alpha", "0.3"])
         config = _load_config(args)
         assert (config.alpha, config.nx) == (0.3, 5)
 
@@ -735,7 +776,7 @@ class TestUsage:
         out = str(tmp_path / "run")
         needed = {
             "mean": ["--shapes", sheets["plus"], sheets["minus"], "--out-dir", out],
-            "gradcheck": ["--topology", "plane", "--nx", "4", "--ny", "4", "--out-dir", out],
+            "gradcheck": ["--initial", sheets["base"], "--out-dir", out],
             "register": identity_registration(sheets, tmp_path)[1:],
             "meshgen": ["--out", out],
         }[command]
@@ -778,6 +819,24 @@ def test_unexpected_error_propagates(monkeypatch):
     monkeypatch.setattr(innershape.cli, "cmd_meshgen", fail)
     with pytest.raises(RuntimeError, match="bug"):
         run("meshgen", "--out", "unused.mesh")
+
+
+def test_readme_lists_each_commands_own_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("\n| Command | Purpose | Own flags |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[1:]:
+        _, command, _, flags, _ = row.split("|")
+        listed[command.strip(" `")] = re.findall(r"`(--[a-z-]+)`", flags)
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {"--help", "--config", "--verbose"}
+    own = {}
+    for command, sub in commands.choices.items():
+        config_flags = {"--" + key.replace("_", "-") for key in COMMAND_KEYS[command]}
+        own[command] = [flag for action in sub._actions for flag in action.option_strings
+                        if flag.startswith("--") and flag not in shared | config_flags]
+    assert listed == own
 
 
 def test_readme_lists_each_commands_config_keys():

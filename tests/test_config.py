@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import innershape
-from innershape.cli import EXIT_USAGE, main
+from innershape.cli import EXIT_OK, EXIT_USAGE, main
 from innershape.config import ConfigError, RunConfig, as_dict, build_config, parse_file
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type in (float, float | None)]
@@ -35,6 +35,15 @@ class TestParseFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_file(tmp_path / "absent.cfg")
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"alpha = 0.7\n\xff\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_file(path)
+        assert main(["meshgen", "--out", str(tmp_path / "m.mesh"),
+                     "--config", str(path)]) == EXIT_USAGE
+        assert "error: config: cannot read config" in capsys.readouterr().err
 
     def test_line_without_equals_reports_line_number(self, tmp_path):
         path = write(tmp_path, "alpha = 0.7\nbogus line\n")
@@ -112,7 +121,10 @@ class TestBuildConfig:
     def test_empty_out_dir_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="out_dir must not be empty"):
             build_config({"out_dir": ""})
-        assert main(["gradcheck", "--out-dir", ""]) == EXIT_USAGE
+        base = str(tmp_path / "base.mesh")
+        assert main(["meshgen", "--topology", "plane", "--nx", "2", "--ny", "2",
+                     "--out", base]) == EXIT_OK
+        assert main(["gradcheck", "--initial", base, "--out-dir", ""]) == EXIT_USAGE
 
     def test_init_mode_validated(self, tmp_path):
         # every registration starts from rest: `init` is no key and no flag

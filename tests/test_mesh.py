@@ -146,6 +146,17 @@ class TestNativeFormat:
             load_mesh(path)
         assert err.value.line is not None
 
+    @pytest.mark.parametrize("load, magic", [(load_mesh, b"IMESH 1"), (load_velocity, b"IVEC 1")],
+                             ids=["mesh", "velocity"])
+    def test_non_utf8_file_is_malformed(self, tmp_path, capsys, load, magic):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(magic + b"\n\xff\n")
+        with pytest.raises(MeshFormatError, match="cannot read"):
+            load(path)
+        assert main(["shoot", "--initial", str(path), "--velocity", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_IO
+        assert "error: bad input file: cannot read" in capsys.readouterr().err
+
     def test_bad_magic_reports_first_line(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text("NOPE 9\nplane 1 1\n4 2\n")
