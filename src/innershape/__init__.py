@@ -17,7 +17,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .adjoint import backward_sweep
-from .config import ConfigError, RunConfig, as_dict, build_config, parse_file
+from .config import ConfigError, RunConfig, build_config, parse_file
 from .errors import (
     DegenerateElementError,
     InnerShapeError,
@@ -111,7 +111,6 @@ __all__ = [
     "TriangleReport",
     "VASE_PRESETS",
     "ZeroVelocityError",
-    "as_dict",
     "assemble",
     "backward_sweep",
     "build_config",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .adjoint import backward_sweep
-from .config import ConfigError, RunConfig, _field_types, as_dict, build_config, parse_file
+from .config import ConfigError, RunConfig, _field_types, build_config, parse_file
 from .errors import (
     DegenerateElementError,
     MeshError,
@@ -122,25 +122,26 @@ def _load_immersion(path: str) -> Immersion:
     return Immersion(mesh, coords)
 
 
-def _write_shape(q: Immersion, path: str, obj: bool) -> None:
+def _write_shape(q: Immersion, path: str) -> list[str]:
+    """Write a surface as a native mesh and, next to it, its OBJ export."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    obj_path = os.path.splitext(path)[0] + ".obj"
     save_mesh(q.mesh, q.coords, path)
-    logger.info("wrote %s", path)
-    if obj:
-        obj_path = os.path.splitext(path)[0] + ".obj"
-        export_obj(q.mesh, q.coords, obj_path)
-        logger.info("wrote %s", obj_path)
+    export_obj(q.mesh, q.coords, obj_path)
+    logger.info("wrote %s and %s", path, obj_path)
+    return [path, obj_path]
 
 
-def _write_summary(out_dir: str, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
+def _write_summary(cfg: RunConfig, command: str, payload: dict) -> None:
+    """Write ``summary.json`` to ``out_dir``: the command, the config keys it
+    reads, then the payload."""
+    config = {key: getattr(cfg, key) for key in COMMAND_KEYS[command]}
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "summary.json"), "w") as f:
+        json.dump({"command": command, "config": config, **payload}, f, indent=2)
         f.write("\n")
-    return path
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -151,23 +152,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_frames(path: GeodesicPath, out_dir: str) -> list[str]:
-    """Write every frame of a geodesic path as native mesh + OBJ, plus speed CSVs.
-
-    Frame i gets ``frame_<i>.mesh`` and ``.obj``; for i < N a
-    ``frame_<i>_speed.csv`` holds each node's velocity magnitude.
-    Returns the list of written file names.
+    """Write frame i of a geodesic path as ``frame_<i>.mesh`` and ``.obj``;
+    returns the written file names.  Node k's speed at step i is
+    N |q_{i+1,k} - q_{i,k}|, since the path moves q_{i+1} = q_i + u_i / N.
     """
     written = []
     width = len(str(path.n_steps))
     for i, q in enumerate(path.immersions):
-        stem = os.path.join(out_dir, f"frame_{i:0{width}d}")
-        _write_shape(q, stem + ".mesh", obj=True)
-        written += [stem + ".mesh", stem + ".obj"]
-        if i < path.n_steps:
-            speed = np.linalg.norm(path.velocities[i], axis=1)
-            _write_csv(stem + "_speed.csv", ["node", "speed"],
-                       ([k, repr(float(s))] for k, s in enumerate(speed)))
-            written.append(stem + "_speed.csv")
+        written += _write_shape(q, os.path.join(out_dir, f"frame_{i:0{width}d}.mesh"))
     return written
 
 
@@ -180,7 +172,7 @@ def cmd_meshgen(args) -> int:
     mesh = build_grid(Topology.parse(cfg.topology), cfg.nx, cfg.ny)
     # the model domain itself, lying in the z = 0 plane
     sheet = Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
-    _write_shape(sheet, args.out, args.obj)
+    _write_shape(sheet, args.out)
     print(f"{args.out}: {cfg.topology} {cfg.nx}x{cfg.ny}, "
           f"{sheet.mesh.n_nodes} nodes, {sheet.mesh.n_triangles} triangles")
     return EXIT_OK
@@ -209,7 +201,7 @@ def cmd_fixture(args) -> int:
     paths = ([args.out] if len(shapes) == 1 else
              [os.path.join(args.out, f"{name}.mesh") for name, _ in shapes])
     for (name, q), path in zip(shapes, paths):
-        _write_shape(q, path, args.obj)
+        _write_shape(q, path)
         print(f"{path}: {name}, surface area {surface_area(q):.6f}")
     return EXIT_OK
 
@@ -222,18 +214,16 @@ def cmd_register(args) -> int:
     result = register(assemble(template, cfg.alpha, cfg.eps_reg), target, cfg)
 
     out = cfg.out_dir
-    _write_shape(result.path.final, os.path.join(out, "registered.mesh"), obj=True)
+    _write_shape(result.path.final, os.path.join(out, "registered.mesh"))
     save_velocity(template.mesh, result.u0, os.path.join(out, "initial_velocity.vel"))
     _write_csv(os.path.join(out, "history.csv"),
                ["iteration", "energy", "kinetic", "match", "grad_norm", "step"],
                ([r.iteration, repr(r.energy), repr(r.kinetic), repr(r.match),
                  repr(r.grad_norm), repr(r.step)] for r in result.history))
     last = result.history[-1]
-    summary = {
-        "command": "register",
+    _write_summary(cfg, "register", {
         "template": args.template,
         "target": args.target,
-        "config": as_dict(cfg),
         "status": result.status.value,
         "iterations": result.iterations,
         "energy": last.energy,
@@ -241,8 +231,7 @@ def cmd_register(args) -> int:
         "matching_error": last.match,
         "gradient_norm": last.grad_norm,
         "path_length": path_length(result.path),
-    }
-    _write_summary(out, summary)
+    })
 
     print(f"register: {result.status.value} after {result.iterations} iterations, "
           f"energy {last.energy:.6e}, match {last.match:.6e}")
@@ -262,20 +251,17 @@ def cmd_shoot(args) -> int:
     path = shoot(assemble(q0, cfg.alpha, cfg.eps_reg), u0, cfg.n_steps)
     out = cfg.out_dir
     written = _write_frames(path, os.path.join(out, "frames"))
-    _write_shape(path.final, os.path.join(out, "final.mesh"), obj=True)
-    summary = {
-        "command": "shoot",
+    _write_shape(path.final, os.path.join(out, "final.mesh"))
+    length = path_length(path)
+    _write_summary(cfg, "shoot", {
         "initial": args.initial,
         "velocity": args.velocity,
-        "config": as_dict(cfg),
         "n_frames": path.n_steps + 1,
         "path_energy": path_energy(path),
-        "path_length": path_length(path),
+        "path_length": length,
         "final_area": surface_area(path.final),
-    }
-    _write_summary(out, summary)
-    print(f"shoot: {path.n_steps + 1} frames, length {summary['path_length']:.6e}, "
-          f"{len(written)} files")
+    })
+    print(f"shoot: {path.n_steps + 1} frames, length {length:.6e}, {len(written)} files")
     return EXIT_OK
 
 
@@ -292,19 +278,16 @@ def cmd_triangle(args) -> int:
 
     out = cfg.out_dir
     for name, mid in zip(("midpoint_ab", "midpoint_bc", "midpoint_ca"), report.midpoints):
-        _write_shape(mid, os.path.join(out, f"{name}.mesh"), obj=True)
-    summary = {
-        "command": "triangle",
+        _write_shape(mid, os.path.join(out, f"{name}.mesh"))
+    _write_summary(cfg, "triangle", {
         "vertices": [args.a, args.b, args.c],
-        "config": as_dict(cfg),
         "angles_deg": list(report.angles_deg),
         "angle_sum_deg": report.angle_sum_deg,
         "side_lengths": list(report.side_lengths),
         "midpoint_areas": list(report.midpoint_areas),
         "vertex_areas": list(report.vertex_areas),
         "statuses": {k: s.value for k, s in sorted(report.statuses.items())},
-    }
-    _write_summary(out, summary)
+    })
 
     a1, a2, a3 = report.angles_deg
     print(f"triangle: angles {a1:.3f} + {a2:.3f} + {a3:.3f} = "
@@ -327,21 +310,18 @@ def cmd_mean(args) -> int:
                           mean_tol=cfg.mean_tol, max_outer=cfg.max_outer)
 
     out = cfg.out_dir
-    _write_shape(result.mean, os.path.join(out, "mean.mesh"), obj=True)
+    _write_shape(result.mean, os.path.join(out, "mean.mesh"))
     _write_csv(os.path.join(out, "norms.csv"), ["outer_iteration", "velocity_norm"],
                ([k, repr(vn)] for k, vn in enumerate(result.velocity_norms, start=1)))
-    summary = {
-        "command": "mean",
+    _write_summary(cfg, "mean", {
         "shapes": list(args.shapes),
         "start": args.start,
-        "config": as_dict(cfg),
         "status": result.status.value,
         "outer_iterations": result.iterations,
         "velocity_norms": result.velocity_norms,
         "registration_statuses": [s.value for s in result.statuses],
         "mean_area": surface_area(result.mean),
-    }
-    _write_summary(out, summary)
+    })
 
     print(f"mean: {result.status.value} after {result.iterations} outer iterations, "
           f"final velocity norm {result.velocity_norms[-1]:.6e}")
@@ -388,17 +368,14 @@ def cmd_gradcheck(args) -> int:
     worst = max(mins)
     passed = worst <= cfg.fd_tol
 
-    summary = {
-        "command": "gradcheck",
+    _write_summary(cfg, "gradcheck", {
         "initial": args.initial,
-        "config": as_dict(cfg),
         "fd_steps": list(GRADCHECK_STEPS),
         "min_errors": mins,
         "worst_error": worst,
         "tolerance": cfg.fd_tol,
         "passed": passed,
-    }
-    _write_summary(cfg.out_dir, summary)
+    })
     print(f"gradcheck: worst min-over-h relative error {worst:.3e} "
           f"({'<=' if passed else '>'} {cfg.fd_tol:g}) -> {'pass' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_NUMERICAL
@@ -425,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meshgen", parents=[common],
                        help="write the flat model-domain mesh as a surface file")
     p.add_argument("--out", required=True, metavar="FILE", help="output mesh file")
-    p.add_argument("--obj", action="store_true", help="also write an OBJ next to it")
     p.set_defaults(func=cmd_meshgen)
 
     p = sub.add_parser("fixture", parents=[common], help="generate a named test surface")
@@ -433,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which surface family to generate")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="output file (single shape) or directory (shape families)")
-    p.add_argument("--obj", action="store_true", help="also write OBJ exports")
     p.set_defaults(func=cmd_fixture)
 
     p = sub.add_parser("register", parents=[common],

@@ -149,8 +149,3 @@ def build_config(values: dict | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
-
-
-def as_dict(cfg: RunConfig) -> dict:
-    """Flat serializable view of a config (for summaries)."""
-    return {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}

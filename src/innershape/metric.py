@@ -354,7 +354,9 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
     ----------
     q : Immersion
     alpha : float
-        Length scale weighting the first-order term; must be finite and >= 0.
+        Length scale weighting the first-order term; must be finite and >= 0,
+        and small enough that the element matrices, which carry alpha^2 times
+        the inverse metric, stay finite.
     eps_reg : float, optional
         Degeneracy threshold on element volumes, finite and >= 0 (default: a
         small fraction of the median volume).
@@ -369,7 +371,12 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
     if eps_reg is not None and not (np.isfinite(eps_reg) and eps_reg >= 0):
         raise ValueError(f"eps_reg must be None or finite and >= 0, got {eps_reg}")
     geom = require_regular(q, eps_reg)
-    block = _assemble_scalar(q.mesh, _element_matrices(q, alpha, geom))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            local = _element_matrices(q, alpha, geom)
+    except FloatingPointError:
+        raise ValueError(f"alpha {alpha:g} is too large: the element matrices overflow") from None
+    block = _assemble_scalar(q.mesh, local)
     return MetricOperator(immersion=q, alpha=alpha, block=block, eps_reg=eps_reg, geom=geom)
 
 

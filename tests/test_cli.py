@@ -18,11 +18,14 @@ from innershape import (
     RunConfig,
     SolverError,
     Topology,
+    assemble,
     build_grid,
     cylinder_surface,
     load_mesh,
+    load_velocity,
     save_mesh,
     save_velocity,
+    shoot,
     torus_surface,
     torus_triangle,
     vase_family,
@@ -63,6 +66,17 @@ MISPLACED_FLAGS = {
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_summary(out, command):
+    """The ``summary.json`` in ``out``, checked to record ``command`` and the
+    plain values of exactly the config keys it reads."""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == command
+    assert set(summary["config"]) == set(COMMAND_KEYS[command])
+    for value in summary["config"].values():
+        assert value is None or isinstance(value, (bool, int, float, str))
+    return summary
 
 
 def identity_registration(sheets, tmp_path):
@@ -162,8 +176,10 @@ def test_step_path_modules_use_no_blas_reductions():
 class TestMeshgen:
     def test_writes_mesh_and_obj(self, tmp_path, capsys):
         out = tmp_path / "flat.mesh"
+        # the OBJ is always written, so the --obj switch is gone
+        assert run("meshgen", "--out", str(out), "--obj") == EXIT_USAGE
         code = run("meshgen", "--out", str(out), "--topology", "plane",
-                   "--nx", "4", "--ny", "4", "--obj")
+                   "--nx", "4", "--ny", "4")
         assert code == EXIT_OK
         assert out.exists() and out.with_suffix(".obj").exists()
         mesh, coords = load_mesh(str(out))
@@ -205,7 +221,7 @@ class TestFixture:
         assert run("fixture", "--shape", "vase-family", "--out", str(out),
                    "--nx", "4", "--ny", "4") == EXIT_OK
         names = sorted(p.name for p in out.iterdir())
-        assert names == [f"vase_{k}.mesh" for k in range(5)]
+        assert names == sorted(f"vase_{k}{ext}" for k in range(5) for ext in (".mesh", ".obj"))
 
     @pytest.mark.parametrize("shape", sorted(_FIXTURE_TOPOLOGY))
     def test_every_shape_writes_the_library_fixture(self, tmp_path, shape):
@@ -264,7 +280,7 @@ class TestRegister:
         for name in ("registered.mesh", "registered.obj", "initial_velocity.vel",
                      "history.csv", "summary.json"):
             assert (out / name).exists()
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out, "register")
         assert summary["status"] == "converged"
         assert summary["iterations"] == 0
         assert summary["energy"] == 0.0
@@ -298,9 +314,19 @@ class TestRegister:
                    "--velocity", str(reg / "initial_velocity.vel"),
                    "--out-dir", str(replay)) == EXIT_OK
         assert (replay / "final.mesh").read_bytes() == (reg / "registered.mesh").read_bytes()
-        frames = sorted((replay / "frames").glob("*.mesh"))
-        assert len(frames) == 5
-        assert frames[0].read_bytes() == Path(sheets["base"]).read_bytes()
+        # the frames are surfaces only, 2(N + 1) files: a mesh and an OBJ each
+        frames_dir = replay / "frames"
+        names = sorted(p.name for p in frames_dir.iterdir())
+        assert names == sorted(f"frame_{i}{ext}" for i in range(5) for ext in (".mesh", ".obj"))
+        assert (frames_dir / "frame_0.mesh").read_bytes() == Path(sheets["base"]).read_bytes()
+        frames = [load_mesh(str(frames_dir / f"frame_{i}.mesh"))[1] for i in range(5)]
+        # and they hold the nodal speeds: N |q_{i+1} - q_i| = |u_i|
+        op0 = assemble(Immersion(*load_mesh(sheets["base"])), 0.4, 1e-8)
+        path = shoot(op0, load_velocity(str(reg / "initial_velocity.vel"))[1], 4)
+        for q, q_next, u in zip(frames, frames[1:], path.velocities):
+            speed = np.sqrt(np.sum(u * u, axis=1))
+            derived = 4 * np.sqrt(np.sum((q_next - q) ** 2, axis=1))
+            assert np.max(np.abs(derived - speed)) <= 1e-14 * np.max(speed)
 
     def test_unconverged_registration_exits_nonzero(self, sheets, tmp_path):
         out = tmp_path / "run"
@@ -362,7 +388,7 @@ class TestShoot:
         code = run("shoot", "--initial", sheets["base"], "--velocity", str(vel),
                    "--out-dir", str(out), "--n-steps", "3")
         assert code == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out, "shoot")
         assert summary["n_frames"] == 4
         assert summary["path_energy"] == 0.0
         assert summary["path_length"] == 0.0
@@ -370,6 +396,23 @@ class TestShoot:
         frame_meshes = sorted((out / "frames").glob("*.mesh"))
         assert len(frame_meshes) == 4
         assert all(p.read_bytes() == final for p in frame_meshes)
+
+    @pytest.mark.parametrize("command, alpha", [
+        ("shoot", "1e153"), ("shoot", "1e160"), ("register", "1e308"),
+    ])
+    def test_alpha_that_overflows_the_metric_is_usage_error(self, tmp_path, capsys, command,
+                                                            alpha):
+        # alpha^2 is finite at 1e153, but alpha^2 times the 16x16 stiffness is not
+        cylinder = written_surface(tmp_path, "fixture", "--shape", "cylinder")
+        mesh, coords = load_mesh(cylinder)
+        save_velocity(mesh, np.zeros_like(coords), str(tmp_path / "zero.vel"))
+        inputs = {"shoot": ["--initial", cylinder, "--velocity", str(tmp_path / "zero.vel")],
+                  "register": ["--template", cylinder, "--target", cylinder]}
+        assert run(command, *inputs[command], "--alpha", alpha,
+                   "--out-dir", str(tmp_path / "run")) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: invalid input: alpha {float(alpha):g} is too large: "
+            "the element matrices overflow\n")
 
     def test_collapsed_initial_mesh_is_numerical_failure(self, sheets, tmp_path):
         mesh, coords = load_mesh(sheets["base"])
@@ -443,7 +486,7 @@ class TestTriangle:
                    "--sigma", "0.3", "--n-steps", "4", "--max-iters", "80",
                    "--tol-grad", "1e-8", "--tol-match", "5e-5")
         assert code == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out, "triangle")
         assert set(summary["statuses"]) == {"AB", "AC", "BA", "BC", "CA", "CB"}
         assert all(v == "converged" for v in summary["statuses"].values())
         assert 0.0 < summary["angle_sum_deg"] < 360.0
@@ -467,7 +510,7 @@ class TestMean:
                    "--tol-grad", "1e-12", "--tol-match", "5e-6",
                    "--mean-tol", "1e-2", "--max-outer", "5")
         assert code == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out, "mean")
         assert summary["status"] == "converged"
         assert summary["outer_iterations"] == 1
         assert summary["velocity_norms"][0] <= 1e-2
@@ -518,7 +561,9 @@ class TestGradcheck:
         code = run("gradcheck", "--initial", base, "--n-steps", "3", "--directions", "3",
                    "--seed", "1", "--fd-tol", "1e-5", "--out-dir", str(out))
         assert code == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
+        summary = read_summary(out, "gradcheck")
+        # the surface comes from the file, so no grid setting is recorded
+        assert not {"topology", "nx", "ny"} & set(summary["config"])
         assert summary["initial"] == base
         assert summary["passed"] is True
         assert len(summary["min_errors"]) == 3
@@ -614,9 +659,11 @@ class TestUsage:
         ["--shape", "bent-cylinder"],
         ["--shape", "vase"],
         ["--shape", "cylinder", "--preset", "0"],
-    ], ids=["bent-cylinder", "vase", "preset"])
+        ["--shape", "cylinder", "--obj"],
+    ], ids=["bent-cylinder", "vase", "preset", "obj"])
     def test_removed_fixture_spellings(self, tmp_path, flags):
-        # the bent cylinder is the cylinder with bend flags; the vases are vase-family's
+        # the bent cylinder is the cylinder with bend flags; the vases are
+        # vase-family's; every surface gets its OBJ
         out = tmp_path / "out"
         assert run("fixture", *flags, "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
@@ -810,6 +857,9 @@ def test_failure_exit_code_and_label(monkeypatch, capsys, error, code, label):
     monkeypatch.setattr(innershape.cli, "cmd_meshgen", fail)
     assert run("meshgen", "--out", "unused.mesh") == code
     assert capsys.readouterr().err == f"error: {label}: {error}\n"
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    exit_codes = readme.split("\nExit codes:", 1)[1].split("\n## ", 1)[0]
+    assert f"`{label}`" in exit_codes.replace("\n", " ")
 
 
 def test_unexpected_error_propagates(monkeypatch):

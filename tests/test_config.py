@@ -9,7 +9,7 @@ import pytest
 
 import innershape
 from innershape.cli import EXIT_OK, EXIT_USAGE, main
-from innershape.config import ConfigError, RunConfig, as_dict, build_config, parse_file
+from innershape.config import ConfigError, RunConfig, build_config, parse_file
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type in (float, float | None)]
 
@@ -149,19 +149,6 @@ class TestValidate:
     def test_grid_the_mesh_keys_cannot_build_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(**setting).validate()
-
-
-class TestAsDict:
-    def test_round_trip_keys(self):
-        cfg = RunConfig(alpha=0.8, nx=4)
-        d = as_dict(cfg)
-        assert d["alpha"] == 0.8
-        assert d["nx"] == 4
-        assert set(d) > {"sigma", "n_steps", "topology", "out_dir", "seed"}
-
-    def test_values_are_plain(self):
-        for value in as_dict(RunConfig()).values():
-            assert value is None or isinstance(value, (bool, int, float, str))
 
 
 def test_readme_configuration_table_lists_every_key():
