@@ -31,7 +31,6 @@ from .adjoint import backward_sweep
 from .config import ConfigError, RunConfig, _field_types, build_config, parse_file
 from .errors import (
     DegenerateElementError,
-    MeshError,
     MeshFormatError,
     MeshMismatchError,
     MeshResolutionError,
@@ -69,12 +68,13 @@ EXIT_IO = 3
 #: finite-difference step sizes swept by the gradient check
 GRADCHECK_STEPS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
-#: model-domain topology required by each fixture shape
+#: model-domain topology of each fixture shape
 _FIXTURE_TOPOLOGY = {
-    "cylinder": "cylinder",
-    "vase-family": "cylinder",
-    "torus": "torus",
-    "torus-triangle": "torus",
+    "plane": Topology.PLANE,
+    "cylinder": Topology.CYLINDER,
+    "vase-family": Topology.CYLINDER,
+    "torus": Topology.TORUS,
+    "torus-triangle": Topology.TORUS,
 }
 
 _METRIC_KEYS = ("alpha", "eps_reg")
@@ -85,7 +85,6 @@ _GEOMETRY_KEYS = ("radius", "height", "bend_deg", "ripples", "ripple_amplitude",
 #: the config keys each command reads, and so the only ones it takes as flags;
 #: a config file may hold any valid key, and a command ignores those it does not read
 COMMAND_KEYS = {
-    "meshgen": ("topology", "nx", "ny"),
     "fixture": ("nx", "ny", *_GEOMETRY_KEYS),
     "register": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir"),
     "shoot": (*_METRIC_KEYS, "n_steps", "out_dir"),
@@ -167,32 +166,23 @@ def _write_frames(path: GeodesicPath, out_dir: str) -> list[str]:
 # commands
 
 
-def cmd_meshgen(args) -> int:
-    cfg = _load_config(args)
-    mesh = build_grid(Topology.parse(cfg.topology), cfg.nx, cfg.ny)
-    # the model domain itself, lying in the z = 0 plane
-    sheet = Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
-    _write_shape(sheet, args.out)
-    print(f"{args.out}: {cfg.topology} {cfg.nx}x{cfg.ny}, "
-          f"{sheet.mesh.n_nodes} nodes, {sheet.mesh.n_triangles} triangles")
-    return EXIT_OK
-
-
 def _fixture_shapes(cfg: RunConfig, shape: str) -> list[tuple[str, Immersion]]:
-    mesh = build_grid(Topology.parse(_FIXTURE_TOPOLOGY[shape]), cfg.nx, cfg.ny)
-    if shape == "cylinder":
-        q = cylinder_surface(mesh, cfg.radius, cfg.height, cfg.bend_deg,
-                             cfg.ripples, cfg.ripple_amplitude)
-        return [(shape, q)]
-    if shape == "torus":
-        q = torus_surface(mesh, cfg.major_radius, cfg.minor_radius, cfg.asymmetry)
-        return [(shape, q)]
+    mesh = build_grid(_FIXTURE_TOPOLOGY[shape], cfg.nx, cfg.ny)
     if shape == "torus-triangle":
         shapes = torus_triangle(mesh, cfg.major_radius, cfg.minor_radius, cfg.asymmetry)
         return list(zip(("triangle_a", "triangle_b", "triangle_c"), shapes))
     if shape == "vase-family":
         shapes = vase_family(mesh, cfg.radius, cfg.height)
         return [(f"vase_{k}", q) for k, q in enumerate(shapes)]
+    if shape == "plane":
+        # the model domain itself, lying in the z = 0 plane
+        q = Immersion(mesh, np.column_stack([mesh.nodes, np.zeros(mesh.n_nodes)]))
+    elif shape == "cylinder":
+        q = cylinder_surface(mesh, cfg.radius, cfg.height, cfg.bend_deg,
+                             cfg.ripples, cfg.ripple_amplitude)
+    else:
+        q = torus_surface(mesh, cfg.major_radius, cfg.minor_radius, cfg.asymmetry)
+    return [(shape, q)]
 
 
 def cmd_fixture(args) -> int:
@@ -399,12 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("meshgen", parents=[common],
-                       help="write the flat model-domain mesh as a surface file")
-    p.add_argument("--out", required=True, metavar="FILE", help="output mesh file")
-    p.set_defaults(func=cmd_meshgen)
-
-    p = sub.add_parser("fixture", parents=[common], help="generate a named test surface")
+    p = sub.add_parser("fixture", parents=[common], help="generate a named parametric surface")
     p.add_argument("--shape", required=True, choices=sorted(_FIXTURE_TOPOLOGY),
                    help="which surface family to generate")
     p.add_argument("--out", required=True, metavar="PATH",
@@ -461,7 +446,6 @@ _FAILURES = (
     ((DegenerateElementError, ZeroVelocityError), "numerical failure", EXIT_NUMERICAL),
     # a grid the settings describe; a file header's becomes MeshFormatError
     (MeshResolutionError, "config", EXIT_USAGE),
-    (MeshError, "mesh", EXIT_USAGE),
 )
 
 

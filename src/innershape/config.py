@@ -29,7 +29,6 @@ class RunConfig(RegistrationConfig):
     alpha: float = 0.6
     eps_reg: float | None = None
     # mesh
-    topology: str = "cylinder"
     nx: int = 16
     ny: int = 16
     # fixture geometry
@@ -56,8 +55,9 @@ class RunConfig(RegistrationConfig):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         super().validate()
+        # every grid needs what the plane's does; fixture builds its shape's own
         try:
-            _unique_grid(Topology.parse(self.topology), self.nx, self.ny)
+            _unique_grid(Topology.PLANE, self.nx, self.ny)
         except MeshResolutionError as exc:
             raise ValueError(str(exc)) from None
         if self.alpha < 0:

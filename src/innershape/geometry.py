@@ -76,15 +76,15 @@ def triangle_geometry(q: Immersion) -> TriangleGeometry:
     """
     mesh = q.mesh
     corner = q.coords.take(mesh.triangles, axis=0)  # (ntri, 3 vertices, 3 components)
-    dq = np.einsum("tac,tap->tcp", corner, mesh.basis_grad)
-    g00 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 0])
-    g01 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 1])
-    g11 = np.einsum("tc,tc->t", dq[:, :, 1], dq[:, :, 1])
-    det_g = g00 * g11 - g01 * g01
-    with np.errstate(invalid="ignore"):
-        vol = np.sqrt(np.maximum(det_g, 0.0))
     g_inv = np.empty((mesh.n_triangles, 2, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # quietly: an overflow leaves det(g) non-finite, which require_regular rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dq = np.einsum("tac,tap->tcp", corner, mesh.basis_grad)
+        g00 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 0])
+        g01 = np.einsum("tc,tc->t", dq[:, :, 0], dq[:, :, 1])
+        g11 = np.einsum("tc,tc->t", dq[:, :, 1], dq[:, :, 1])
+        det_g = g00 * g11 - g01 * g01
+        vol = np.sqrt(np.maximum(det_g, 0.0))
         inv_det = np.where(det_g != 0.0, 1.0 / det_g, np.inf)
         g_inv[:, 0, 0] = g11 * inv_det
         g_inv[:, 0, 1] = -g01 * inv_det
@@ -104,26 +104,34 @@ def _median(a: np.ndarray) -> float:
 def require_regular(q: Immersion, eps_reg: float | None = None) -> TriangleGeometry:
     """The immersion's geometry, raising on the first degenerate triangle.
 
-    A triangle is degenerate when det(g) <= eps^2, with eps = ``eps_reg`` or,
-    when that is None, ``DEFAULT_REGULARITY_FACTOR`` times the median volume.
-    ``assemble`` calls this once per operator and keeps the geometry it
-    returns as ``op.geom``.
+    A triangle is degenerate when det(g) is not finite or <= eps^2, with eps =
+    ``eps_reg`` or, when that is None, ``DEFAULT_REGULARITY_FACTOR`` times the
+    median volume.  ``assemble`` calls this once per operator and keeps the
+    geometry it returns as ``op.geom``.
     """
     geom = triangle_geometry(q)
     eps = DEFAULT_REGULARITY_FACTOR * _median(geom.vol) if eps_reg is None else eps_reg
-    bad = np.nonzero(geom.det_g <= eps * eps)[0]
+    # NaN compares false with the threshold, so non-finite values are flagged first
+    finite = np.isfinite(geom.det_g)
+    bad = np.nonzero(geom.det_g <= eps * eps if finite.all() else ~finite)[0]
     if bad.size:
         t = int(bad[0])
+        problem = (f"vol={float(geom.vol[t]):.3e} <= threshold {eps:.3e}" if finite[t]
+                   else "geometry is not finite")
         raise DegenerateElementError(
-            f"triangle {t}: vol={float(geom.vol[t]):.3e} <= threshold {eps:.3e}"
+            f"triangle {t}: {problem}"
             + (f" ({bad.size} offending triangles)" if bad.size > 1 else "")
         )
     return geom
 
 
 def surface_area(q: Immersion) -> float:
-    """Total induced area: sum of vol(g) times parameter area over triangles."""
-    return float(np.sum(triangle_geometry(q).vol * q.mesh.area))
+    """Total induced area: sum of vol(g) times parameter area over triangles;
+    raises DegenerateElementError when the geometry overflows."""
+    area = float(np.sum(triangle_geometry(q).vol * q.mesh.area))
+    if not np.isfinite(area):
+        raise DegenerateElementError("the surface area is not finite: its geometry overflows")
+    return area
 
 
 def check_same_mesh(a: DomainMesh, b: DomainMesh, what: str) -> None:

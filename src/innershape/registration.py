@@ -38,6 +38,9 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 STEP_MIN = 1e-12
 
+#: largest number of time steps a configuration may ask for
+MAX_STEPS = 10**6
+
 
 def check_sigma(sigma: float) -> None:
     """Raise ValueError unless sigma > 0 and its matching weight w = 1/(2 sigma^2)
@@ -67,8 +70,8 @@ class RegistrationConfig:
 
     def validate(self) -> None:
         check_sigma(self.sigma)
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ValueError(f"n_steps must be in [1, {MAX_STEPS}], got {self.n_steps}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not (np.isfinite(self.tol_grad) and self.tol_grad >= 0):

@@ -84,16 +84,20 @@ def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
     for i in range(n_steps):
         op_i = operators[i]
         u_i = velocities[i]
-        # the momentum A u_i, which also gives <u_i, u_i>
-        a_u = op_i.block @ u_i
-        kinetic[i] = 0.5 * float(np.sum(u_i * a_u))
         try:
+            # the momentum A u_i (which gives <u_i, u_i>) and its update; overflow fails the step
+            with np.errstate(over="raise", invalid="raise"):
+                a_u = op_i.block @ u_i
+                kinetic[i] = 0.5 * float(np.sum(u_i * a_u))
+                if i < n_steps - 1:
+                    momentum = a_u + dt * kinetic_surface_gradient(op_i, u_i, u_i)
             q_next = op_i.immersion.displaced(dt * u_i)
             if i < n_steps - 1:
-                momentum = a_u + dt * kinetic_surface_gradient(op_i, u_i, u_i)
                 op_next = assemble(q_next, op0.alpha, op0.eps_reg)
                 operators.append(op_next)
                 velocities.append(sharp(op_next, momentum))
+        except FloatingPointError:
+            raise StepFailureError(i, "velocity too large: its kinetic energy overflows") from None
         except (DegenerateElementError, SolverError, ValueError) as exc:
             raise StepFailureError(i, str(exc)) from exc
 

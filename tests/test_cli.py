@@ -36,7 +36,7 @@ from innershape.cli import (
 )
 from innershape.config import ConfigError
 from innershape.errors import (
-    DegenerateElementError, MeshError, MeshFormatError, MeshMismatchError, MeshResolutionError,
+    DegenerateElementError, MeshFormatError, MeshMismatchError, MeshResolutionError,
     StepFailureError, ZeroVelocityError,
 )
 
@@ -44,6 +44,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: the library surfaces each fixture shape writes, at the default config
 LIBRARY_FIXTURES = {
+    "plane": lambda m, c: [Immersion(m, np.column_stack([m.nodes, np.zeros(m.n_nodes)]))],
     "cylinder": lambda m, c: [cylinder_surface(m, c.radius, c.height)],
     "torus": lambda m, c: [torus_surface(m, c.major_radius, c.minor_radius, c.asymmetry)],
     "torus-triangle": lambda m, c: torus_triangle(m, c.major_radius, c.minor_radius,
@@ -54,12 +55,11 @@ LIBRARY_FIXTURES = {
 
 #: per command: arguments it needs, and a flag of a config key it does not read
 MISPLACED_FLAGS = {
-    "meshgen": (["--out", "m.mesh"], ["--alpha", "0.5"]),
     "fixture": (["--shape", "cylinder", "--out", "c.mesh"], ["--sigma", "0.3"]),
     "register": (["--template", "a.mesh", "--target", "b.mesh"], ["--nx", "8"]),
     "shoot": (["--initial", "a.mesh", "--velocity", "u.vel"], ["--tol-grad", "1e-6"]),
     "triangle": (["--a", "a.mesh", "--b", "b.mesh", "--c", "c.mesh"], ["--seed", "1"]),
-    "mean": (["--shapes", "a.mesh", "b.mesh"], ["--topology", "plane"]),
+    "mean": (["--shapes", "a.mesh", "b.mesh"], ["--directions", "3"]),
     "gradcheck": (["--initial", "a.mesh"], ["--mean-tol", "1e-2"]),
 }
 
@@ -173,28 +173,23 @@ def test_step_path_modules_use_no_blas_reductions():
     assert sorted(blas & {"metric", "geometry", "registration", "adjoint", "shooting"}) == []
 
 
-class TestMeshgen:
-    def test_writes_mesh_and_obj(self, tmp_path, capsys):
+class TestFixture:
+    def test_plane_writes_mesh_and_obj(self, tmp_path, capsys):
         out = tmp_path / "flat.mesh"
-        # the OBJ is always written, so the --obj switch is gone
-        assert run("meshgen", "--out", str(out), "--obj") == EXIT_USAGE
-        code = run("meshgen", "--out", str(out), "--topology", "plane",
-                   "--nx", "4", "--ny", "4")
+        code = run("fixture", "--shape", "plane", "--out", str(out), "--nx", "4", "--ny", "4")
         assert code == EXIT_OK
         assert out.exists() and out.with_suffix(".obj").exists()
         mesh, coords = load_mesh(str(out))
         assert mesh.topology is Topology.PLANE
         assert mesh.n_triangles == 32
         assert np.all(coords[:, 2] == 0.0)
-        assert "25 nodes" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"{out}: plane, surface area 1.000000\n"
 
     def test_bad_resolution_is_usage_error(self, tmp_path, capsys):
-        code = run("meshgen", "--out", str(tmp_path / "x.mesh"), "--nx", "0")
+        code = run("fixture", "--shape", "plane", "--out", str(tmp_path / "x.mesh"), "--nx", "0")
         assert code == EXIT_USAGE
         assert "error: config: resolution must be at least 1x1" in capsys.readouterr().err
 
-
-class TestFixture:
     def test_bend_flags_write_the_library_bent_cylinder(self, tmp_path):
         # the bent, rippled cylinder is the cylinder shape with three geometry keys
         bent = tmp_path / "bent.mesh"
@@ -228,7 +223,7 @@ class TestFixture:
         out = tmp_path / "out"
         assert run("fixture", "--shape", shape, "--out", str(out),
                    "--nx", "6", "--ny", "6") == EXIT_OK
-        mesh = build_grid(Topology.parse(_FIXTURE_TOPOLOGY[shape]), 6, 6)
+        mesh = build_grid(_FIXTURE_TOPOLOGY[shape], 6, 6)
         want = LIBRARY_FIXTURES[shape](mesh, RunConfig())
         written = sorted(out.glob("*.mesh")) if out.is_dir() else [out]
         assert len(written) == len(want)
@@ -240,12 +235,12 @@ class TestFixture:
     @pytest.mark.parametrize("flags, config, message", [
         (["--shape", "torus", "--ny", "2"], "",
          "torus is periodic in y and needs ny >= 3, got ny=2"),
-        (["--shape", "cylinder"], "topology = plane\nnx = 2\n",
+        (["--shape", "cylinder"], "nx = 2\n",
          "cylinder is periodic in x and needs nx >= 3, got nx=2"),
-    ], ids=["torus-ny-2", "cylinder-nx-2-from-plane-file"])
+    ], ids=["torus-ny-2", "cylinder-nx-2-from-file"])
     def test_resolution_the_shape_cannot_build_is_config_error(self, tmp_path, capsys, flags,
                                                               config, message):
-        # the config's topology allows the grid, but the shape's own does not
+        # the config allows the grid, but the shape's own topology does not
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         out = tmp_path / "out.mesh"
@@ -260,10 +255,10 @@ class TestFixture:
         assert load_mesh(str(out))[0].ny == 2
 
     def test_config_file_keys_it_does_not_read_are_ignored(self, tmp_path):
-        # one config file may serve several commands; the fixture's topology
-        # comes from --shape, and it never reads the descent settings
+        # one config file may serve several commands; the fixture never
+        # reads the metric or descent settings
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("topology = plane\nsigma = 0.3\nnx = 4\nny = 4\n")
+        cfg.write_text("alpha = 0.3\nsigma = 0.3\nnx = 4\nny = 4\n")
         a, b = tmp_path / "a.mesh", tmp_path / "b.mesh"
         assert run("fixture", "--shape", "torus", "--out", str(a), "--config", str(cfg)) == EXIT_OK
         assert run("fixture", "--shape", "torus", "--out", str(b), "--nx", "4", "--ny", "4") == EXIT_OK
@@ -414,6 +409,34 @@ class TestShoot:
             f"error: invalid input: alpha {float(alpha):g} is too large: "
             "the element matrices overflow\n")
 
+    def test_mesh_whose_geometry_overflows_is_numerical_failure(self, tmp_path, capsys):
+        # det(g) overflows at a node x = 1e80; no RuntimeWarning comes first
+        # (the suite makes one an error)
+        cylinder = written_surface(tmp_path, "fixture", "--shape", "cylinder", "--nx", "4",
+                                   "--ny", "4")
+        mesh, coords = load_mesh(cylinder)
+        bad = tmp_path / "huge.mesh"
+        lines = Path(cylinder).read_text().splitlines()
+        lines[3] = "v 1e80 0.0 0.0"
+        bad.write_text("\n".join(lines) + "\n")
+        save_velocity(mesh, np.zeros_like(coords), str(tmp_path / "zero.vel"))
+        code = run("shoot", "--initial", str(bad), "--velocity", str(tmp_path / "zero.vel"),
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_NUMERICAL
+        assert re.fullmatch(r"error: numerical failure: triangle \d+: geometry is not finite"
+                            r"( \(\d+ offending triangles\))?\n", capsys.readouterr().err)
+
+    def test_velocity_whose_kinetic_energy_overflows_is_step_failure(self, sheets, tmp_path,
+                                                                      capsys):
+        mesh, coords = load_mesh(sheets["base"])
+        vel = tmp_path / "huge.vel"
+        save_velocity(mesh, np.full_like(coords, 1e200), str(vel))
+        code = run("shoot", "--initial", sheets["base"], "--velocity", str(vel),
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("error: step failure: step 0: velocity too large: "
+                                           "its kinetic energy overflows\n")
+
     def test_collapsed_initial_mesh_is_numerical_failure(self, sheets, tmp_path):
         mesh, coords = load_mesh(sheets["base"])
         collapsed = tmp_path / "point.mesh"
@@ -547,7 +570,7 @@ class TestMean:
 
 
 def written_surface(tmp_path, command, *flags):
-    """Path of the surface file that ``meshgen`` or ``fixture`` writes with ``flags``."""
+    """Path of the surface file that ``fixture`` writes with ``flags``."""
     path = str(tmp_path / "base.mesh")
     assert run(command, *flags, "--out", path) == EXIT_OK
     return path
@@ -555,7 +578,7 @@ def written_surface(tmp_path, command, *flags):
 
 class TestGradcheck:
     def test_small_check_passes(self, tmp_path):
-        base = written_surface(tmp_path, "meshgen", "--topology", "plane", "--nx", "4",
+        base = written_surface(tmp_path, "fixture", "--shape", "plane", "--nx", "4",
                                "--ny", "4")
         out = tmp_path / "gc"
         code = run("gradcheck", "--initial", base, "--n-steps", "3", "--directions", "3",
@@ -604,7 +627,7 @@ class TestGradcheck:
         ["--topology", "plane"], ["--nx", "4"], ["--bend-deg", "90"],
     ], ids=["topology", "nx", "bend-deg"])
     def test_surface_settings_are_no_flags(self, sheets, tmp_path, capsys, flags):
-        # the base surface comes from a file: meshgen or fixture takes these flags
+        # the base surface comes from a file: fixture takes the grid and geometry flags
         out = tmp_path / "gc"
         assert run("gradcheck", "--initial", sheets["base"], *flags,
                    "--out-dir", str(out)) == EXIT_USAGE
@@ -631,19 +654,19 @@ class TestUsage:
         assert run("--version") == EXIT_OK
 
     def test_unknown_flag(self, tmp_path):
-        assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
+        assert run("fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                    "--bogus", "1") == EXIT_USAGE
 
     def test_removed_cg_tol_flag(self, tmp_path):
-        assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
+        assert run("fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                    "--cg-tol", "1e-12") == EXIT_USAGE
 
     def test_removed_jobs_setting(self, tmp_path):
-        assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
+        assert run("fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                    "--jobs", "2") == EXIT_USAGE
         cfg = tmp_path / "run.cfg"
         cfg.write_text("jobs = 2\n")
-        assert run("meshgen", "--out", str(tmp_path / "m.mesh"),
+        assert run("fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                    "--config", str(cfg)) == EXIT_USAGE
 
     def test_removed_descent_settings(self, tmp_path):
@@ -651,9 +674,10 @@ class TestUsage:
         cfg = tmp_path / "run.cfg"
         for key, value in [("fixed_step", "on"), ("step_size", "0.5"), ("armijo_c", "1e-4"),
                            ("armijo_shrink", "0.5"), ("step_min", "1e-12")]:
-            assert run("meshgen", "--out", out, "--" + key.replace("_", "-"), value) == EXIT_USAGE
+            assert run("fixture", "--shape", "plane", "--out", out,
+                       "--" + key.replace("_", "-"), value) == EXIT_USAGE
             cfg.write_text(f"{key} = {value}\n")
-            assert run("meshgen", "--out", out, "--config", str(cfg)) == EXIT_USAGE
+            assert run("fixture", "--shape", "plane", "--out", out, "--config", str(cfg)) == EXIT_USAGE
 
     @pytest.mark.parametrize("flags", [
         ["--shape", "bent-cylinder"],
@@ -677,6 +701,20 @@ class TestUsage:
         capsys.readouterr()
         assert run(*identity, "--config", str(cfg)) == EXIT_USAGE
         assert "error: config: unknown config key 'export_frames'" in capsys.readouterr().err
+
+    def test_removed_meshgen_and_topology(self, tmp_path, capsys):
+        # the flat sheet is fixture's plane shape, and each shape sets its topology
+        out = tmp_path / "m.mesh"
+        assert run("meshgen", "--out", str(out)) == EXIT_USAGE
+        assert run("fixture", "--shape", "plane", "--topology", "plane",
+                   "--out", str(out)) == EXIT_USAGE
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("topology = plane\n")
+        capsys.readouterr()
+        assert run("fixture", "--shape", "plane", "--out", str(out),
+                   "--config", str(cfg)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: config: unknown config key 'topology'\n"
+        assert not out.exists()
 
     def test_flag_beats_config_file_value(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -768,15 +806,15 @@ class TestUsage:
     def test_unknown_config_key_in_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
-        code = run("meshgen", "--out", str(tmp_path / "m.mesh"),
+        code = run("fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                    "--config", str(cfg))
         assert code == EXIT_USAGE
 
     def test_config_file_drives_command(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("topology = plane\nnx = 3\nny = 3\n")
+        cfg.write_text("nx = 3\nny = 3\n")
         out = tmp_path / "m.mesh"
-        assert run("meshgen", "--out", str(out), "--config", str(cfg)) == EXIT_OK
+        assert run("fixture", "--shape", "plane", "--out", str(out), "--config", str(cfg)) == EXIT_OK
         mesh, _ = load_mesh(str(out))
         assert mesh.n_triangles == 18
 
@@ -806,15 +844,17 @@ class TestUsage:
         ("gradcheck", ["--fd-tol", "-1"], ""),
         ("register", [], "mean_tol = -1\n"),
         ("register", [], "fd_tol = -1\n"),
-        ("meshgen", [], "sigma = nan\n"),
-        ("register", [], "topology = foo\n"),
+        ("fixture", [], "sigma = nan\n"),
         ("register", [], "nx = -5\n"),
         ("register", [], "ny = 0\n"),
-        ("register", [], "topology = torus\nny = 2\n"),
+        ("register", [], "nx = 65535\nny = 65535\n"),
+        ("shoot", ["--n-steps", str(10**15)], ""),
+        ("shoot", [], f"n_steps = {10**30}\n"),
     ], ids=["mean-tol-negative", "fd-tol-negative", "unread-mean-tol-negative-in-file",
             "unread-fd-tol-negative-in-file", "unread-sigma-nan-in-file",
-            "unread-topology-unknown-in-file", "unread-nx-negative-in-file",
-            "unread-ny-zero-in-file", "unread-torus-ny-2-in-file"])
+            "unread-nx-negative-in-file", "unread-ny-zero-in-file",
+            "unread-grid-too-large-in-file", "n-steps-beyond-bound",
+            "n-steps-beyond-bound-in-file"])
     def test_settings_validated_on_every_command(self, sheets, tmp_path, capsys, command, flags,
                                                  config):
         # a config file's keys are all checked, also those the command does not read
@@ -825,7 +865,8 @@ class TestUsage:
             "mean": ["--shapes", sheets["plus"], sheets["minus"], "--out-dir", out],
             "gradcheck": ["--initial", sheets["base"], "--out-dir", out],
             "register": identity_registration(sheets, tmp_path)[1:],
-            "meshgen": ["--out", out],
+            "shoot": ["--initial", sheets["base"], "--velocity", "absent.vel", "--out-dir", out],
+            "fixture": ["--shape", "plane", "--out", out],
         }[command]
         assert run(command, *needed, "--config", str(cfg), *flags) == EXIT_USAGE
         assert "error: config:" in capsys.readouterr().err
@@ -844,7 +885,6 @@ FAILURES = [
     (DegenerateElementError("flat triangle"), EXIT_NUMERICAL, "numerical failure"),
     (ZeroVelocityError("no direction"), EXIT_NUMERICAL, "numerical failure"),
     (MeshResolutionError("needs nx >= 3"), EXIT_USAGE, "config"),
-    (MeshError("no such grid"), EXIT_USAGE, "mesh"),
 ]
 
 
@@ -854,21 +894,89 @@ def test_failure_exit_code_and_label(monkeypatch, capsys, error, code, label):
     def fail(args):
         raise error
 
-    monkeypatch.setattr(innershape.cli, "cmd_meshgen", fail)
-    assert run("meshgen", "--out", "unused.mesh") == code
+    monkeypatch.setattr(innershape.cli, "cmd_fixture", fail)
+    assert run("fixture", "--shape", "plane", "--out", "unused.mesh") == code
     assert capsys.readouterr().err == f"error: {label}: {error}\n"
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     exit_codes = readme.split("\nExit codes:", 1)[1].split("\n## ", 1)[0]
     assert f"`{label}`" in exit_codes.replace("\n", " ")
 
 
+def readme_exit_codes():
+    """Each stderr label and its exit code, from the README's sentence
+    "The label is ... for exit 1; ... for exit 2; and ... for exit 3."."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = " ".join(readme.split("The label is", 1)[1].split(".", 1)[0].split())
+    codes = {}
+    for part in sentence.split(";"):
+        code = int(re.search(r"for exit (\d)", part).group(1))
+        codes.update((label, code) for label in re.findall(r"`([^`]+)`", part))
+    return codes
+
+
+#: what a numeric token of an input file may become in the fuzz
+FUZZ_VALUES = ("nan", "inf", "-0", "1e80", "1e200", str(10**15), str(10**30))
+
+
+def mutated(text, rng):
+    """``text`` after one or two edits, each deleting or repeating a line or
+    setting one numeric token of a line to an edge value."""
+    lines = text.splitlines()
+    for _ in range(rng.integers(1, 3)):
+        if not lines:
+            break
+        k = int(rng.integers(len(lines)))
+        kind = rng.integers(4)
+        if kind == 0:
+            del lines[k]
+        elif kind == 1:
+            lines.insert(k, lines[k])
+        else:
+            tokens = lines[k].split()
+            numeric = [j for j, token in enumerate(tokens)
+                       if re.fullmatch(r"[-+]?[0-9.]+(e[-+]?[0-9]+)?", token)]
+            if numeric:
+                tokens[numeric[rng.integers(len(numeric))]] = str(rng.choice(FUZZ_VALUES))
+                lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_seeded_input_fuzz_fails_typed(tmp_path, monkeypatch, capsys):
+    """200 seeded mutations of the mesh, velocity or config file of a shoot
+    on a 4x4 cylinder: each run succeeds or prints one error line whose label
+    and exit code the README gives, and no RuntimeWarning (the suite makes
+    one an error).  The trials of seed 2 include a mesh whose geometry
+    overflows, a velocity whose kinetic energy overflows and an n_steps of
+    10**15, too many to allocate."""
+    monkeypatch.chdir(tmp_path)
+    mesh = build_grid(Topology.CYLINDER, 4, 4)
+    rng = np.random.default_rng(2)
+    save_mesh(mesh, cylinder_surface(mesh).coords, "q.mesh")
+    save_velocity(mesh, 0.05 * rng.standard_normal((mesh.n_nodes, 3)), "u.vel")
+    Path("run.cfg").write_text("alpha = 0.6\neps_reg = 1e-8\nn_steps = 3\nout_dir = run\n")
+    inputs = {name: Path(name).read_text() for name in ("q.mesh", "u.vel", "run.cfg")}
+    codes = readme_exit_codes()
+    for trial in range(200):
+        name = str(rng.choice(sorted(inputs)))
+        for other, text in inputs.items():
+            Path(other).write_text(mutated(text, rng) if other == name else text)
+        code = run("shoot", "--initial", "q.mesh", "--velocity", "u.vel", "--config", "run.cfg")
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == "", (trial, name)
+            continue
+        assert err.count("\n") == 1, (trial, name, err)
+        label = re.match(r"error: ([^:]+): ", err)
+        assert label and codes.get(label.group(1)) == code, (trial, name, err, code)
+
+
 def test_unexpected_error_propagates(monkeypatch):
     def fail(args):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(innershape.cli, "cmd_meshgen", fail)
+    monkeypatch.setattr(innershape.cli, "cmd_fixture", fail)
     with pytest.raises(RuntimeError, match="bug"):
-        run("meshgen", "--out", "unused.mesh")
+        run("fixture", "--shape", "plane", "--out", "unused.mesh")
 
 
 def test_readme_lists_each_commands_own_flags():

@@ -28,9 +28,9 @@ class TestParseFile:
             "alpha = 0.7\n"
             "\n"
             "nx = 12   # inline comment\n"
-            "topology = torus\n",
+            "out_dir = runs\n",
         )
-        assert parse_file(path) == {"alpha": "0.7", "nx": "12", "topology": "torus"}
+        assert parse_file(path) == {"alpha": "0.7", "nx": "12", "out_dir": "runs"}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -41,7 +41,7 @@ class TestParseFile:
         path.write_bytes(b"alpha = 0.7\n\xff\n")
         with pytest.raises(ConfigError, match="cannot read config"):
             parse_file(path)
-        assert main(["meshgen", "--out", str(tmp_path / "m.mesh"),
+        assert main(["fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                      "--config", str(path)]) == EXIT_USAGE
         assert "error: config: cannot read config" in capsys.readouterr().err
 
@@ -58,7 +58,7 @@ class TestParseFile:
         path = write(tmp_path, "nx = 4\n# comment\nnx = 6\n")
         with pytest.raises(ConfigError, match=r":3: key 'nx' already set on line 1"):
             parse_file(path)
-        assert main(["meshgen", "--out", str(tmp_path / "m.mesh"),
+        assert main(["fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                      "--config", str(path)]) == EXIT_USAGE
         assert not (tmp_path / "m.mesh").exists()
 
@@ -72,13 +72,13 @@ class TestBuildConfig:
         path = write(
             tmp_path,
             "alpha = 0.9\nnx = 24\ntol_match = none\n"
-            "topology = plane\n",
+            "out_dir = runs\n",
         )
         cfg = build_config(parse_file(path))
         assert cfg.alpha == 0.9
         assert cfg.nx == 24
         assert cfg.tol_match is None
-        assert cfg.topology == "plane"
+        assert cfg.out_dir == "runs"
 
     def test_bad_int_rejected(self):
         with pytest.raises(ConfigError, match="integer"):
@@ -91,7 +91,7 @@ class TestBuildConfig:
     def test_none_only_for_optional_keys(self):
         cfg = build_config({"tol_match": "none", "eps_reg": "None"})
         assert cfg.tol_match is None and cfg.eps_reg is None
-        for key in ("alpha", "nx", "topology"):
+        for key in ("alpha", "nx", "out_dir"):
             with pytest.raises(ConfigError, match=key):
                 build_config({key: "none"})
 
@@ -122,7 +122,7 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="out_dir must not be empty"):
             build_config({"out_dir": ""})
         base = str(tmp_path / "base.mesh")
-        assert main(["meshgen", "--topology", "plane", "--nx", "2", "--ny", "2",
+        assert main(["fixture", "--shape", "plane", "--nx", "2", "--ny", "2",
                      "--out", base]) == EXIT_OK
         assert main(["gradcheck", "--initial", base, "--out-dir", ""]) == EXIT_USAGE
 
@@ -130,7 +130,7 @@ class TestBuildConfig:
         # every registration starts from rest: `init` is no key and no flag
         with pytest.raises(ConfigError, match="unknown config key 'init'"):
             build_config(parse_file(write(tmp_path, "init = l2diff\n")))
-        assert main(["meshgen", "--out", str(tmp_path / "m.mesh"),
+        assert main(["fixture", "--shape", "plane", "--out", str(tmp_path / "m.mesh"),
                      "--init", "l2diff"]) == EXIT_USAGE
 
 
@@ -142,10 +142,10 @@ class TestValidate:
                 RunConfig(**{key: value}).validate()
 
     @pytest.mark.parametrize("setting, message", [
-        ({"topology": "foo"}, "unknown topology 'foo'"),
+        ({"ny": 0}, "at least 1x1, got 16x0"),
         ({"nx": -5}, "at least 1x1, got -5x16"),
-        ({"topology": "torus", "ny": 2}, "needs ny >= 3"),
-    ], ids=["topology-unknown", "nx-negative", "torus-ny-2"])
+        ({"nx": 65535, "ny": 65535}, "node count for 65535x65535 exceeds the 32-bit index range"),
+    ], ids=["ny-zero", "nx-negative", "beyond-index-range"])
     def test_grid_the_mesh_keys_cannot_build_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(**setting).validate()

@@ -123,6 +123,22 @@ class TestRegularity:
         with pytest.raises(DegenerateElementError, match=rf"<= threshold {eps:.3e}"):
             require_regular(q)
 
+    @pytest.mark.parametrize("eps_reg", [None, 1e-8])
+    def test_overflowing_geometry_raises_without_a_warning(self, plane_mesh, eps_reg):
+        # det(g) of the triangles at a node x = 1e80 overflows to inf or NaN, and
+        # NaN compares false with any threshold (the suite makes a warning an error)
+        coords = flat_immersion(plane_mesh).coords.copy()
+        coords[plane_mesh.grid_index(1, 1), 0] = 1e80
+        q = Immersion(plane_mesh, coords)
+        bad = np.nonzero(~np.isfinite(triangle_geometry(q).det_g))[0]
+        assert bad.size > 1
+        with pytest.raises(DegenerateElementError,
+                           match=rf"^triangle {bad[0]}: geometry is not finite "
+                                 rf"\({bad.size} offending triangles\)$"):
+            require_regular(q, eps_reg)
+        with pytest.raises(DegenerateElementError, match="surface area is not finite"):
+            surface_area(q)
+
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 17, 512, 2048])
     def test_median_equals_numpys(self, rng, size):
         vol = rng.random(size) * 10.0 ** rng.uniform(-6, 3)
