@@ -77,7 +77,6 @@ _FIXTURE_TOPOLOGY = {
     "torus-triangle": Topology.TORUS,
 }
 
-_METRIC_KEYS = ("alpha", "eps_reg")
 _DESCENT_KEYS = ("sigma", "n_steps", "max_iters", "tol_grad", "tol_match")
 _GEOMETRY_KEYS = ("radius", "height", "bend_deg", "ripples", "ripple_amplitude",
                   "major_radius", "minor_radius", "asymmetry")
@@ -86,11 +85,11 @@ _GEOMETRY_KEYS = ("radius", "height", "bend_deg", "ripples", "ripple_amplitude",
 #: a config file may hold any valid key, and a command ignores those it does not read
 COMMAND_KEYS = {
     "fixture": ("nx", "ny", *_GEOMETRY_KEYS),
-    "register": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir"),
-    "shoot": (*_METRIC_KEYS, "n_steps", "out_dir"),
-    "triangle": (*_METRIC_KEYS, *_DESCENT_KEYS, "out_dir"),
-    "mean": (*_METRIC_KEYS, *_DESCENT_KEYS, "mean_tol", "max_outer", "out_dir"),
-    "gradcheck": (*_METRIC_KEYS, "sigma", "n_steps", "directions", "fd_tol", "seed", "out_dir"),
+    "register": ("alpha", *_DESCENT_KEYS, "out_dir"),
+    "shoot": ("alpha", "n_steps", "out_dir"),
+    "triangle": ("alpha", *_DESCENT_KEYS, "out_dir"),
+    "mean": ("alpha", *_DESCENT_KEYS, "mean_tol", "max_outer", "out_dir"),
+    "gradcheck": ("alpha", "sigma", "n_steps", "directions", "fd_tol", "seed", "out_dir"),
 }
 
 
@@ -190,9 +189,11 @@ def cmd_fixture(args) -> int:
     shapes = _fixture_shapes(cfg, args.shape)
     paths = ([args.out] if len(shapes) == 1 else
              [os.path.join(args.out, f"{name}.mesh") for name, _ in shapes])
-    for (name, q), path in zip(shapes, paths):
+    # every area before the first write, so a failure leaves no file behind
+    areas = [surface_area(q) for _, q in shapes]
+    for (name, q), path, area in zip(shapes, paths, areas):
         _write_shape(q, path)
-        print(f"{path}: {name}, surface area {surface_area(q):.6f}")
+        print(f"{path}: {name}, surface area {area:.6f}")
     return EXIT_OK
 
 
@@ -201,7 +202,7 @@ def cmd_register(args) -> int:
     template = _load_immersion(args.template)
     target = _load_immersion(args.target)
     check_same_mesh(template.mesh, target.mesh, "registration")
-    result = register(assemble(template, cfg.alpha, cfg.eps_reg), target, cfg)
+    result = register(assemble(template, cfg.alpha), target, cfg)
 
     out = cfg.out_dir
     _write_shape(result.path.final, os.path.join(out, "registered.mesh"))
@@ -238,7 +239,8 @@ def cmd_shoot(args) -> int:
     vmesh, u0 = load_velocity(args.velocity)
     check_same_mesh(q0.mesh, vmesh, "shoot velocity")
 
-    path = shoot(assemble(q0, cfg.alpha, cfg.eps_reg), u0, cfg.n_steps)
+    path = shoot(assemble(q0, cfg.alpha), u0, cfg.n_steps)
+    final_area = surface_area(path.final)
     out = cfg.out_dir
     written = _write_frames(path, os.path.join(out, "frames"))
     _write_shape(path.final, os.path.join(out, "final.mesh"))
@@ -249,7 +251,7 @@ def cmd_shoot(args) -> int:
         "n_frames": path.n_steps + 1,
         "path_energy": path_energy(path),
         "path_length": length,
-        "final_area": surface_area(path.final),
+        "final_area": final_area,
     })
     print(f"shoot: {path.n_steps + 1} frames, length {length:.6e}, {len(written)} files")
     return EXIT_OK
@@ -264,7 +266,7 @@ def cmd_triangle(args) -> int:
         raise ValueError(f"triangle midpoints need an even n_steps, got {cfg.n_steps}")
     for q in (qb, qc):
         check_same_mesh(qa.mesh, q.mesh, "triangle")
-    report = triangle_experiment(assemble(qa, cfg.alpha, cfg.eps_reg), qb, qc, cfg)
+    report = triangle_experiment(assemble(qa, cfg.alpha), qb, qc, cfg)
 
     out = cfg.out_dir
     for name, mid in zip(("midpoint_ab", "midpoint_bc", "midpoint_ca"), report.midpoints):
@@ -296,8 +298,9 @@ def cmd_mean(args) -> int:
     start = _load_immersion(args.start) if args.start else shapes[0]
     for k, s in enumerate(shapes):
         check_same_mesh(start.mesh, s.mesh, f"mean shape {k}")
-    result = karcher_mean(shapes, assemble(start, cfg.alpha, cfg.eps_reg), cfg,
+    result = karcher_mean(shapes, assemble(start, cfg.alpha), cfg,
                           mean_tol=cfg.mean_tol, max_outer=cfg.max_outer)
+    mean_area = surface_area(result.mean)
 
     out = cfg.out_dir
     _write_shape(result.mean, os.path.join(out, "mean.mesh"))
@@ -310,7 +313,7 @@ def cmd_mean(args) -> int:
         "outer_iterations": result.iterations,
         "velocity_norms": result.velocity_norms,
         "registration_statuses": [s.value for s in result.statuses],
-        "mean_area": surface_area(result.mean),
+        "mean_area": mean_area,
     })
 
     print(f"mean: {result.status.value} after {result.iterations} outer iterations, "
@@ -332,7 +335,7 @@ def cmd_gradcheck(args) -> int:
     q_target = q0.displaced(0.05 * rng.standard_normal(shape))
     u0 = 0.2 * rng.standard_normal(shape)
 
-    op0 = assemble(q0, cfg.alpha, cfg.eps_reg)
+    op0 = assemble(q0, cfg.alpha)
     path = shoot(op0, u0, cfg.n_steps)
     grad = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
 

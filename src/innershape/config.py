@@ -4,7 +4,7 @@ Config files are plain text: one ``key = value`` per line, ``#`` comments,
 blank lines ignored.  Settings are converted on one path: ``build_config``
 types a mapping of raw ``key -> text`` strings, so the CLI puts each flag's
 text in place of the file's before anything is converted.  A value is an
-int, a float, a str or, for ``eps_reg`` and ``tol_match``, a float or None.
+int, a float, a str or, for ``tol_match``, a float or None.
 Unknown keys, and a key set twice in one file, are rejected so typos fail
 loudly.
 """
@@ -27,7 +27,6 @@ class RunConfig(RegistrationConfig):
 
     # metric
     alpha: float = 0.6
-    eps_reg: float | None = None
     # mesh
     nx: int = 16
     ny: int = 16
@@ -62,8 +61,6 @@ class RunConfig(RegistrationConfig):
             raise ValueError(str(exc)) from None
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.eps_reg is not None and self.eps_reg < 0:
-            raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
         if self.mean_tol < 0:
             raise ValueError(f"mean_tol must be >= 0, got {self.mean_tol}")
         if self.fd_tol < 0:

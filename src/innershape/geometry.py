@@ -12,9 +12,9 @@ import numpy as np
 from .errors import DegenerateElementError, MeshMismatchError
 from .mesh import DomainMesh, compatible
 
-#: relative factor for the default degeneracy threshold: an element counts as
-#: degenerate when det(g) <= (factor * median volume)^2
-DEFAULT_REGULARITY_FACTOR = 1e-10
+#: relative degeneracy threshold: an element counts as degenerate when
+#: det(g) <= (factor * median volume)^2, so the rule does not depend on scale
+REGULARITY_FACTOR = 1e-10
 
 
 @dataclass
@@ -101,16 +101,15 @@ def _median(a: np.ndarray) -> float:
     return float(np.mean(part[[mid, a.size // 2]]))
 
 
-def require_regular(q: Immersion, eps_reg: float | None = None) -> TriangleGeometry:
+def require_regular(q: Immersion) -> TriangleGeometry:
     """The immersion's geometry, raising on the first degenerate triangle.
 
     A triangle is degenerate when det(g) is not finite or <= eps^2, with eps =
-    ``eps_reg`` or, when that is None, ``DEFAULT_REGULARITY_FACTOR`` times the
-    median volume.  ``assemble`` calls this once per operator and keeps the
-    geometry it returns as ``op.geom``.
+    ``REGULARITY_FACTOR`` times the median volume.  ``assemble`` calls this
+    once per operator and keeps the geometry it returns as ``op.geom``.
     """
     geom = triangle_geometry(q)
-    eps = DEFAULT_REGULARITY_FACTOR * _median(geom.vol) if eps_reg is None else eps_reg
+    eps = REGULARITY_FACTOR * _median(geom.vol)
     # NaN compares false with the threshold, so non-finite values are flagged first
     finite = np.isfinite(geom.det_g)
     bad = np.nonzero(geom.det_g <= eps * eps if finite.all() else ~finite)[0]

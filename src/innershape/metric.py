@@ -68,14 +68,12 @@ class MetricOperator:
     The full operator on stacked (n, 3) fields is block-diagonal with three
     copies of ``block``; ``block @ u`` and ``sharp`` apply it to all columns
     at once.  ``geom`` is the immersion's per-triangle geometry, which
-    ``assemble`` checked for regularity with the threshold ``eps_reg``
-    (None: the default); the kinetic variations read it from here.
+    ``assemble`` checked for regularity; the kinetic variations read it here.
     """
 
     immersion: Immersion
     alpha: float
     block: "SparseBlock" = field(repr=False)
-    eps_reg: float | None
     geom: TriangleGeometry = field(repr=False)
 
     @property
@@ -347,7 +345,7 @@ def _assemble_scalar(mesh: DomainMesh, local: np.ndarray) -> SparseBlock:
     return SparseBlock(data, maps)
 
 
-def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> MetricOperator:
+def assemble(q: Immersion, alpha: float) -> MetricOperator:
     """Assemble the scalar metric block at an immersion.
 
     Parameters
@@ -357,9 +355,6 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
         Length scale weighting the first-order term; must be finite and >= 0,
         and small enough that the element matrices, which carry alpha^2 times
         the inverse metric, stay finite.
-    eps_reg : float, optional
-        Degeneracy threshold on element volumes, finite and >= 0 (default: a
-        small fraction of the median volume).
 
     Returns
     -------
@@ -368,16 +363,14 @@ def assemble(q: Immersion, alpha: float, eps_reg: float | None = None) -> Metric
     """
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    if eps_reg is not None and not (np.isfinite(eps_reg) and eps_reg >= 0):
-        raise ValueError(f"eps_reg must be None or finite and >= 0, got {eps_reg}")
-    geom = require_regular(q, eps_reg)
+    geom = require_regular(q)
     try:
         with np.errstate(over="raise", invalid="raise"):
             local = _element_matrices(q, alpha, geom)
     except FloatingPointError:
         raise ValueError(f"alpha {alpha:g} is too large: the element matrices overflow") from None
     block = _assemble_scalar(q.mesh, local)
-    return MetricOperator(immersion=q, alpha=alpha, block=block, eps_reg=eps_reg, geom=geom)
+    return MetricOperator(immersion=q, alpha=alpha, block=block, geom=geom)
 
 
 def parameter_mass_matrix(mesh: DomainMesh) -> SparseBlock:

@@ -58,8 +58,8 @@ class RegistrationConfig:
     """Parameters of a registration run.
 
     ``tol_match`` is optional; when set, reaching it also counts as
-    convergence.  The metric's ``alpha`` and ``eps_reg`` travel with the
-    operator ``register`` starts from.
+    convergence.  The metric's ``alpha`` travels with the operator
+    ``register`` starts from.
     """
 
     sigma: float = 1.0
@@ -148,7 +148,13 @@ def _rest_preconditioner(op0: MetricOperator, sigma: float):
     """
     mass = parameter_mass_matrix(op0.immersion.mesh)
     gn = SparseBlock(op0.block.data + mass.data / (sigma * sigma), op0.block.maps)
-    return lambda r: solve(gn, op0.block @ r)
+
+    def precond(r):
+        try:
+            return solve(gn, op0.block @ r)
+        except SolverError as exc:
+            raise SolverError(f"Gauss-Newton preconditioner at the template: {exc}") from exc
+    return precond
 
 
 def _two_loop(op0: MetricOperator, precond, pairs: list, g: np.ndarray) -> np.ndarray:
@@ -186,7 +192,7 @@ def register(
 ) -> RegistrationResult:
     """Minimize the registration objective by metric L-BFGS from ``op0.immersion``.
 
-    ``alpha`` and ``eps_reg`` come from ``op0``.  The descent starts from
+    ``alpha`` comes from ``op0``.  The descent starts from
     rest, u_0 = 0, where the gradient is the raised mismatch
     ``sharp(op0, M (q0 - q_target)) / sigma^2``, so the first direction
     is ``-solve(A0 + M / sigma^2, M (q0 - q_target)) / sigma^2`` (see
@@ -204,9 +210,9 @@ def register(
     matching error to ``tol_match``), MAX_ITERS when the budget runs out,
     STEP_FAILURE when no step of size >= ``STEP_MIN`` passed: none both
     lowered the energy enough and had a gradient.
-    Raises SolverError when the sweep of the rest path, or the
-    preconditioner solve at ``op0``, fails: no earlier iterate exists to
-    fall back to.
+    Raises SolverError, naming the solve, when the rest path's adjoint sweep
+    or the Gauss-Newton preconditioner solve at ``op0`` fails (a far too
+    large alpha can do that): no earlier iterate exists to fall back to.
     """
     cfg.validate()
     check_same_mesh(op0.immersion.mesh, q_target.mesh, "registration")
@@ -215,7 +221,10 @@ def register(
     u = np.zeros((op0.immersion.mesh.n_nodes, 3))
     path = shoot(op0, u, cfg.n_steps)
     e_total, e_kin, e_match = energy(path, q_target, cfg.sigma)
-    g = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
+    try:
+        g = backward_sweep(path, matching_covector(path.final, q_target, cfg.sigma))
+    except SolverError as exc:
+        raise SolverError(f"adjoint sweep of the rest path: {exc}") from exc
 
     history: list[IterationRecord] = []
     pairs: list = []

@@ -27,8 +27,7 @@ class GeodesicPath:
     For i < N, ``operators[i]`` is the assembled metric operator at q_i, whose
     ``immersion`` is q_i (reused by the adjoint sweep), and ``kinetic[i]`` is
     1/2 <u_i, u_i> at q_i; ``final`` is q_N.  ``operators[0]`` is the operator
-    the path was shot from, and the later ones carry its alpha and regularity
-    threshold.
+    the path was shot from, and the later ones carry its alpha.
     """
 
     operators: list[MetricOperator] = field(repr=False)
@@ -56,7 +55,7 @@ def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
     ----------
     op0 : MetricOperator
         Assembled metric at the initial immersion ``op0.immersion``; the
-        operators at later steps are assembled with its alpha and eps_reg.
+        operators at later steps are assembled with its alpha.
     u0 : ndarray, shape (n, 3)
         Initial velocity, one vector per unique node.
     n_steps : int
@@ -93,7 +92,7 @@ def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
                     momentum = a_u + dt * kinetic_surface_gradient(op_i, u_i, u_i)
             q_next = op_i.immersion.displaced(dt * u_i)
             if i < n_steps - 1:
-                op_next = assemble(q_next, op0.alpha, op0.eps_reg)
+                op_next = assemble(q_next, op0.alpha)
                 operators.append(op_next)
                 velocities.append(sharp(op_next, momentum))
         except FloatingPointError:

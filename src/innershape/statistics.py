@@ -68,16 +68,15 @@ def triangle_experiment(
     """Register all ordered vertex pairs and report the triangle geometry.
 
     Vertex A is ``op_a.immersion``; the operators at B and C are assembled
-    with ``op_a.alpha`` and ``op_a.eps_reg``.  Needs an even step count so
-    path midpoints land on a frame.
+    with ``op_a.alpha``.  Needs an even step count so path midpoints land on
+    a frame.
     """
     if cfg.n_steps % 2 != 0:
         raise ValueError(f"triangle midpoints need an even n_steps, got {cfg.n_steps}")
     check_same_mesh(op_a.immersion.mesh, qb.mesh, "triangle")
     check_same_mesh(op_a.immersion.mesh, qc.mesh, "triangle")
 
-    ops = {"A": op_a, "B": assemble(qb, op_a.alpha, op_a.eps_reg),
-           "C": assemble(qc, op_a.alpha, op_a.eps_reg)}
+    ops = {"A": op_a, "B": assemble(qb, op_a.alpha), "C": assemble(qc, op_a.alpha)}
     results: dict[str, RegistrationResult] = {}
     for src in "ABC":
         for dst in "ABC":
@@ -143,9 +142,8 @@ def karcher_mean(
     initial velocities, shoot along the average, repeat.
 
     The mean starts at ``op_start.immersion``; every later mean is assembled
-    with ``op_start.alpha`` and ``op_start.eps_reg``.  Stops when the
-    averaged velocity's metric norm at the mean drops to ``mean_tol`` or
-    after ``max_outer`` iterations.
+    with ``op_start.alpha``.  Stops when the averaged velocity's metric norm
+    at the mean drops to ``mean_tol`` or after ``max_outer`` iterations.
     """
     if not shapes:
         raise ValueError("karcher_mean needs at least one shape")
@@ -163,7 +161,7 @@ def karcher_mean(
     status = MeanStatus.MAX_OUTER
 
     for outer in range(1, max_outer + 1):
-        op_mean = assemble(mean, op_start.alpha, op_start.eps_reg) if outer > 1 else op_start
+        op_mean = assemble(mean, op_start.alpha) if outer > 1 else op_start
         results = [register(op_mean, s, cfg) for s in shapes]
         velocities = [r.u0 for r in results]
         statuses = [r.status for r in results]

@@ -263,7 +263,7 @@ class TestBackwardSweep:
                 monkeypatch.setattr(module, "triangle_geometry", recomputed)
         # replay the shoot with the operators assembled above
         monkeypatch.setattr(shooting, "assemble",
-                            lambda q, alpha, eps_reg: assembled[q.coords.tobytes()])
+                            lambda q, alpha: assembled[q.coords.tobytes()])
         replay = shoot(op0, u0, 3)
         assert all(np.array_equal(a, b) for a, b in zip(replay.velocities, path.velocities))
         assert np.array_equal(

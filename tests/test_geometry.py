@@ -1,5 +1,7 @@
 """First fundamental form, volume density and regularity checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from innershape import (
 )
 from innershape.fixtures import rotation_matrix
 from innershape.geometry import (
-    DEFAULT_REGULARITY_FACTOR,
+    REGULARITY_FACTOR,
     _median,
     check_same_mesh,
     triangle_geometry,
@@ -25,6 +27,27 @@ from innershape.geometry import (
 
 def flat_immersion(mesh, scale=1.0):
     return Immersion(mesh, np.column_stack([scale * mesh.nodes, np.zeros(mesh.n_nodes)]))
+
+
+def collapsed_node(mesh):
+    """The flat sheet with node (1, 1) moved onto its neighbour (2, 1), and the
+    triangles incident to both."""
+    coords = flat_immersion(mesh).coords.copy()
+    a, b = mesh.grid_index(1, 1), mesh.grid_index(2, 1)
+    coords[a] = coords[b]
+    incident = [t for t in range(mesh.n_triangles)
+                if a in mesh.triangles[t] and b in mesh.triangles[t]]
+    return Immersion(mesh, coords), incident
+
+
+def flagged(q):
+    """(first triangle, count) that ``require_regular`` flags on q, or None."""
+    try:
+        require_regular(q)
+    except DegenerateElementError as exc:
+        found = re.fullmatch(r"triangle (\d+): .*?(?: \((\d+) offending triangles\))?", str(exc))
+        return int(found[1]), int(found[2] or 1)
+    return None
 
 
 def first_form(geom):
@@ -88,43 +111,43 @@ class TestRegularity:
         geom = require_regular(q)
         assert np.array_equal(geom.vol, triangle_geometry(q).vol)
 
-    def test_cylinder_regular_at_explicit_threshold(self):
-        mesh = build_grid(Topology.CYLINDER, 16, 16)
-        require_regular(cylinder_surface(mesh), eps_reg=1e-8)
-
     def test_collapsed_node_flags_incident_triangles(self, plane_mesh):
-        q = flat_immersion(plane_mesh)
-        coords = q.coords.copy()
-        a = plane_mesh.grid_index(1, 1)
-        b = plane_mesh.grid_index(2, 1)
-        coords[a] = coords[b]  # collapse one interior node onto its neighbor
-        incident = [
-            t for t in range(plane_mesh.n_triangles)
-            if a in plane_mesh.triangles[t] and b in plane_mesh.triangles[t]
-        ]
+        q, incident = collapsed_node(plane_mesh)
         assert len(incident) > 1
+        eps = REGULARITY_FACTOR * float(np.median(triangle_geometry(q).vol))
         with pytest.raises(
             DegenerateElementError,
-            match=rf"^triangle {incident[0]}: vol=\S+ <= threshold 1\.000e-06 "
+            match=rf"^triangle {incident[0]}: vol=\S+ <= threshold {re.escape(f'{eps:.3e}')} "
             rf"\({len(incident)} offending triangles\)$",
         ):
-            require_regular(Immersion(plane_mesh, coords), eps_reg=1e-6)
+            require_regular(q)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_rule_is_scale_free(self, plane_mesh, cylinder_shape, scale):
+        # the threshold is relative to the median volume: it scales with the
+        # surface, so c q and q flag the same triangles
+        collapsed, incident = collapsed_node(plane_mesh)
+        for q, want in ((collapsed, (incident[0], len(incident))), (cylinder_shape, None)):
+            assert flagged(q) == want
+            assert flagged(Immersion(q.mesh, scale * q.coords)) == want
+        eps = scale**2 * REGULARITY_FACTOR * float(np.median(triangle_geometry(collapsed).vol))
+        with pytest.raises(DegenerateElementError, match=rf"threshold {re.escape(f'{eps:.3e}')}"):
+            require_regular(Immersion(plane_mesh, scale * collapsed.coords))
 
     def test_degenerate_element_raises(self, plane_mesh):
         q = Immersion(plane_mesh, np.zeros((plane_mesh.n_nodes, 3)))
         with pytest.raises(DegenerateElementError):
-            require_regular(q, eps_reg=1e-8)
+            require_regular(q)
 
     def test_threshold_defaults_to_a_fraction_of_the_median_volume(self, cylinder_shape):
         coords = cylinder_shape.coords.copy()
         coords[1] = coords[0]
         q = Immersion(cylinder_shape.mesh, coords)
-        eps = DEFAULT_REGULARITY_FACTOR * float(np.median(triangle_geometry(q).vol))
+        eps = REGULARITY_FACTOR * float(np.median(triangle_geometry(q).vol))
         with pytest.raises(DegenerateElementError, match=rf"<= threshold {eps:.3e}"):
             require_regular(q)
 
-    @pytest.mark.parametrize("eps_reg", [None, 1e-8])
-    def test_overflowing_geometry_raises_without_a_warning(self, plane_mesh, eps_reg):
+    def test_overflowing_geometry_raises_without_a_warning(self, plane_mesh):
         # det(g) of the triangles at a node x = 1e80 overflows to inf or NaN, and
         # NaN compares false with any threshold (the suite makes a warning an error)
         coords = flat_immersion(plane_mesh).coords.copy()
@@ -135,7 +158,7 @@ class TestRegularity:
         with pytest.raises(DegenerateElementError,
                            match=rf"^triangle {bad[0]}: geometry is not finite "
                                  rf"\({bad.size} offending triangles\)$"):
-            require_regular(q, eps_reg)
+            require_regular(q)
         with pytest.raises(DegenerateElementError, match="surface area is not finite"):
             surface_area(q)
 

@@ -195,6 +195,20 @@ class TestRegister:
         assert res.iterations == 1
         assert res.history[1].energy < res.history[0].energy
 
+    @pytest.mark.parametrize("solver, name", [
+        ("backward_sweep", "adjoint sweep of the rest path"),
+        ("solve", "Gauss-Newton preconditioner at the template"),
+    ], ids=["rest-sweep", "preconditioner"])
+    def test_solve_without_a_fallback_is_named(self, bend_problem, monkeypatch, solver, name):
+        # both solves come before the first iterate, so register raises
+        def failing(*args):
+            raise SolverError("injected")
+
+        monkeypatch.setattr(registration, solver, failing)
+        q0, qt = bend_problem
+        with pytest.raises(SolverError, match=rf"^{name}: injected$"):
+            register(assemble(q0, ALPHA), qt, RegistrationConfig(n_steps=4))
+
     def test_one_sweep_per_iterate(self, bend_problem, monkeypatch):
         # only an accepted trial is swept, so the rest start and each
         # iterate have one sweep each
@@ -307,25 +321,25 @@ class TestLBFGS:
 class TestRegularityThreshold:
     @pytest.fixture
     def checks(self, monkeypatch):
-        """The eps_reg of every regularity check the metric layer makes, and
-        the immersions of the operators assembled meanwhile."""
+        """The immersion of every regularity check the metric layer makes,
+        and of every operator assembled meanwhile."""
         seen = []
         assembles = []
 
-        def spy(q, eps_reg=None):
-            seen.append(eps_reg)
-            return require_regular(q, eps_reg)
+        def spy(q):
+            seen.append(q)
+            return require_regular(q)
 
-        def counting_assemble(q, alpha, eps_reg=None):
+        def counting_assemble(q, alpha):
             assembles.append(q)
-            return assemble(q, alpha, eps_reg)
+            return assemble(q, alpha)
 
         monkeypatch.setattr(metric, "require_regular", spy)
         for module in (metric, shooting):
             monkeypatch.setattr(module, "assemble", counting_assemble)
         return seen, assembles
 
-    def test_eps_reg_reaches_every_check_of_an_iteration(self, bend_problem, checks, monkeypatch):
+    def test_one_check_per_assembly_of_an_iteration(self, bend_problem, checks, monkeypatch):
         q0, qt = bend_problem
         seen, assembles = checks
         shoots = []
@@ -335,9 +349,8 @@ class TestRegularityThreshold:
             return shooting.shoot(op0, u0, n_steps)
 
         monkeypatch.setattr(registration, "shoot", counting_shoot)
-        eps = 1e-9
         cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=1, tol_grad=1e-12)
-        res = register(metric.assemble(q0, ALPHA, eps), qt, cfg)
+        res = register(metric.assemble(q0, ALPHA), qt, cfg)
         assert res.iterations == 1
         # the caller's operator at q0 once, then every shoot from it assembles the
         # later steps; the variations reuse each operator's geometry
@@ -345,12 +358,12 @@ class TestRegularityThreshold:
         assert all(op is shoots[0] for op in shoots)
         assert len(assembles) == 1 + len(shoots) * (cfg.n_steps - 1)
         assert len(seen) == len(assembles)
-        assert all(e == eps for e in seen)
+        assert all(a is b for a, b in zip(seen, assembles))
 
-    def test_eps_reg_reaches_the_diagnostic_sweep(self, bend_problem, checks):
+    def test_diagnostic_sweep_assembles_nothing(self, bend_problem, checks):
         q0, qt = bend_problem
         seen, assembles = checks
-        path = shoot(assemble(q0, ALPHA, eps_reg=1e-9), 0.1 * (qt.coords - q0.coords), 4)
+        path = shoot(assemble(q0, ALPHA), 0.1 * (qt.coords - q0.coords), 4)
         seen.clear()
         assembles.clear()
         backward_sweep(path, matching_covector(path.final, qt, 0.5))

@@ -105,10 +105,10 @@ class TestShoot:
             assert drift <= 1e-11 * np.linalg.norm(momenta[0]), seed
 
     def test_starts_from_the_given_operator(self, cylinder_shape):
-        op0 = assemble(cylinder_shape, ALPHA, eps_reg=1e-9)
+        op0 = assemble(cylinder_shape, ALPHA)
         path = shoot(op0, smooth_field(cylinder_shape.mesh), 3)
         assert path.operators[0] is op0
-        assert all(op.alpha == ALPHA and op.eps_reg == 1e-9 for op in path.operators)
+        assert all(op.alpha == ALPHA for op in path.operators)
 
     def test_collapse_raises_step_failure(self, flat_square):
         u0 = -flat_square.coords - [0.0, 0.0, 0.0]

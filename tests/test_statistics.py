@@ -36,13 +36,13 @@ ALPHA = 0.6
 
 @pytest.fixture
 def assembled(monkeypatch):
-    """(immersion, alpha, eps_reg) of every assembly through any binding of `assemble`."""
+    """(immersion, alpha) of every assembly through any binding of `assemble`."""
     seen = []
     original = metric.assemble
 
-    def spy(q, alpha, eps_reg=None):
-        seen.append((q, alpha, eps_reg))
-        return original(q, alpha, eps_reg)
+    def spy(q, alpha):
+        seen.append((q, alpha))
+        return original(q, alpha)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "innershape" and getattr(module, "assemble", None) is original:
@@ -178,11 +178,11 @@ class TestTriangle:
 
     def test_settings_reach_every_assembly(self, rotated_torus_triple, assembled):
         qa, qb, qc = rotated_torus_triple
-        triangle_experiment(metric.assemble(qa, 0.45, 1e-9), qb, qc,
+        triangle_experiment(metric.assemble(qa, 0.45), qb, qc,
                             replace(TRIANGLE_CFG, max_iters=1))
         # the vertex operators and every shoot's later steps
         assert len(assembled) > 3
-        assert all((a, e) == (0.45, 1e-9) for _, a, e in assembled)
+        assert all(a == 0.45 for _, a in assembled)
 
     def test_side_length_direction_symmetry(self, small_triangle):
         _, results = small_triangle
@@ -276,12 +276,12 @@ class TestKarcherMean:
         mesh = build_grid(Topology.CYLINDER, 6, 6)
         vases = vase_family(mesh)[:2]
         cfg = RegistrationConfig(sigma=0.05, n_steps=4, max_iters=1)
-        res = karcher_mean(vases, metric.assemble(vases[0], 0.45, 1e-9), cfg,
+        res = karcher_mean(vases, metric.assemble(vases[0], 0.45), cfg,
                            mean_tol=0.0, max_outer=2)
         assert res.iterations == 2
         # the start, the moved mean and every shoot's later steps
         assert len(assembled) > 2
-        assert all((a, e) == (0.45, 1e-9) for _, a, e in assembled)
+        assert all(a == 0.45 for _, a in assembled)
 
     def test_vase_family_norms_decrease(self):
         mesh = build_grid(Topology.CYLINDER, 6, 6)
