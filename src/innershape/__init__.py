@@ -44,7 +44,6 @@ from .mesh import (
     DomainMesh,
     Topology,
     build_grid,
-    compatible,
     export_obj,
     load_mesh,
     load_velocity,
@@ -115,7 +114,6 @@ __all__ = [
     "backward_sweep",
     "build_config",
     "build_grid",
-    "compatible",
     "cylinder_surface",
     "energy",
     "export_obj",

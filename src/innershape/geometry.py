@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateElementError, MeshMismatchError
-from .mesh import DomainMesh, compatible
+from .mesh import DomainMesh
 
 #: relative degeneracy threshold: an element counts as degenerate when
 #: det(g) <= (factor * median volume)^2, so the rule does not depend on scale
@@ -115,8 +115,10 @@ def require_regular(q: Immersion) -> TriangleGeometry:
     bad = np.nonzero(geom.det_g <= eps * eps if finite.all() else ~finite)[0]
     if bad.size:
         t = int(bad[0])
-        problem = (f"vol={float(geom.vol[t]):.3e} <= threshold {eps:.3e}" if finite[t]
-                   else "geometry is not finite")
+        vol = f"vol={float(geom.vol[t]):.3e}"
+        problem = ("geometry is not finite" if not finite[t]
+                   else f"{vol} <= threshold {eps:.3e}" if eps > 0
+                   else f"{vol}, and the median volume is 0")
         raise DegenerateElementError(
             f"triangle {t}: {problem}"
             + (f" ({bad.size} offending triangles)" if bad.size > 1 else "")
@@ -134,7 +136,7 @@ def surface_area(q: Immersion) -> float:
 
 
 def check_same_mesh(a: DomainMesh, b: DomainMesh, what: str) -> None:
-    if not compatible(a, b):
+    if a != b:
         raise MeshMismatchError(
             f"{what}: meshes differ "
             f"({a.topology.value} {a.nx}x{a.ny} vs {b.topology.value} {b.nx}x{b.ny})"

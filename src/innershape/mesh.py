@@ -5,10 +5,6 @@ split into two triangles along the lower-left to upper-right diagonal.  A
 topology selects which coordinate directions wrap around: none (a plane
 sheet), the first (a cylinder), or both (a torus).  Wrapped grid points are
 identified, so fields carry one value per unique node.
-
-Triangles keep their un-wrapped parameter coordinates; on periodic meshes a
-seam triangle must take its derivatives from coordinates that continue past
-1.0, not from the wrapped representative.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +49,10 @@ class Topology(Enum):
 class DomainMesh:
     """Triangulated parameter domain with node identification.
 
+    The mesh is the value of its grid: ``==`` compares ``topology``, ``nx``
+    and ``ny``, and the arrays, which ``build_grid`` derives from those three,
+    take no part.
+
     Attributes
     ----------
     topology : Topology
@@ -60,13 +60,11 @@ class DomainMesh:
     nx, ny : int
         Number of cells per coordinate direction.
     nodes : ndarray, shape (n, 2)
-        Parameter coordinates of the unique nodes (wrapped representatives).
+        Parameter coordinates of the unique nodes (wrapped representatives),
+        row by row.
     triangles : ndarray, shape (ntri, 3)
-        Unique node indices per triangle, counterclockwise.
-    dof_map : ndarray, shape ((nx+1)*(ny+1),)
-        Full grid index (row-major, j*(nx+1)+i) to unique node index.
-    tri_param : ndarray, shape (ntri, 3, 2)
-        Un-wrapped parameter coordinates of each triangle's vertices.
+        Unique node indices per triangle, counterclockwise; cell k's lower
+        triangle is 2k and its upper one 2k + 1.
     basis_grad : ndarray, shape (ntri, 3, 2)
         Constant gradients of the three linear nodal basis functions.
     area : ndarray, shape (ntri,)
@@ -76,12 +74,10 @@ class DomainMesh:
     topology: Topology
     nx: int
     ny: int
-    nodes: np.ndarray = field(repr=False)
-    triangles: np.ndarray = field(repr=False)
-    dof_map: np.ndarray = field(repr=False)
-    tri_param: np.ndarray = field(repr=False)
-    basis_grad: np.ndarray = field(repr=False)
-    area: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False, compare=False)
+    triangles: np.ndarray = field(repr=False, compare=False)
+    basis_grad: np.ndarray = field(repr=False, compare=False)
+    area: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -92,17 +88,16 @@ class DomainMesh:
         return self.triangles.shape[0]
 
     def grid_index(self, i: int, j: int) -> int:
-        """Unique node index of grid point (i, j), wrapping periodic directions."""
-        if self.topology.periodic_x:
-            i = i % self.nx
-        if self.topology.periodic_y:
-            j = j % self.ny
-        return int(self.dof_map[j * (self.nx + 1) + i])
+        """Unique node index of grid point (i, j), wrapping periodic directions.
 
-
-def compatible(a: DomainMesh, b: DomainMesh) -> bool:
-    """Whether two meshes index the same discrete space."""
-    return a is b or (a.topology is b.topology and a.nx == b.nx and a.ny == b.ny)
+        Raises ValueError for a point outside [0, nx] x [0, ny] in a
+        direction that does not wrap.
+        """
+        if not ((self.topology.periodic_x or 0 <= i <= self.nx)
+                and (self.topology.periodic_y or 0 <= j <= self.ny)):
+            raise ValueError(f"grid point ({i}, {j}) is outside the "
+                             f"{self.topology.value} {self.nx}x{self.ny} grid")
+        return int(_node(*_unique_grid(self.topology, self.nx, self.ny), i, j))
 
 
 def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
@@ -121,12 +116,6 @@ def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
     """
     ncols, nrows = _unique_grid(topology, nx, ny)
 
-    # grid point (i, j) -> unique node id of its wrapped representative
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
-    iw = ii % nx if topology.periodic_x else ii
-    jw = jj % ny if topology.periodic_y else jj
-    dof_map = (jw * ncols + iw).astype(np.int64).ravel()
-
     nodes = np.empty((nrows * ncols, 2))
     iu, ju = np.meshgrid(np.arange(ncols), np.arange(nrows), indexing="xy")
     nodes[:, 0] = iu.ravel() / nx
@@ -134,28 +123,17 @@ def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
 
     # two triangles per cell, split along the lower-left to upper-right diagonal
     ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ci = ci.ravel()
-    cj = cj.ravel()
-
-    def gid(i, j):
-        return dof_map[j * (nx + 1) + i]
-
-    lower = np.stack([gid(ci, cj), gid(ci + 1, cj), gid(ci + 1, cj + 1)], axis=1)
-    upper = np.stack([gid(ci, cj), gid(ci + 1, cj + 1), gid(ci, cj + 1)], axis=1)
+    n00, n10, n11, n01 = (_node(ncols, nrows, ci.ravel() + di, cj.ravel() + dj)
+                          for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)))
     triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    triangles[0::2] = np.stack([n00, n10, n11], axis=1)
+    triangles[1::2] = np.stack([n00, n11, n01], axis=1)
 
-    corner = np.stack([ci, cj], axis=1).astype(float)
-    p00 = corner / (nx, ny)
-    p10 = (corner + (1, 0)) / (nx, ny)
-    p11 = (corner + (1, 1)) / (nx, ny)
-    p01 = (corner + (0, 1)) / (nx, ny)
-    tri_param = np.empty((2 * nx * ny, 3, 2))
-    tri_param[0::2] = np.stack([p00, p10, p11], axis=1)
-    tri_param[1::2] = np.stack([p00, p11, p01], axis=1)
-
-    basis_grad, area = _reference_gradients(tri_param)
+    # hat gradients of the right triangles with legs 1/nx and 1/ny, lower and
+    # upper; the signed zeros are those that the inverse edge matrix gives
+    lower = [[-nx, -0.0], [nx, -ny], [-0.0, ny]]
+    upper = [[-0.0, -ny], [nx, -0.0], [-nx, ny]]
+    basis_grad = np.tile(np.array([lower, upper], dtype=float), (nx * ny, 1, 1))
 
     return DomainMesh(
         topology=topology,
@@ -163,11 +141,15 @@ def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
         ny=ny,
         nodes=nodes,
         triangles=triangles,
-        dof_map=dof_map,
-        tri_param=tri_param,
         basis_grad=basis_grad,
-        area=area,
+        area=np.full(2 * nx * ny, 0.5 / (nx * ny)),
     )
+
+
+def _node(ncols: int, nrows: int, i, j):
+    """Unique node of grid point (i, j) among ``ncols`` x ``nrows``: the modulo
+    wraps a periodic direction and leaves [0, nx] ([0, ny]) of any other alone."""
+    return (j % nrows) * ncols + i % ncols
 
 
 def _unique_grid(topology: Topology, nx: int, ny: int) -> tuple[int, int]:
@@ -188,22 +170,6 @@ def _unique_grid(topology: Topology, nx: int, ny: int) -> tuple[int, int]:
     if (nx + 1) * (ny + 1) > MAX_NODES:
         raise MeshResolutionError(f"node count for {nx}x{ny} exceeds the 32-bit index range")
     return (nx if topology.periodic_x else nx + 1), (ny if topology.periodic_y else ny + 1)
-
-
-def _reference_gradients(tri_param: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the linear nodal basis and areas, per triangle."""
-    e1 = tri_param[:, 1] - tri_param[:, 0]
-    e2 = tri_param[:, 2] - tri_param[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(det <= 0):
-        raise MeshResolutionError("degenerate or inverted parameter triangle")
-    # rows of the inverse edge matrix are the gradients of the two
-    # non-anchor basis functions
-    inv_det = 1.0 / det
-    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) * inv_det[:, None]
-    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) * inv_det[:, None]
-    basis_grad = np.stack([-(g1 + g2), g1, g2], axis=1)
-    return basis_grad, 0.5 * det
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import SolverError
 from .geometry import Immersion, TriangleGeometry, require_regular
-from .mesh import DomainMesh
+from .mesh import DomainMesh, _unique_grid
 
 #: exact integrals of products of linear basis functions on the unit-area
 #: triangle: area * M3 gives the element mass matrix
@@ -192,8 +192,7 @@ def _dissection(mesh: DomainMesh) -> list[list[tuple[np.ndarray, np.ndarray, int
     tie), and boxes of at most ``_LEAF_NODES`` nodes are not cut: their
     separator is the whole box.
     """
-    ncols = mesh.nx if mesh.topology.periodic_x else mesh.nx + 1
-    nrows = mesh.ny if mesh.topology.periodic_y else mesh.ny + 1
+    ncols, nrows = _unique_grid(mesh.topology, mesh.nx, mesh.ny)
     depths: list[list[tuple[np.ndarray, np.ndarray, int]]] = []
 
     def halve(line, wrap):

@@ -97,7 +97,13 @@ def shoot(op0: MetricOperator, u0: np.ndarray, n_steps: int) -> GeodesicPath:
                 velocities.append(sharp(op_next, momentum))
         except FloatingPointError:
             raise StepFailureError(i, "velocity too large: its kinetic energy overflows") from None
-        except (DegenerateElementError, SolverError, ValueError) as exc:
+        except DegenerateElementError as exc:
+            # hypot does not overflow where the squares would
+            reach = float(np.max(np.hypot.reduce(dt * u_i, axis=1)))
+            raise StepFailureError(
+                i, f"{exc}, after the step moves a node by up to |dt u| = {reach:.3e}"
+            ) from exc
+        except (SolverError, ValueError) as exc:
             raise StepFailureError(i, str(exc)) from exc
 
     return GeodesicPath(operators, velocities, kinetic, final=q_next)

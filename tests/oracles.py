@@ -24,9 +24,20 @@ from innershape.registration import matching_covector
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def _corners(mesh, tri):
+    """(3, 2) unwrapped parameter corners of one triangle, rebuilt from its
+    cell (tri // 2, row by row) and its place in it: even triangles are the
+    lower ones, (i, j), (i + 1, j), (i + 1, j + 1), odd ones the upper ones,
+    (i, j), (i + 1, j + 1), (i, j + 1).  On a periodic mesh a seam triangle's
+    corners continue past 1.0, unlike the wrapped node coordinates."""
+    i, j = (tri // 2) % mesh.nx, (tri // 2) // mesh.nx
+    offsets = [(0, 0), (1, 0), (1, 1)] if tri % 2 == 0 else [(0, 0), (1, 1), (0, 1)]
+    return np.array([((i + di) / mesh.nx, (j + dj) / mesh.ny) for di, dj in offsets])
+
+
 def _triangle_frames(mesh, tri):
     """Parameter-edge matrix, hat gradients and area of one triangle."""
-    p = mesh.tri_param[tri]  # (3, 2) unwrapped parameter corners
+    p = _corners(mesh, tri)
     edges = np.column_stack([p[1] - p[0], p[2] - p[0]])  # (2, 2)
     area = 0.5 * abs(np.linalg.det(edges))
     # gradient of hat k in parameter coordinates: E^{-T} @ ref-grad_k
@@ -36,7 +47,7 @@ def _triangle_frames(mesh, tri):
 
 def _jacobian(mesh, coords, tri):
     """3x2 derivative of the immersion on one triangle."""
-    p = mesh.tri_param[tri]
+    p = _corners(mesh, tri)
     corners = coords[mesh.triangles[tri]]  # (3, 3)
     edges = np.column_stack([p[1] - p[0], p[2] - p[0]])
     dq_edges = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])

@@ -460,6 +460,23 @@ class TestShoot:
         assert capsys.readouterr().err == ("error: step failure: step 0: velocity too large: "
                                            "its kinetic energy overflows\n")
 
+    def test_velocity_that_collapses_the_surface_is_step_failure(self, tmp_path, capsys):
+        # 1e20 at every node swamps the coordinates in rounding without
+        # overflowing: the first step flattens every triangle, and the message
+        # names the median volume and the step's reach rather than a 0 threshold
+        cylinder = written_surface(tmp_path, "fixture", "--shape", "cylinder", "--nx", "4",
+                                   "--ny", "4")
+        mesh, coords = load_mesh(cylinder)
+        vel = tmp_path / "collapse.vel"
+        save_velocity(mesh, np.full_like(coords, 1e20), str(vel))
+        code = run("shoot", "--initial", cylinder, "--velocity", str(vel), "--n-steps", "10",
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "error: step failure: step 0: triangle 0: vol=0.000e+00, and the median volume "
+            "is 0 (32 offending triangles), after the step moves a node by up to "
+            "|dt u| = 1.732e+19\n")
+
     def test_final_area_that_overflows_leaves_no_file(self, sheets, tmp_path, capsys):
         # one step moves a node to x = 1e80, whose triangles' areas overflow;
         # the final area is computed before the first frame is written

@@ -135,8 +135,11 @@ class TestRegularity:
             require_regular(Immersion(plane_mesh, scale * collapsed.coords))
 
     def test_degenerate_element_raises(self, plane_mesh):
+        # every triangle collapses, so the median volume and the threshold are 0
         q = Immersion(plane_mesh, np.zeros((plane_mesh.n_nodes, 3)))
-        with pytest.raises(DegenerateElementError):
+        with pytest.raises(DegenerateElementError,
+                           match=r"^triangle 0: vol=0\.000e\+00, and the median volume is 0 "
+                                 rf"\({plane_mesh.n_triangles} offending triangles\)$"):
             require_regular(q)
 
     def test_threshold_defaults_to_a_fraction_of_the_median_volume(self, cylinder_shape):

@@ -20,6 +20,8 @@ from innershape import (
 )
 from innershape.cli import EXIT_IO, main
 
+from .oracles import _corners, _triangle_frames
+
 
 class TestBuildGrid:
     def test_smallest_plane_counts(self):
@@ -68,29 +70,64 @@ class TestBuildGrid:
         assert mesh.area.shape == (mesh.n_triangles,)
         assert abs(float(np.sum(mesh.area)) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("topology", list(Topology))
-    def test_triangles_positively_oriented(self, topology):
-        mesh = build_grid(topology, 4, 4)
-        p = mesh.tri_param
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        assert np.all(signed > 0)
+    @pytest.mark.parametrize("topology,nx,ny", [
+        (Topology.PLANE, 5, 3),
+        (Topology.CYLINDER, 7, 5),
+        (Topology.TORUS, 6, 4),
+    ])
+    def test_frames_match_each_triangles_corners(self, topology, nx, ny):
+        # every triangle, seam triangles included, against the oracle's frame
+        # from its unwrapped corners, which wrap onto its nodes counterclockwise
+        mesh = build_grid(topology, nx, ny)
+        assert np.all(mesh.area > 0)
+        period = [1.0 if topology.periodic_x else np.inf, 1.0 if topology.periodic_y else np.inf]
+        for tri in range(mesh.n_triangles):
+            np.testing.assert_array_equal(mesh.nodes[mesh.triangles[tri]],
+                                          np.fmod(_corners(mesh, tri), period))
+            edges, grads, area = _triangle_frames(mesh, tri)
+            assert np.linalg.det(edges) > 0
+            np.testing.assert_allclose(mesh.basis_grad[tri], grads, rtol=0, atol=1e-12)
+            assert abs(mesh.area[tri] - area) <= 1e-12
 
-    def test_dof_map_idempotent(self):
-        # identifying an already-identified node must not move it: the first
-        # grid occurrence of each unique node maps back to that same node
-        for topology in Topology:
-            mesh = build_grid(topology, 4, 4)
-            dof = mesh.dof_map
-            assert np.array_equal(np.unique(dof), np.arange(mesh.n_nodes))
-            first = np.zeros(mesh.n_nodes, dtype=int)
-            seen = set()
-            for grid_index, unique in enumerate(dof):
-                if unique not in seen:
-                    seen.add(unique)
-                    first[unique] = grid_index
-            assert np.array_equal(dof[first], np.arange(mesh.n_nodes))
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_frames_bitwise_on_power_of_two_grids(self, topology, n):
+        # the edge-difference formula the grid once ran on its stored corners:
+        # on power-of-two grids the closed form is its result bit for bit,
+        # signed zeros included
+        mesh = build_grid(topology, n, n)
+        p = np.array([_corners(mesh, tri) for tri in range(mesh.n_triangles)])
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        inv_det = 1.0 / det
+        g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) * inv_det[:, None]
+        g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) * inv_det[:, None]
+        grads = np.stack([-(g1 + g2), g1, g2], axis=1)
+        assert mesh.basis_grad.tobytes() == grads.tobytes()
+        assert mesh.area.tobytes() == (0.5 * det).tobytes()
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_grid_index_wraps_and_rejects_points_outside(self, topology):
+        mesh = build_grid(topology, 4, 4)
+        for j in range(mesh.ny + 1):
+            for i in range(mesh.nx + 1):
+                wrapped = (i % 4 / 4 if topology.periodic_x else i / 4,
+                           j % 4 / 4 if topology.periodic_y else j / 4)
+                assert tuple(mesh.nodes[mesh.grid_index(i, j)]) == wrapped
+        outside = [(5, 0), (-1, 1), (0, 5), (2, -1)]
+        for i, j in outside:
+            if (topology.periodic_x or 0 <= i <= 4) and (topology.periodic_y or 0 <= j <= 4):
+                assert mesh.grid_index(i, j) == mesh.grid_index(i % 4, j % 4)
+            else:
+                with pytest.raises(ValueError, match=rf"grid point \({i}, {j}\) is outside"):
+                    mesh.grid_index(i, j)
+
+    def test_meshes_compare_by_grid(self):
+        mesh = build_grid(Topology.CYLINDER, 4, 3)
+        assert mesh == build_grid(Topology.CYLINDER, 4, 3)
+        for topology, nx, ny in [(Topology.TORUS, 4, 3), (Topology.CYLINDER, 5, 3),
+                                 (Topology.CYLINDER, 4, 4)]:
+            assert mesh != build_grid(topology, nx, ny)
 
     def test_triangle_indices_in_range(self):
         mesh = build_grid(Topology.TORUS, 5, 4)
@@ -105,8 +142,7 @@ class TestNativeFormat:
         path = tmp_path / "t.mesh"
         save_mesh(mesh, coords, path)
         mesh2, coords2 = load_mesh(path)
-        assert mesh2.topology is mesh.topology
-        assert (mesh2.nx, mesh2.ny) == (mesh.nx, mesh.ny)
+        assert mesh2 == mesh
         assert np.array_equal(mesh2.triangles, mesh.triangles)
         assert np.array_equal(coords2, coords)
 

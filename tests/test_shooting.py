@@ -117,6 +117,16 @@ class TestShoot:
             shoot(assemble(flat_square, ALPHA), 2.0 * u0, 2)
         assert err.value.step == 0
 
+    def test_collapse_by_a_huge_velocity_names_the_step_size(self):
+        # 1e20 per node swamps the unit cylinder's coordinates in rounding, so
+        # q + dt u flattens every triangle without any value overflowing
+        mesh = build_grid(Topology.CYLINDER, 4, 4)
+        u0 = np.full((mesh.n_nodes, 3), 1e20)
+        with pytest.raises(StepFailureError, match=r"^step 0: triangle 0: vol=0\.000e\+00, and "
+                           r"the median volume is 0 \(32 offending triangles\), after the step "
+                           r"moves a node by up to \|dt u\| = 1\.732e\+19$"):
+            shoot(assemble(cylinder_surface(mesh), ALPHA), u0, 10)
+
     def test_invalid_step_count_rejected(self, flat_square):
         zero = np.zeros((flat_square.mesh.n_nodes, 3))
         with pytest.raises(ValueError):
