@@ -38,7 +38,7 @@ class Immersion:
         if not np.all(np.isfinite(coords)):
             raise ValueError("immersion coordinates must be finite")
         coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+        self.coords = coords
 
     def displaced(self, delta: np.ndarray) -> "Immersion":
         """New immersion with coordinates shifted by a nodal field."""

@@ -7,6 +7,7 @@ sheet), the first (a cylinder), or both (a torus).  Wrapped grid points are
 identified, so fields carry one value per unique node.
 """
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,13 +46,14 @@ class Topology(Enum):
             raise ValueError(f"unknown topology {name!r} (expected one of: {valid})") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainMesh:
     """Triangulated parameter domain with node identification.
 
-    The mesh is the value of its grid: ``==`` compares ``topology``, ``nx``
-    and ``ny``, and the arrays, which ``build_grid`` derives from those three,
-    take no part.
+    The mesh is the value of its grid: ``==`` and ``hash`` read ``topology``,
+    ``nx`` and ``ny``, and the arrays, which ``build_grid`` derives from those
+    three, take no part.  ``build_grid`` shares one mesh per grid, so its
+    arrays are read-only.
 
     Attributes
     ----------
@@ -100,7 +102,8 @@ class DomainMesh:
         return int(_node(*_unique_grid(self.topology, self.nx, self.ny), i, j))
 
 
-def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
+@functools.cache
+def build_grid(topology: Topology, nx: int, ny: int, /) -> DomainMesh:
     """Build the structured triangulation for a topology and resolution.
 
     Parameters
@@ -113,6 +116,9 @@ def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
     Returns
     -------
     DomainMesh
+        The one mesh of the grid, built on the first call and shared by every
+        later one (``build_grid(t, nx, ny) is build_grid(t, nx, ny)``), with
+        read-only arrays.
     """
     ncols, nrows = _unique_grid(topology, nx, ny)
 
@@ -134,16 +140,11 @@ def build_grid(topology: Topology, nx: int, ny: int) -> DomainMesh:
     lower = [[-nx, -0.0], [nx, -ny], [-0.0, ny]]
     upper = [[-0.0, -ny], [nx, -0.0], [-nx, ny]]
     basis_grad = np.tile(np.array([lower, upper], dtype=float), (nx * ny, 1, 1))
+    area = np.full(2 * nx * ny, 0.5 / (nx * ny))
 
-    return DomainMesh(
-        topology=topology,
-        nx=nx,
-        ny=ny,
-        nodes=nodes,
-        triangles=triangles,
-        basis_grad=basis_grad,
-        area=np.full(2 * nx * ny, 0.5 / (nx * ny)),
-    )
+    for shared in (nodes, triangles, basis_grad, area):
+        shared.flags.writeable = False
+    return DomainMesh(topology, nx, ny, nodes, triangles, basis_grad, area)
 
 
 def _node(ncols: int, nrows: int, i, j):

@@ -30,7 +30,7 @@ over node values.
 
 Every kernel works on per-triangle stacks with batched matrix products.  The
 index maps that move between triangles and nodes depend only on the mesh and
-are built once per ``DomainMesh`` (see ``_index_maps``): the transposed basis
+are built once per grid (see ``_index_maps``): the transposed basis
 gradient, the block's fixed sparsity pattern with the slot of every local
 entry (assembly is one ``bincount`` into that pattern, and so are products
 with the block and the sum of corner covectors onto nodes), and the fronts
@@ -45,6 +45,7 @@ few batched ``numpy.linalg`` calls per depth (a multifrontal Cholesky
 factorization).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,29 +301,27 @@ def _front_maps(mesh: DomainMesh, rows: np.ndarray, cols: np.ndarray) -> dict:
     )
 
 
+@functools.cache
 def _index_maps(mesh: DomainMesh) -> _IndexMaps:
-    """The mesh's index maps, built on first use and cached on the mesh."""
-    cached = getattr(mesh, "_index_maps", None)
-    if cached is None:
-        tris = mesh.triangles.astype(np.int64)
-        n = mesh.n_nodes
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        keys, slot = np.unique(rows * n + cols, return_inverse=True)
-        rows, cols = keys // n, keys % n
-        xyz = np.arange(3)
-        cached = _IndexMaps(
-            n_nodes=n,
-            grad_t=np.ascontiguousarray(mesh.basis_grad.transpose(0, 2, 1)),
-            slot=slot,
-            rows=rows,
-            cols=cols,
-            product_bins=(3 * rows + xyz[:, None]).ravel(),
-            corner_bins=(3 * tris.reshape(-1, 1) + xyz).ravel(),
-            **_front_maps(mesh, rows, cols),
-        )
-        object.__setattr__(mesh, "_index_maps", cached)
-    return cached
+    """The index maps of the mesh's grid, built on first use and kept for the
+    process (about 7.5 MB at 64x64)."""
+    tris = mesh.triangles.astype(np.int64)
+    n = mesh.n_nodes
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    rows, cols = keys // n, keys % n
+    xyz = np.arange(3)
+    return _IndexMaps(
+        n_nodes=n,
+        grad_t=np.ascontiguousarray(mesh.basis_grad.transpose(0, 2, 1)),
+        slot=slot,
+        rows=rows,
+        cols=cols,
+        product_bins=(3 * rows + xyz[:, None]).ravel(),
+        corner_bins=(3 * tris.reshape(-1, 1) + xyz).ravel(),
+        **_front_maps(mesh, rows, cols),
+    )
 
 
 def _element_matrices(q: Immersion, alpha: float, geom: TriangleGeometry) -> np.ndarray:
@@ -372,13 +371,11 @@ def assemble(q: Immersion, alpha: float) -> MetricOperator:
     return MetricOperator(immersion=q, alpha=alpha, block=block, geom=geom)
 
 
+@functools.cache
 def parameter_mass_matrix(mesh: DomainMesh) -> SparseBlock:
-    """Mass matrix of the flat parameter domain (volume density 1), cached."""
-    cached = getattr(mesh, "_flat_mass", None)
-    if cached is None:
-        cached = _assemble_scalar(mesh, mesh.area[:, None, None] * _M3)
-        object.__setattr__(mesh, "_flat_mass", cached)
-    return cached
+    """Mass matrix of the flat parameter domain (volume density 1), one per
+    grid, kept for the process."""
+    return _assemble_scalar(mesh, mesh.area[:, None, None] * _M3)
 
 
 def inner_product(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> float:

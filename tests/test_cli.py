@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import innershape.cli
+import innershape.metric
 import innershape.shooting
 from innershape import (
     Immersion,
@@ -623,6 +624,42 @@ class TestMean:
         assert summary["registration_statuses"] == ["converged", "max_iters"]
         assert capsys.readouterr().err == (
             f"error: registrations did not converge: {sheets['plus']}\n")
+
+
+def test_readme_statistics_build_each_grid_once(tmp_path, monkeypatch):
+    # every build and every read of a grid hands out its one read-only mesh,
+    # so the README triangle (three 10x10 torus files) and the five-vase mean
+    # each find their grid's dissection fronts once
+    for cache in (build_grid, innershape.metric._index_maps,
+                  innershape.metric.parameter_mass_matrix):
+        cache.cache_clear()
+    fronts, front_maps = [], innershape.metric._front_maps
+
+    def counted(mesh, rows, cols):
+        fronts.append((mesh.topology, mesh.nx, mesh.ny))
+        return front_maps(mesh, rows, cols)
+
+    monkeypatch.setattr(innershape.metric, "_front_maps", counted)
+    monkeypatch.chdir(tmp_path)
+    tori = [f"tori/triangle_{v}.mesh" for v in "abc"]
+    vases = [f"vases/vase_{k}.mesh" for k in range(5)]
+    for argv in (
+        ["fixture", "--shape", "torus-triangle", "--nx", "10", "--ny", "10", "--out", "tori/"],
+        ["triangle", "--a", tori[0], "--b", tori[1], "--c", tori[2], "--sigma", "0.25",
+         "--n-steps", "8", "--tol-grad", "7e-4", "--out-dir", "out/triangle"],
+        ["fixture", "--shape", "vase-family", "--nx", "8", "--ny", "8", "--out", "vases/"],
+        ["mean", "--shapes", *vases, "--sigma", "0.05", "--n-steps", "4", "--tol-grad", "2e-3",
+         "--mean-tol", "2e-3", "--max-outer", "6", "--out-dir", "out/mean"],
+    ):
+        assert run(*argv) == EXIT_OK
+    assert fronts == [(Topology.TORUS, 10, 10), (Topology.CYLINDER, 8, 8)]
+
+    mesh = build_grid(Topology.TORUS, 10, 10)
+    assert build_grid(Topology.TORUS, 10, 10) is mesh
+    assert all(load_mesh(path)[0] is mesh for path in tori)
+    for array in (mesh.nodes, mesh.triangles, mesh.basis_grad, mesh.area):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def written_surface(tmp_path, command, *flags):

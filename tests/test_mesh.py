@@ -1,5 +1,6 @@
 """Model-domain grids, node identification and the native file formats."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -128,6 +129,12 @@ class TestBuildGrid:
         for topology, nx, ny in [(Topology.TORUS, 4, 3), (Topology.CYLINDER, 5, 3),
                                  (Topology.CYLINDER, 4, 4)]:
             assert mesh != build_grid(topology, nx, ny)
+
+    def test_grid_of_equal_arguments_is_one_frozen_mesh(self):
+        mesh = build_grid(Topology.CYLINDER, 4, 3)
+        assert build_grid(Topology.CYLINDER, np.int64(4), np.int32(3)) is mesh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.nx = 5
 
     def test_triangle_indices_in_range(self):
         mesh = build_grid(Topology.TORUS, 5, 4)

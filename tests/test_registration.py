@@ -148,6 +148,27 @@ class TestRegister:
         assert res.status is RegistrationStatus.STEP_FAILURE
         assert res.history  # the failed iterate is still recorded
 
+    def test_trial_that_falls_short_of_armijo_is_rejected(self, monkeypatch):
+        # with a demanding decrease constant the unit trial lowers the energy
+        # (0.0322 -> 0.0157) but by less than ARMIJO_C * t * <g, d>, so the
+        # search backtracks, here to t = 1/64; strict decrease alone would
+        # take t = 1
+        mesh = build_grid(Topology.CYLINDER, 6, 6)
+        q0, qt = cylinder_surface(mesh), cylinder_surface(mesh, bend_deg=30.0)
+        trials = []
+
+        def recording_energy(path, q_target, sigma):
+            trials.append(energy(path, q_target, sigma))
+            return trials[-1]
+
+        monkeypatch.setattr(registration, "ARMIJO_C", 0.99)
+        monkeypatch.setattr(registration, "energy", recording_energy)
+        cfg = RegistrationConfig(sigma=0.5, n_steps=4, max_iters=1, tol_grad=0.0)
+        res = register(assemble(q0, ALPHA), qt, cfg)
+        assert trials[1][0] < trials[0][0]
+        assert res.history[1].step == registration.ARMIJO_SHRINK**6
+        assert res.history[1].energy == trials[7][0]
+
     def test_trial_whose_shoot_fails_is_rejected(self, bend_problem, monkeypatch):
         # a trial that raises StepFailureError shrinks the step like one whose
         # energy does not fall, and the search goes on
