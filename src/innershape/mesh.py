@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import MeshFormatError, MeshResolutionError
 
-MESH_MAGIC = "IMESH 1"
-VELOCITY_MAGIC = "IVEC 1"
+MESH_MAGIC = "IMESH 2"
+VELOCITY_MAGIC = "IVEC 2"
 
 # node counts stay within int32, so the metric's pattern keys row * n + col fit int64
 MAX_NODES = np.iinfo(np.int32).max
@@ -178,10 +178,10 @@ def _unique_grid(topology: Topology, nx: int, ny: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _write_records(mesh: DomainMesh, values: np.ndarray, path, header: str, base: int,
-                   what: str) -> None:
-    """Write ``header``, one ``v`` record per node and one ``f`` record per
-    triangle, its node indices counted from ``base``."""
+def _write_records(mesh: DomainMesh, values: np.ndarray, path, header: str, what: str,
+                   faces=()) -> None:
+    """Write ``header``, one ``v`` record per node and one ``f`` record per row
+    of ``faces``."""
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_nodes, 3):
         raise ValueError(f"expected ({mesh.n_nodes}, 3) {what}, got {values.shape}")
@@ -189,14 +189,15 @@ def _write_records(mesh: DomainMesh, values: np.ndarray, path, header: str, base
         f.write(header)
         for x, y, z in values:
             f.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.triangles + base:
+        for a, b, c in faces:
             f.write(f"f {a} {b} {c}\n")
 
 
 def _write_native(mesh: DomainMesh, values: np.ndarray, path, magic: str) -> None:
-    header = (f"{magic}\n{mesh.topology.value} {mesh.nx} {mesh.ny}\n"
-              f"{mesh.n_nodes} {mesh.n_triangles}\n")
-    _write_records(mesh, values, path, header, 0, "values")
+    """The magic, the grid and the node records: the grid fixes the node count
+    and the connectivity, so the file states neither."""
+    header = f"{magic}\n{mesh.topology.value} {mesh.nx} {mesh.ny}\n"
+    _write_records(mesh, values, path, header, "values")
 
 
 def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
@@ -222,54 +223,25 @@ def _read_native(path, magic: str) -> tuple[DomainMesh, np.ndarray]:
         ncols, nrows = _unique_grid(topology, nx, ny)
     except (ValueError, MeshResolutionError) as exc:
         raise MeshFormatError(str(exc), line=2) from None
-    counts = need(2).split()
-    if len(counts) != 2:
-        raise MeshFormatError("expected '<node_count> <tri_count>'", line=3)
-    try:
-        n_nodes, n_tris = int(counts[0]), int(counts[1])
-    except ValueError:
-        raise MeshFormatError("counts must be integers", line=3) from None
 
-    grid_counts = (ncols * nrows, 2 * nx * ny)
-    if (n_nodes, n_tris) != grid_counts:
-        raise MeshFormatError(
-            f"header counts {n_nodes}/{n_tris} do not match "
-            f"{topology.value} {nx}x{ny} ({grid_counts[0]}/{grid_counts[1]})",
-            line=3,
-        )
-
-    def records(first: int, count: int, form: str, convert, problem: str) -> list:
-        """The converted fields of ``count`` records of ``form`` from 0-based line ``first``."""
-        rows = []
-        for k in range(first, first + count):
-            parts = need(k).split()
-            if len(parts) != 4 or parts[0] != form[0]:
-                raise MeshFormatError(f"expected '{form}'", line=k + 1)
-            try:
-                rows.append([convert(p) for p in parts[1:]])
-            except ValueError:
-                raise MeshFormatError(problem, line=k + 1) from None
-        return rows
-
-    values = np.array(records(3, n_nodes, "v x y z", float, "bad coordinate")).reshape(n_nodes, 3)
+    n_nodes = ncols * nrows
+    rows = []
+    for k in range(2, 2 + n_nodes):
+        parts = need(k).split()
+        if len(parts) != 4 or parts[0] != "v":
+            raise MeshFormatError("expected 'v x y z'", line=k + 1)
+        try:
+            rows.append([float(p) for p in parts[1:]])
+        except ValueError:
+            raise MeshFormatError("bad coordinate", line=k + 1) from None
+    values = np.array(rows)
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
     if bad.size:
-        raise MeshFormatError("non-finite coordinate", line=4 + int(bad[0]))
-    tris = records(3 + n_nodes, n_tris, "f i j k", int, "bad node index")
+        raise MeshFormatError("non-finite coordinate", line=3 + int(bad[0]))
+    if any(line.strip() for line in lines[2 + n_nodes:]):
+        raise MeshFormatError("trailing content after node records", line=3 + n_nodes)
     # built only once every record is read, so the grid is no larger than the file
-    mesh = build_grid(topology, nx, ny)
-    # an index beyond int64 makes an object array, which still compares
-    bad = np.flatnonzero(np.any(np.array(tris).reshape(n_tris, 3) != mesh.triangles, axis=1))
-    if bad.size:
-        k = int(bad[0])
-        raise MeshFormatError(
-            f"triangle {tris[k]} does not match the {topology.value} {nx}x{ny} connectivity",
-            line=4 + n_nodes + k,
-        )
-    extra = 3 + n_nodes + n_tris
-    if any(line.strip() for line in lines[extra:]):
-        raise MeshFormatError("trailing content after triangle records", line=extra + 1)
-    return mesh, values
+    return build_grid(topology, nx, ny), values
 
 
 def save_mesh(mesh: DomainMesh, coords: np.ndarray, path) -> None:
@@ -298,4 +270,4 @@ def export_obj(mesh: DomainMesh, coords: np.ndarray, path) -> None:
     Node identification is not representable in OBJ, so seam triangles on
     periodic meshes reference the wrapped nodes; the export is lossy there.
     """
-    _write_records(mesh, coords, path, "", 1, "coordinates")
+    _write_records(mesh, coords, path, "", "coordinates", mesh.triangles + 1)

@@ -19,20 +19,21 @@ from .shooting import path_length, shoot
 
 logger = logging.getLogger(__name__)
 
-#: velocities with metric norm below this count as zero for angles
-ZERO_VELOCITY_TOL = 1e-14
-
 #: angles below one degree usually mean a numerically degenerate triangle
 DEGENERATE_ANGLE_DEG = 1.0
 
 
 def geodesic_angle(op: MetricOperator, u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in degrees between two velocities under an assembled metric."""
+    """Angle in degrees between two velocities under an assembled metric.
+
+    Scale-free: only a velocity of zero norm raises ZeroVelocityError, and
+    the norms are taken apart, so their product does not overflow.
+    """
     uu = inner_product(op, u, u)
     vv = inner_product(op, v, v)
-    if uu <= ZERO_VELOCITY_TOL**2 or vv <= ZERO_VELOCITY_TOL**2:
+    if not (uu > 0 and vv > 0):
         raise ZeroVelocityError("angle undefined for a zero velocity")
-    cosine = inner_product(op, u, v) / np.sqrt(uu * vv)
+    cosine = inner_product(op, u, v) / (np.sqrt(uu) * np.sqrt(vv))
     return float(np.degrees(np.arccos(np.clip(cosine, -1.0, 1.0))))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from innershape import Immersion, Topology, build_grid, cylinder_surface, torus_surface
+from innershape import adjoint, metric, registration, shooting
 
 #: wall-clock start of the test session, read by the acceptance timing check
 SESSION_START = time.monotonic()
@@ -13,6 +14,17 @@ SESSION_START = time.monotonic()
 #: wall-clock seconds spent in tests excluded from the timing budget,
 #: filled in by the excluded tests themselves
 EXCLUDED_SECONDS = {}
+
+#: the bindings through which shoots, sweeps and their kernels are called:
+#: ``solve`` counts every factor-and-solve (``sharp`` and the preconditioner),
+#: ``kinetic_surface_gradient`` every D, ``kinetic_adjoint_covectors`` every
+#: adjoint kernel, in whichever module calls them
+COST_BINDINGS = (
+    (registration, "shoot"), (registration, "backward_sweep"), (registration, "solve"),
+    (shooting, "assemble"), (shooting, "sharp"), (shooting, "kinetic_surface_gradient"),
+    (adjoint, "sharp"), (adjoint, "kinetic_surface_gradient"),
+    (adjoint, "kinetic_adjoint_covectors"), (metric, "solve"),
+)
 
 
 def pytest_collection_modifyitems(config, items):
@@ -70,3 +82,19 @@ def any_shape(request):
 
 def random_field(rng, mesh, scale=1.0):
     return scale * rng.standard_normal((mesh.n_nodes, 3))
+
+
+def count_calls(patch, bindings=COST_BINDINGS):
+    """Count the calls through each ``(module, name)`` binding, summed by name.
+
+    ``patch`` (a ``pytest.MonkeyPatch``) replaces each binding with a counting
+    wrapper; the returned dict holds the running counts.
+    """
+    calls = {name: 0 for _, name in bindings}
+    for module, name in bindings:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        patch.setattr(module, name, counted)
+    return calls

@@ -37,6 +37,7 @@ from innershape import (
 )
 
 from . import conftest as suite_state
+from .conftest import count_calls
 from .oracles import flat_mass_matrix, flat_stiffness_matrix, metric_inner_quadrature
 from .test_geometry import flat_immersion
 
@@ -55,7 +56,8 @@ def bend_registration():
     """The 16x16 straight-to-bent-rippled cylinder registration.
 
     Shared by the integrator and registration checks; its wall-clock time
-    has a dedicated budget and is excluded from the suite budget.
+    has a dedicated budget and is excluded from the suite budget.  The run
+    counts its calls (``count_calls``) for the cost pins.
     """
     mesh = build_grid(Topology.CYLINDER, 16, 16)
     q0 = cylinder_surface(mesh)
@@ -65,11 +67,14 @@ def bend_registration():
         sigma=0.05, n_steps=10, max_iters=250,
         tol_grad=1e-9, tol_match=0.0015 * initial_match,
     )
-    start = time.monotonic()
-    result = register(assemble(q0, ALPHA), target, cfg)
-    elapsed = time.monotonic() - start
+    op0 = assemble(q0, ALPHA)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch)
+        start = time.monotonic()
+        result = register(op0, target, cfg)
+        elapsed = time.monotonic() - start
     suite_state.EXCLUDED_SECONDS["bend_registration_16x16"] = elapsed
-    return q0, target, initial_match, result, elapsed
+    return q0, target, initial_match, result, elapsed, calls
 
 
 def test_criterion_1_gradient_vs_finite_differences(capsys):
@@ -219,7 +224,7 @@ def test_criterion_4_invariance_suite(capsys):
 
 
 def test_criterion_5_integrator_consistency(bend_registration, capsys):
-    q0, _, _, result, _ = bend_registration
+    q0, _, _, result, _, _ = bend_registration
 
     op0 = assemble(q0, ALPHA)
     zero_path = shoot(op0, np.zeros((q0.mesh.n_nodes, 3)), 10)
@@ -247,7 +252,7 @@ def test_criterion_5_integrator_consistency(bend_registration, capsys):
 
 
 def test_criterion_6_bent_cylinder_registration(bend_registration, capsys):
-    _, _, initial_match, result, elapsed = bend_registration
+    _, _, initial_match, result, elapsed, _ = bend_registration
 
     energies = [h.energy for h in result.history]
     monotone = all(b < a for a, b in zip(energies, energies[1:]))
@@ -274,6 +279,24 @@ def test_bend_registration_cost_and_energy(bend_registration):
     result = bend_registration[3]
     assert result.iterations <= 8
     assert abs(result.energy - 0.3923793707402035) <= 0.01 * 0.3923793707402035
+
+
+def test_bend_registration_call_counts(bend_registration):
+    # every count follows from N and the shoots, sweeps and iterations: on
+    # numpy 2, 7 iterations, 9 shoots and 8 sweeps make 81 assembles, 153 D
+    # calls, 80 kernel calls and 174 solves, 161 of them through sharp.  The
+    # other 2 * iterations - 1 solves apply the preconditioner: once per
+    # search direction, and once more to the newest curvature pair from the
+    # second on, so an L-BFGS that keeps no pair fails the last pin
+    _, _, _, result, _, calls = bend_registration
+    n = 10
+    shoots, sweeps = calls["shoot"], calls["backward_sweep"]
+    assert sweeps == result.iterations + 1  # the rest path and each accepted trial
+    assert calls["assemble"] == (n - 1) * shoots
+    assert calls["kinetic_surface_gradient"] == (n - 1) * (shoots + sweeps)
+    assert calls["kinetic_adjoint_covectors"] == n * sweeps
+    assert calls["sharp"] == (n - 1) * shoots + n * sweeps
+    assert calls["solve"] == (n - 1) * shoots + n * sweeps + (2 * result.iterations - 1)
 
 
 def test_criterion_7_torus_triangle(capsys):

@@ -28,7 +28,7 @@ from innershape.fixtures import rotation_matrix
 from innershape.metric import assemble
 from innershape.registration import RegistrationConfig
 
-from .conftest import random_field
+from .conftest import count_calls, random_field
 from .oracles import covector_sweep, min_fd_error, tangent_shoot
 from .test_shooting import smooth_field
 
@@ -179,20 +179,13 @@ class TestBackwardSweep:
         got = backward_sweep(path, matching_covector(path.final, q_target, SIGMA))
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n_steps", [1, 4])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5])
     def test_one_solve_and_one_surface_gradient_per_step(self, small_problem, monkeypatch,
                                                          n_steps):
         q0, u0, q_target = small_problem
         path = shoot(assemble(q0, ALPHA), u0, n_steps)
-        calls = {"sharp": 0, "kinetic_adjoint_covectors": 0, "kinetic_surface_gradient": 0}
-        for name in calls:
-            real = getattr(adjoint, name)
-
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(adjoint, name, counted)
+        calls = count_calls(monkeypatch, [(adjoint, name) for name in (
+            "sharp", "kinetic_adjoint_covectors", "kinetic_surface_gradient")])
         backward_sweep(path, matching_covector(path.final, q_target, SIGMA))
         # step i = 0 forms no qbar' update, so it needs no D
         assert calls == {"sharp": n_steps, "kinetic_adjoint_covectors": n_steps,

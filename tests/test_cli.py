@@ -713,7 +713,7 @@ class TestGradcheck:
         out = tmp_path / "gc"
         assert run("gradcheck", "--initial", str(vel), "--out-dir", str(out)) == EXIT_IO
         assert capsys.readouterr().err == (
-            "error: bad input file: line 1: expected header 'IMESH 1'\n")
+            "error: bad input file: line 1: expected header 'IMESH 2'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [

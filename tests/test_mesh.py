@@ -1,8 +1,6 @@
 """Model-domain grids, node identification and the native file formats."""
 
 import dataclasses
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,13 +151,6 @@ class TestNativeFormat:
         assert np.array_equal(mesh2.triangles, mesh.triangles)
         assert np.array_equal(coords2, coords)
 
-    def test_readme_example_header_counts_match_the_grid(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        header = re.search(r"```\nIMESH 1 .*\n(\w+) (\d+) (\d+) .*\n(\d+) (\d+) ", readme)
-        topology, nx, ny, n_nodes, n_triangles = header.groups()
-        mesh = build_grid(Topology(topology), int(nx), int(ny))
-        assert (int(n_nodes), int(n_triangles)) == (mesh.n_nodes, mesh.n_triangles)
-
     def test_velocity_round_trip_bit_exact(self, tmp_path, rng):
         mesh = build_grid(Topology.CYLINDER, 4, 3)
         values = rng.standard_normal((mesh.n_nodes, 3))
@@ -183,13 +174,13 @@ class TestNativeFormat:
         path = tmp_path / "short.mesh"
         save_mesh(mesh, coords, path)
         lines = path.read_text().splitlines()
-        del lines[4 + 14]  # drop the 15th of 16 coordinate rows
+        del lines[2 + 14]  # drop the 15th of 16 coordinate rows
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
         assert err.value.line is not None
 
-    @pytest.mark.parametrize("load, magic", [(load_mesh, b"IMESH 1"), (load_velocity, b"IVEC 1")],
+    @pytest.mark.parametrize("load, magic", [(load_mesh, b"IMESH 2"), (load_velocity, b"IVEC 2")],
                              ids=["mesh", "velocity"])
     def test_non_utf8_file_is_malformed(self, tmp_path, capsys, load, magic):
         path = tmp_path / "bytes.txt"
@@ -200,9 +191,22 @@ class TestNativeFormat:
                      "--out-dir", str(tmp_path / "run")]) == EXIT_IO
         assert "error: bad input file: cannot read" in capsys.readouterr().err
 
+    def test_version_1_file_fails_at_line_1(self, tmp_path, capsys):
+        # a 1x1 plane as version 1 wrote it, with a count line and f records
+        path = tmp_path / "v1.mesh"
+        path.write_text("IMESH 1\nplane 1 1\n4 2\n" + "v 0.0 0.0 0.0\n" * 4
+                        + "f 0 1 3\nf 0 3 2\n")
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert err.value.line == 1
+        assert main(["gradcheck", "--initial", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: bad input file: line 1: expected header 'IMESH 2'\n")
+
     def test_bad_magic_reports_first_line(self, tmp_path):
         path = tmp_path / "bad.mesh"
-        path.write_text("NOPE 9\nplane 1 1\n4 2\n")
+        path.write_text("NOPE 9\nplane 1 1\n")
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
         assert err.value.line == 1
@@ -216,7 +220,7 @@ class TestNativeFormat:
         path.write_text(text)
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
-        assert err.value.line == 4
+        assert err.value.line == 3
 
     @pytest.mark.parametrize("save, load, word", [
         (save_mesh, load_mesh, "nan"), (save_velocity, load_velocity, "-inf"),
@@ -226,41 +230,16 @@ class TestNativeFormat:
         path = tmp_path / "values.txt"
         save(mesh, np.zeros((4, 3)), path)
         lines = path.read_text().splitlines()
-        lines[4] = f"v 0.0 {word} 0.0"  # the second coordinate row, line 5
+        lines[3] = f"v 0.0 {word} 0.0"  # the second coordinate row, line 4
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshFormatError) as err:
             load(path)
-        assert err.value.line == 5
-
-    @pytest.mark.parametrize("index", ["3", "99999999999999999999"], ids=["swapped", "huge"])
-    def test_foreign_connectivity_reports_line(self, tmp_path, index):
-        mesh = build_grid(Topology.PLANE, 2, 2)  # 9 nodes, 8 triangles
-        path = tmp_path / "tris.mesh"
-        save_mesh(mesh, np.zeros((9, 3)), path)
-        lines = path.read_text().splitlines()
-        a, b, _ = mesh.triangles[5]
-        lines[3 + 9 + 5] = f"f {a} {b} {index}"  # the sixth triangle row
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshFormatError, match=rf"triangle \[{a}, {b}, {index}\] does not"
-                           ) as err:
-            load_mesh(path)
-        assert err.value.line == 4 + 9 + 5
-
-    def test_header_count_mismatch_rejected(self, tmp_path):
-        mesh = build_grid(Topology.PLANE, 1, 1)
-        coords = np.zeros((4, 3))
-        path = tmp_path / "counts.mesh"
-        save_mesh(mesh, coords, path)
-        text = path.read_text().replace("4 2", "5 2", 1)
-        path.write_text(text)
-        with pytest.raises(MeshFormatError) as err:
-            load_mesh(path)
-        assert err.value.line == 3
+        assert err.value.line == 4
 
     @pytest.mark.parametrize("resolution", ["2 16", "0 16"])
     def test_unbuildable_header_resolution_reports_line_2(self, tmp_path, resolution, capsys):
         path = tmp_path / "res.mesh"
-        path.write_text(f"IMESH 1\ncylinder {resolution}\n1 1\nv 0 0 0\nf 0 0 0\n")
+        path.write_text(f"IMESH 2\ncylinder {resolution}\nv 0 0 0\n")
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
         assert err.value.line == 2
@@ -268,30 +247,27 @@ class TestNativeFormat:
                      "--out-dir", str(tmp_path / "run")]) == EXIT_IO
         assert "error: bad input file: line 2: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("counts, line", [("1 1", 3), ("640800 1280000", 6)],
-                             ids=["counts-differ", "records-missing"])
+    # the 800x800 cylinder claims 640800 node records
+    @pytest.mark.parametrize("second, line", [("v 0 0 1", 5), ("v 0 0", 4)],
+                             ids=["records-missing", "record-malformed"])
     def test_large_header_claim_rejected_without_building_the_grid(
-            self, tmp_path, monkeypatch, counts, line):
+            self, tmp_path, monkeypatch, second, line):
         built = []
         monkeypatch.setattr(innershape.mesh, "build_grid",
                             lambda *args: built.append(args))
         path = tmp_path / "claim.mesh"
-        path.write_text(f"IMESH 1\ncylinder 800 800\n{counts}\nv 0 0 0\nv 0 0 1\n")
+        path.write_text(f"IMESH 2\ncylinder 800 800\nv 0 0 0\n{second}\n")
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
         assert err.value.line == line
         assert built == []
 
-    # a 1x1 plane file: header lines 1-3, node records 4-7, triangle records 8-9
+    # a 1x1 plane file: header lines 1-2, node records 3-6
     @pytest.mark.parametrize("index, record, message", [
-        (4, "w 0.0 0.0 0.0", "expected 'v x y z'"),
-        (5, "v 0.0 0.0", "expected 'v x y z'"),
-        (7, "v 0.0 0.0 0.0 0.0", "expected 'v x y z'"),
-        (8, "v 0 1 3", "expected 'f i j k'"),
-        (9, "f 0 3 2 1", "expected 'f i j k'"),
-        (8, "f 0 1.0 3", "bad node index"),
-        (9, "f 0 3 two", "bad node index"),
-    ], ids=["v-tag", "v-short", "v-long", "f-tag", "f-long", "f-float", "f-word"])
+        (3, "w 0.0 0.0 0.0", "expected 'v x y z'"),
+        (4, "v 0.0 0.0", "expected 'v x y z'"),
+        (6, "v 0.0 0.0 0.0 0.0", "expected 'v x y z'"),
+    ], ids=["v-tag", "v-short", "v-long"])
     def test_bad_record_reports_message_and_line(self, tmp_path, index, record, message):
         path = tmp_path / "records.mesh"
         save_mesh(build_grid(Topology.PLANE, 1, 1), np.zeros((4, 3)), path)
@@ -318,8 +294,9 @@ class TestNativeFormat:
         save_mesh(mesh, coords, path)
         with open(path, "a") as f:
             f.write("f 0 1 2\n")
-        with pytest.raises(MeshFormatError):
+        with pytest.raises(MeshFormatError, match="trailing content") as err:
             load_mesh(path)
+        assert err.value.line == 7
 
 
 class TestObjExport:

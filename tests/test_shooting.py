@@ -19,7 +19,7 @@ from innershape import (
 )
 from innershape.fixtures import rotation_matrix
 
-from .conftest import random_field
+from .conftest import count_calls, random_field
 from .test_geometry import flat_immersion
 
 ALPHA = 0.6
@@ -109,6 +109,16 @@ class TestShoot:
         path = shoot(op0, smooth_field(cylinder_shape.mesh), 3)
         assert path.operators[0] is op0
         assert all(op.alpha == ALPHA for op in path.operators)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+    def test_one_assemble_solve_and_surface_gradient_per_step_but_the_last(
+            self, cylinder_shape, monkeypatch, n_steps):
+        # the last step moves q to q_N, which needs no operator and no momentum
+        op0 = assemble(cylinder_shape, ALPHA)
+        calls = count_calls(monkeypatch)
+        shoot(op0, smooth_field(cylinder_shape.mesh), n_steps)
+        assert (calls["assemble"], calls["solve"], calls["kinetic_surface_gradient"]) == (
+            (n_steps - 1,) * 3)
 
     def test_collapse_raises_step_failure(self, flat_square):
         u0 = -flat_square.coords - [0.0, 0.0, 0.0]

@@ -15,6 +15,7 @@ from innershape import (
     ZeroVelocityError,
     assemble,
     build_grid,
+    cylinder_surface,
     geodesic_angle,
     inner_product,
     karcher_mean,
@@ -84,6 +85,17 @@ class TestGeodesicAngle:
         a = geodesic_angle(op, u, v)
         b = geodesic_angle(op, 2.0 * u, 0.5 * v)
         assert abs(a - b) <= 1e-12
+
+    @pytest.mark.parametrize("c", [2.0**-28, 2.0**130], ids=["tiny", "huge"])
+    def test_angle_is_scale_free_bitwise(self, c):
+        # q, alpha, u and v scaled by a power of two c scale every inner
+        # product by exactly c^4, so no absolute floor or overflow may bind
+        mesh = build_grid(Topology.CYLINDER, 8, 8)
+        q = cylinder_surface(mesh, bend_deg=30.0)
+        u, v = np.random.default_rng(3).standard_normal((2, mesh.n_nodes, 3))
+        want = geodesic_angle(assemble(q, ALPHA), u, v)
+        op = assemble(Immersion(mesh, c * q.coords), c * ALPHA)
+        assert geodesic_angle(op, c * u, c * v) == want
 
     def test_zero_velocity_rejected(self, cylinder_shape, rng):
         u = random_field(rng, cylinder_shape.mesh, 0.5)
